@@ -7,7 +7,7 @@ deviation norm against the spectral prediction.
 
 The uncontrolled run integrates to t = 3 and the controlled run to t = 4
 (the decaying envelope needs a few oscillation periods for a clean fit) on
-the production grid (dx = eps/4); expect several minutes of runtime.
+the production grid (dx = eps/4, dt = eps/25); both runs take about 3 s.
 """
 
 import numpy as np

@@ -67,4 +67,60 @@ from .regions import (
 )
 from .pde_sim import SimConfig, SimTrace, relax_profile, rhs, run, step
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "BranchCut",
+    "DegenerateControl",
+    "EssentialRay",
+    "FloorInsufficient",
+    "NearEigenvalue",
+    "NotControllable",
+    "NumericalBlowup",
+    "OutOfContinuum",
+    "PoleAtInput",
+    "PulseControlError",
+    "QuadratureFailure",
+    "RootIsolationFailure",
+    "UnstableEssential",
+    # model
+    "ModelParams",
+    "PowerLawModel",
+    "ReducedCoefficients",
+    "existence_residual",
+    "pulse_profile",
+    "reduced_coefficients",
+    # spectral
+    "RValue",
+    "SpectrumReport",
+    "assemble_spectrum",
+    "essential_edges",
+    "find_complex_roots",
+    "find_real_roots",
+    "lhs",
+    "r_continuous",
+    "r_discrete",
+    "r_total",
+    # oracle
+    "FastGrid",
+    "FastOperator",
+    "eigenfunction_identities",
+    "r_oracle",
+    "solve_vin",
+    "theta_inner_product",
+    "theta_reference",
+    "top_eigenvalues",
+    # regions
+    "RegionCell",
+    "SweepResult",
+    "classify_theorem",
+    "min_control_gain",
+    "sweep_plane",
+    "uncontrolled_verdict",
+    # pde_sim
+    "SimConfig",
+    "SimTrace",
+    "relax_profile",
+    "rhs",
+    "run",
+    "step",
+]

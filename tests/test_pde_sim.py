@@ -10,6 +10,7 @@ from pulsectrl.errors import NumericalBlowup
 from pulsectrl.model import ModelParams, PowerLawModel, pulse_profile
 from pulsectrl.pde_sim import (
     SimConfig,
+    _StepContext,
     _fit_rate,
     _neumann_laplacian,
     deviation_norm,
@@ -34,7 +35,9 @@ class TestSimConfig:
     def test_defaults(self):
         config = fig4_config()
         assert config.dx == pytest.approx(FIG4.eps / 4.0)
-        assert config.dt == pytest.approx(config.dx ** 2 / 4.0)
+        assert config.dt == pytest.approx(FIG4.eps / 25.0)
+        # the step never exceeds the sampling interval
+        assert fig4_config(sample_interval=1e-4).dt == 1e-4
         x = config.x
         assert x.size % 2 == 1
         assert np.allclose(x, -x[::-1])
@@ -116,8 +119,6 @@ def test_step_fixed_point_and_noninvasive_control():
     config = fig4_config(params=FIG4.with_control_slope(-3.0),
                          model=FIG4_MODEL)
     u_ref, v_ref = relax_profile(config)
-    from pulsectrl.pde_sim import _StepContext
-
     context = _StepContext(config, v_ref)
     u, v = u_ref.copy(), v_ref.copy()
     for _ in range(1000):
@@ -125,6 +126,21 @@ def test_step_fixed_point_and_noninvasive_control():
     assert deviation_norm(u, v, u_ref, v_ref, config) <= 1e-10
     # noninvasiveness: the control term never leaves the roundoff floor
     assert np.max(np.abs(v - v_ref)) <= 1e-12
+
+
+def test_step_history_only_continues_its_own_trajectory():
+    config = fig4_config()
+    u_ref, v_ref = relax_profile(config)
+    du, dv = perturbation(config)
+    context = _StepContext(config, v_ref)
+    first = step((u_ref + du, v_ref + dv), config.dt, config, context)
+    second = step(first, config.dt, config, context)
+    euler = step(first, config.dt, config, _StepContext(config, v_ref))
+    assert not np.array_equal(second[0], euler[0])
+    # a state the context did not return last restarts with an Euler step
+    restarted = step(tuple(w.copy() for w in first), config.dt, config, context)
+    assert np.array_equal(restarted[0], euler[0])
+    assert np.array_equal(restarted[1], euler[1])
 
 
 def test_step_dt_guard():
@@ -191,6 +207,37 @@ def test_run_structure_and_determinism():
         deviation_norm(du, dv, np.zeros_like(du), np.zeros_like(dv), config))
     for key in ("n_steps", "dt", "dx", "grid_points"):
         assert key in trace1.diagnostics
+
+
+def test_second_order_in_time_and_default_dt_accuracy():
+    # at a fixed time, halving dt quarters the change in the state for a
+    # second-order scheme and only halves it for IMEX Euler
+    params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0,
+                         eps=0.1)
+    model = PowerLawModel.from_params(params)
+    t_fixed = 0.4
+    default_dt = SimConfig(model=model, params=params, t_end=t_fixed).dt
+    states = []
+    for k in range(3):
+        config = SimConfig(model=model, params=params, t_end=t_fixed,
+                           dt=default_dt / 2 ** k)
+        u_ref, v_ref = relax_profile(config)
+        du, dv = perturbation(config)
+        u, v = u_ref + du, v_ref + dv
+        context = _StepContext(config, v_ref)
+        for _ in range(round(t_fixed / config.dt)):
+            u, v = step((u, v), config.dt, config, context)
+        states.append((u, v))
+    diffs = [deviation_norm(*a, *b, config)
+             for a, b in zip(states, states[1:])]
+    assert np.log2(diffs[0] / diffs[1]) >= 1.8
+
+    coarse = run(SimConfig(model=model, params=params, t_end=4.0))
+    fine = run(SimConfig(model=model, params=params, t_end=4.0,
+                         dt=default_dt / 8))
+    assert coarse.fit_r2 >= 0.99 and fine.fit_r2 >= 0.99
+    assert abs(coarse.fitted_rate - fine.fitted_rate) <= (
+        0.005 * abs(fine.fitted_rate))
 
 
 @pytest.mark.skipif("PULSECTRL_SLOW" not in os.environ,
