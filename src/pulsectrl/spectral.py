@@ -49,6 +49,9 @@ KAPPA_MAX = 12.0
 TAIL_BOUND = 1e-27
 
 _FAST_NODES = 512
+# Points per block of the continuum sum: 128 points x 512 nodes of complex
+# terms is about 1 MB, so memory stays flat however many points one call has.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,77 @@ def _on_essential_ray(lh: complex) -> bool:
     return lh.imag == 0.0 and lh.real <= -1.0
 
 
+def _continuum_sum(lambda_hat, n: int = _FAST_NODES, power: int = 1):
+    """Sum of w_k / (lh + kappa_k^2 + 1)^power over n Gauss-Legendre nodes.
+
+    Takes a scalar or an array of lh and works through an array in blocks
+    of ``_BLOCK`` points.  Each point's value equals ``np.sum`` over that
+    point's own terms, bit for bit.  Real lh gives the real part of the
+    complex result, also bit for bit: numpy divides by a real-valued complex
+    number as ``w * (1/d)``, and the real terms are summed as complex numbers
+    so that the pairwise summation groups them the same way.
+    """
+    shift, w = _gauss_nodes(n)
+    lh = np.asarray(lambda_hat)
+    is_complex = lh.dtype.kind == "c"
+    rows = lh.reshape(-1, 1)
+    out = np.empty(len(rows), dtype=complex if is_complex else float)
+    for i in range(0, len(rows), _BLOCK):
+        d = rows[i:i + _BLOCK] + shift
+        if power != 1:
+            d = d ** power
+        if is_complex:
+            out[i:i + _BLOCK] = (w / d).sum(axis=1)
+        else:
+            out[i:i + _BLOCK] = (w * (1.0 / d)).astype(complex).sum(axis=1).real
+    return out.reshape(lh.shape)[()]
+
+
+def _r_discrete_values(lh):
+    """``r_discrete`` at a Python scalar or on an array, rounded as it rounds.
+
+    Real input gives the real part, bit for bit.  On a complex array this is
+    CPython's complex division (Smith's method, ending in a division):
+    numpy's complex division multiplies by a reciprocal instead and can
+    differ in the last bit.
+    """
+    if not isinstance(lh, np.ndarray):
+        r = r_discrete(lh)
+        return r if isinstance(lh, complex) else r.real
+    for pole in (POLE_HIGH, POLE_LOW):
+        if (lh == pole).any():
+            raise PoleAtInput(pole)
+    if lh.dtype.kind != "c":
+        return WEIGHT_HIGH / (lh - POLE_HIGH) - WEIGHT_LOW / (lh - POLE_LOW)
+
+    def over(weight, d):
+        dr, di = d.real, d.imag
+        wide = np.abs(dr) >= np.abs(di)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(wide, di / dr, dr / di)
+            denom = np.where(wide, dr + di * ratio, dr * ratio + di)
+            out = np.empty(d.shape, dtype=complex)
+            out.real = np.where(wide, weight + 0.0 * ratio, weight * ratio + 0.0) / denom
+            out.imag = np.where(wide, 0.0 - weight * ratio, 0.0 * ratio - weight) / denom
+        return out
+
+    return over(WEIGHT_HIGH, lh - POLE_HIGH) - over(WEIGHT_LOW, lh - POLE_LOW)
+
+
+def _cmul(a, b):
+    """a * b, on a complex array rounded as the scalar product rounds.
+
+    numpy's SIMD complex multiply may fuse a multiply and an add, which can
+    change the last bit against the scalar product.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype.kind == "c"):
+        return a * b
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def r_continuous(lambda_hat: complex, tol: float = 1e-10):
     """Continuum part of R by Gauss-Legendre with node doubling.
 
@@ -135,24 +209,13 @@ def r_continuous(lambda_hat: complex, tol: float = 1e-10):
         raise ValueError("tol must be positive")
     prev = None
     for n in (64, 128, 256, 512, 1024, 2048):
-        shift, w = _gauss_nodes(n)
-        val = complex(np.sum(w / (lh + shift)))
+        val = complex(_continuum_sum(lh, n))
         if prev is not None:
             err = abs(val - prev)
             if err <= tol:
                 return val, err + TAIL_BOUND
         prev = val
     raise QuadratureFailure(abs(val - prev))
-
-
-def _r_cont_fast(lh: complex) -> complex:
-    shift, w = _gauss_nodes(_FAST_NODES)
-    return complex(np.sum(w / (lh + shift)))
-
-
-def _r_cont_fast_prime(lh: complex) -> complex:
-    shift, w = _gauss_nodes(_FAST_NODES)
-    return complex(-np.sum(w / (lh + shift) ** 2))
 
 
 def r_total(lambda_hat: complex, tol: float = 1e-10) -> RValue:
@@ -180,34 +243,55 @@ def essential_edges(control_slope: float):
 
 
 class _RootProblem:
-    """Root equation Phi(lh) = L(lh) - R(lh) with pole-cleared companion G."""
+    """Root equation Phi(lh) = L(lh) - R(lh) with pole-cleared companion G.
+
+    ``phi`` and ``g`` take a scalar or an array of lh and evaluate all of it
+    in one pass; real lh gives real values, equal bit for bit to the real
+    part of the complex ones.  ``n_eval`` counts points, and the last
+    winding search leaves its total and its retry count here.
+    """
 
     def __init__(self, coeffs: ReducedCoefficients, control_slope: float):
         self.alpha = coeffs.alpha
         self.beta = coeffs.beta
         self.gain = control_slope
         self.n_eval = 0
+        self.winding_total = 0
+        self.winding_retries = 0
+
+    def _points(self, lh):
+        """Count the points; a scalar becomes a Python float or complex."""
+        if isinstance(lh, (int, float, complex)):
+            self.n_eval += 1
+            return complex(lh) if isinstance(lh, complex) else float(lh)
+        lh = np.asarray(lh)
+        self.n_eval += lh.size
+        return lh if lh.dtype.kind == "c" else lh.astype(float, copy=False)
 
     def _sqrt_term(self, lh):
-        return np.sqrt(np.complex128(lh + 1.0 + self.gain))
+        z = lh + 1.0 + self.gain
+        if np.iscomplexobj(z):
+            return np.sqrt(z)
+        # real part of the principal root, also left of the branch point
+        return np.sqrt(np.maximum(z, 0.0))
 
-    def phi(self, lh: complex) -> complex:
-        self.n_eval += 1
-        r = r_discrete(lh) + _r_cont_fast(lh)
+    def phi(self, lh):
+        lh = self._points(lh)
+        r = _r_discrete_values(lh) + _continuum_sum(lh)
         return self.alpha + self.beta * self._sqrt_term(lh) - r
 
     def phi_prime(self, lh: complex) -> complex:
         s = self._sqrt_term(lh)
         r_d_prime = -WEIGHT_HIGH / (lh - POLE_HIGH) ** 2 + WEIGHT_LOW / (lh - POLE_LOW) ** 2
-        return self.beta / (2.0 * s) - r_d_prime - _r_cont_fast_prime(lh)
+        return self.beta / (2.0 * s) - r_d_prime + _continuum_sum(lh, power=2)
 
-    def g(self, lh: complex) -> complex:
+    def g(self, lh):
         """Phi times (lh - 5/4)(lh + 3/4): analytic, same zeros, no poles."""
-        self.n_eval += 1
-        q = (lh - POLE_HIGH) * (lh - POLE_LOW)
+        lh = self._points(lh)
+        q = _cmul(lh - POLE_HIGH, lh - POLE_LOW)
         lhs_val = self.alpha + self.beta * self._sqrt_term(lh)
         r_d_cleared = WEIGHT_HIGH * (lh - POLE_LOW) - WEIGHT_LOW * (lh - POLE_HIGH)
-        return lhs_val * q - r_d_cleared - _r_cont_fast(lh) * q
+        return _cmul(lhs_val, q) - r_d_cleared - _cmul(_continuum_sum(lh), q)
 
     def newton(self, lh0: complex, tol: float = 1e-10, maxit: int = 60):
         """Newton refinement of Phi; returns root or None."""
@@ -268,17 +352,17 @@ def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
         pts.append(a + geo)
         pts.append(b - geo)
         xs = np.unique(np.concatenate(pts))
-        vals = np.array([prob.phi(complex(x)).real for x in xs])
+        vals = prob.phi(xs)
         sign = np.sign(vals)
-        for i in range(len(xs) - 1):
+        for i in np.flatnonzero((sign[:-1] == 0) | (sign[:-1] * sign[1:] < 0)):
             if sign[i] == 0:
                 roots.append(xs[i])
-            elif sign[i] * sign[i + 1] < 0:
+            else:
                 x0, x1 = xs[i], xs[i + 1]
                 f0 = vals[i]
                 for _ in range(200):
                     xm = 0.5 * (x0 + x1)
-                    fm = prob.phi(complex(xm)).real
+                    fm = prob.phi(xm)
                     if fm == 0 or x1 - x0 < 1e-15 * max(1.0, abs(xm)):
                         break
                     if f0 * fm < 0:
@@ -312,26 +396,21 @@ class _WindingSearch:
         re0, re1, im0, im1 = rect
         corners = [complex(re0, im0), complex(re1, im0),
                    complex(re1, im1), complex(re0, im1), complex(re0, im0)]
-        pts = []
-        for a, b in zip(corners[:-1], corners[1:]):
-            n = max(8, int(abs(b - a) / 0.75) + 1)
-            seg = [a + (b - a) * t for t in np.linspace(0.0, 1.0, n, endpoint=False)]
-            pts.extend(seg)
-        pts.append(corners[0])
-        return pts
+        sides = [a + (b - a) * np.linspace(0.0, 1.0, max(8, int(abs(b - a) / 0.75) + 1),
+                                           endpoint=False)
+                 for a, b in zip(corners[:-1], corners[1:])]
+        return np.concatenate(sides + [[corners[0]]])
 
     def winding(self, rect) -> int:
         pts = self._boundary_points(rect)
-        vals = [self.prob.g(z) for z in pts]
-        total = 0.0
-        i = 0
-        while i < len(pts) - 1:
-            a, b = pts[i], pts[i + 1]
-            fa, fb = vals[i], vals[i + 1]
-            d = self._arg_step(a, fa, b, fb, depth=0)
-            total += d
-            i += 1
-        w = total / (2.0 * np.pi)
+        vals = self.prob.g(pts)
+        if np.any(vals == 0):
+            raise RootIsolationFailure("root on search boundary")
+        steps = np.angle(vals[1:] / vals[:-1])
+        # resolve only the steps too large to trust by bisecting the edge
+        for i in np.flatnonzero(np.abs(steps) >= 0.5 * np.pi):
+            steps[i] = self._arg_step(pts[i], vals[i], pts[i + 1], vals[i + 1], depth=0)
+        w = steps.sum() / (2.0 * np.pi)
         wi = int(round(w))
         if abs(w - wi) > 0.25:
             raise RootIsolationFailure(f"non-integer winding {w:.3f} on {rect}")
@@ -384,7 +463,11 @@ class _WindingSearch:
 
 def find_complex_roots(coeffs: ReducedCoefficients, control_slope: float,
                        rect, problem: _RootProblem | None = None):
-    """All roots of Phi inside ``rect`` = (re_lo, re_hi, im_lo, im_hi)."""
+    """All roots of Phi inside ``rect`` = (re_lo, re_hi, im_lo, im_hi).
+
+    A search that fails is retried up to three times with the edges moved;
+    the winding total and the number of retries are left on ``problem``.
+    """
     prob = problem if problem is not None else _RootProblem(coeffs, control_slope)
     re0, re1, im0, im1 = (float(v) for v in rect)
     _, edge_hat = essential_edges(control_slope)
@@ -394,7 +477,6 @@ def find_complex_roots(coeffs: ReducedCoefficients, control_slope: float,
         if abs(im0) < 1e-12 and re0 < pole < re1:
             im0 -= 1e-6
     search = _WindingSearch(prob)
-    found = None
     for attempt in range(4):
         try:
             found = search.roots((re0, re1, im0, im1))
@@ -402,11 +484,16 @@ def find_complex_roots(coeffs: ReducedCoefficients, control_slope: float,
         except RootIsolationFailure:
             if attempt == 3:
                 raise
+            # move the edges off whatever root sat on them; a rectangle that
+            # starts above the real axis keeps its bottom edge there
             bump = 1e-6 * (attempt + 1) * 3.1
             re0 += bump
             re1 += bump
-            im0 -= bump
+            if im0 < 0.0:
+                im0 -= bump
             im1 += bump
+    prob.winding_total = search.winding_total
+    prob.winding_retries = attempt
     found.sort(key=lambda z: (z.real, z.imag))
     return found
 
@@ -428,14 +515,9 @@ def verify_r_bound(margin_radius: float = 1.0, bound: float = 12.0) -> bool:
     """Grid check that |R| <= ``bound`` away from unit disks around the poles."""
     re = np.linspace(-0.999, 60.0, 160)
     im = np.linspace(-60.0, 60.0, 120)
-    for a in re:
-        for b in im:
-            lh = complex(a, b)
-            if abs(lh - POLE_HIGH) < margin_radius or abs(lh - POLE_LOW) < margin_radius:
-                continue
-            if abs(r_discrete(lh) + _r_cont_fast(lh)) > bound:
-                return False
-    return True
+    lh = (re[:, None] + 1j * im[None, :]).ravel()
+    lh = lh[(abs(lh - POLE_HIGH) >= margin_radius) & (abs(lh - POLE_LOW) >= margin_radius)]
+    return bool(np.all(abs(_r_discrete_values(lh) + _continuum_sum(lh)) <= bound))
 
 
 VERDICT_STABLE = "Stable"
@@ -466,7 +548,7 @@ def assemble_spectrum(params: ModelParams, window=None) -> SpectrumReport:
     gain = params.control_slope
     edge_lambda, edge_hat = essential_edges(gain)
     translation = complex(gain, 0.0)
-    diagnostics = {"function_evaluations": 0, "winding_total": 0}
+    diagnostics = {"function_evaluations": 0, "winding_total": 0, "winding_retries": 0}
 
     if params.f_der == 0.0:
         root_eigs = [complex(POLE_HIGH + gain), complex(POLE_LOW + gain)]
@@ -493,21 +575,12 @@ def assemble_spectrum(params: ModelParams, window=None) -> SpectrumReport:
             # low pole, where the sign identity Im R = -sgn(Im lh)|Im R| fails
             off_axis = (re0, -0.35, 1e-6, 0.6) if re0 < -0.36 else None
         if off_axis is not None:
-            search = _WindingSearch(prob)
-            upper = None
-            for attempt in range(4):
-                try:
-                    upper = search.roots((off_axis[0] + attempt * 3.1e-6,
-                                          off_axis[1], off_axis[2], off_axis[3]))
-                    break
-                except RootIsolationFailure:
-                    if attempt == 3:
-                        raise
-            diagnostics["winding_total"] = search.winding_total
-            for z in upper:
+            for z in find_complex_roots(coeffs, gain, off_axis, problem=prob):
                 roots.append(z)
                 roots.append(z.conjugate())
-        diagnostics["function_evaluations"] = prob.n_eval
+        diagnostics.update(function_evaluations=prob.n_eval,
+                           winding_total=prob.winding_total,
+                           winding_retries=prob.winding_retries)
         root_eigs = [z + gain for z in roots]
         eigs = root_eigs + [translation]
         win = {"re": [re0, re1], "im": [im0, im1]}

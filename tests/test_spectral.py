@@ -2,10 +2,12 @@
 finders, and verdict assembly."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pulsectrl import spectral
 from pulsectrl.errors import (
     BranchCut,
     EssentialRay,
@@ -143,6 +145,38 @@ def test_essential_edges():
         essential_edges(1.0)
 
 
+class TestRootProblemBatch:
+    # near both poles, by lh = -1 on either side, far out on the real axis,
+    # and a spread over the complex plane
+    POINTS = np.array(
+        [1.25 + 1e-7, 1.25 + 1e-9 - 3e-9j, 1.25 + 2e-6 + 1e-6j, -0.75 + 2e-8,
+         -0.75 - 1e-6 + 1e-6j, -0.75 + 3e-9 + 0.3j, -1.0 + 1e-3, -1.0 - 1e-3,
+         -0.999 + 0.5j, -1.2 - 0.01j, 1e4, 14520.25, 3e5 + 2.0j, 0.0, -0.5, 2.0]
+        + list(np.random.default_rng(0).normal(size=40) * 4.0
+               + 1j * np.random.default_rng(1).normal(size=40) * 4.0))
+
+    @pytest.mark.parametrize("coeffs, gain", [
+        (FIG4_COEFFS, 0.0),
+        (ReducedCoefficients(alpha=-1.0, beta=2.0, nu=0.5), -3.0),
+    ])
+    def test_batch_equals_point_by_point(self, coeffs, gain):
+        prob = spectral._RootProblem(coeffs, gain)
+        block = spectral._BLOCK
+        sizes = (1, block - 1, block, block + 1, 3 * block + 5)
+        for n in sizes:
+            lh = np.resize(self.POINTS, n)
+            for fn in (prob.phi, prob.g):
+                batch = fn(lh)
+                assert batch.shape == (n,)
+                assert np.array_equal(batch, [fn(z) for z in lh])
+                real = fn(lh.real)
+                assert real.dtype == float
+                assert np.array_equal(real, [fn(complex(x)).real for x in lh.real])
+                assert np.array_equal(real, fn(lh.real.astype(complex)).real)
+        # n_eval counts points: five evaluations of each point by each function
+        assert prob.n_eval == 2 * 5 * sum(sizes)
+
+
 class TestFindRealRoots:
     def test_root_right_of_high_pole(self):
         co = ReducedCoefficients(alpha=0.0, beta=1.0, nu=0.0)
@@ -199,6 +233,27 @@ class TestAssembleSpectrum:
         report = assemble_spectrum(params)
         assert report.verdict == "Unstable"
         assert report.max_real_part > 0.0
+        # the work and the answer are pinned: batching saves overhead only
+        assert report.diagnostics == {"function_evaluations": 2892,
+                                      "winding_total": 1, "winding_retries": 0}
+        pair = sorted((z for z in report.eigenvalues if z.imag != 0.0),
+                      key=lambda z: z.imag)
+        assert len(pair) == 2
+        for z, im in zip(pair, (-5.385397902204238, 5.385397902204238)):
+            assert abs(z - complex(1.2423052748579382, im)) <= 1e-12
+
+    def test_large_window_memory_bounded(self):
+        # the window reaches Re 14,520; the continuum sum must work in blocks
+        params = ModelParams(1.0, 1.0, -30.0, 0.5 + 60.0)
+        tracemalloc.start()
+        try:
+            report = assemble_spectrum(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.search_window["re"][1] > 14_000
+        assert report.diagnostics["function_evaluations"] == 39_711
+        assert peak < 16e6
 
     def test_fig4_controlled_stable(self):
         params = ModelParams(1.0, 1.0, -3.0, 8.0, control_slope=-3.0)
