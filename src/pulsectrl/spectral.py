@@ -260,7 +260,11 @@ class _RootProblem:
         self.winding_retries = 0
 
     def _points(self, lh):
-        """Count the points; a scalar becomes a Python float or complex."""
+        """Count the points; a scalar becomes a Python float or complex.
+
+        Single points (bisection, Newton, edge refinement) stay scalars
+        because the array path costs about three times as much per call.
+        """
         if isinstance(lh, (int, float, complex)):
             self.n_eval += 1
             return complex(lh) if isinstance(lh, complex) else float(lh)
@@ -485,11 +489,11 @@ def find_complex_roots(coeffs: ReducedCoefficients, control_slope: float,
             if attempt == 3:
                 raise
             # move the edges off whatever root sat on them; a rectangle that
-            # starts above the real axis keeps its bottom edge there
+            # starts above the real axis keeps its bottom edge above it
             bump = 1e-6 * (attempt + 1) * 3.1
             re0 += bump
             re1 += bump
-            if im0 < 0.0:
+            if im0 <= 0.0:
                 im0 -= bump
             im1 += bump
     prob.winding_total = search.winding_total

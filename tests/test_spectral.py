@@ -210,6 +210,17 @@ class TestFindComplexRoots:
         assert roots
         assert max(abs(z.imag) for z in roots) <= 1e-8
 
+    def test_real_root_on_bottom_edge_retried_below_axis(self):
+        # the bottom edge im = 0 runs through the real root 5.769; the first
+        # search stalls there, and the retry lowers that edge below the axis
+        co = ReducedCoefficients(alpha=-1.0, beta=1.0, nu=1.0)
+        (real_root,) = find_real_roots(co, 0.0, (4.5, 7.0))
+        prob = spectral._RootProblem(co, 0.0)
+        roots = find_complex_roots(co, 0.0, (4.5, 7.0, 0.0, 1.0), problem=prob)
+        assert len(roots) == 1
+        assert abs(roots[0] - real_root) <= 1e-10
+        assert prob.winding_retries == 1
+
 
 class TestAssembleSpectrum:
     def test_no_cancellation_branch(self):
