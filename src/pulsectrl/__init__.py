@@ -13,7 +13,6 @@ Submodules:
 __version__ = "1.0.0"
 
 from .errors import (
-    BranchCut,
     DegenerateControl,
     EssentialRay,
     FloorInsufficient,
@@ -42,7 +41,6 @@ from .spectral import (
     essential_edges,
     find_complex_roots,
     find_real_roots,
-    lhs,
     r_continuous,
     r_discrete,
     r_total,
@@ -65,11 +63,10 @@ from .regions import (
     sweep_plane,
     uncontrolled_verdict,
 )
-from .pde_sim import SimConfig, SimTrace, relax_profile, rhs, run, step
+from .pde_sim import SimConfig, SimTrace, relax_profile, run, step
 
 __all__ = [
     # errors
-    "BranchCut",
     "DegenerateControl",
     "EssentialRay",
     "FloorInsufficient",
@@ -96,7 +93,6 @@ __all__ = [
     "essential_edges",
     "find_complex_roots",
     "find_real_roots",
-    "lhs",
     "r_continuous",
     "r_discrete",
     "r_total",
@@ -120,7 +116,6 @@ __all__ = [
     "SimConfig",
     "SimTrace",
     "relax_profile",
-    "rhs",
     "run",
     "step",
 ]

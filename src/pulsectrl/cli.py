@@ -107,25 +107,14 @@ def _cmd_spectrum(args) -> int:
     merged = _merged(args, PARAM_KEYS)
     params = _params_from(merged)
     report = assemble_spectrum(params)
-    eigs = sorted(report.eigenvalues, key=lambda z: (-z.real, z.imag))
-    payload = {
-        "manifest": _manifest("spectrum", merged),
-        "eigenvalues": [[_fmt(z.real), _fmt(z.imag)] for z in eigs],
-        "translation_eigenvalue": [_fmt(report.translation_eigenvalue.real),
-                                   _fmt(report.translation_eigenvalue.imag)],
-        "essential_edge": _fmt(report.essential_edge),
-        "verdict": report.verdict,
-        "max_real_part": _fmt(report.max_real_part),
-        "search_window": report.search_window,
-        "diagnostics": report.diagnostics,
-    }
+    payload = {"manifest": _manifest("spectrum", merged), **report.to_dict()}
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_region(args) -> int:
     merged = _merged(args, ("u-star", "f-val", "eps", "grid", "threads",
-                            "min-gain", "tol"))
+                            "min-gain"))
     grid = int(merged.get("grid", 121))
     threads = int(merged.get("threads", 1))
     result = sweep_plane(
@@ -242,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--tol", type=float, help="numerical tolerance")
 
     p_spec = sub.add_parser("spectrum", help="locate eigenvalues and classify stability")
     for flag in ("--u-star", "--f-val", "--f-der", "--to-log-der", "--eps", "--gain"):
@@ -272,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run the brute-force oracle checks")
+    p_ver.add_argument("--tol", type=float,
+                       help="tolerance of the oracle-equivalence checks (default 1e-4)")
     add_common(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -29,10 +29,6 @@ class QuadratureFailure(PulseControlError):
         super().__init__(f"quadrature stalled at error {achieved:.3e}")
 
 
-class BranchCut(PulseControlError):
-    """Principal square root evaluated on its branch cut."""
-
-
 class UnstableEssential(PulseControlError):
     """Control slope >= 1: the essential spectrum is unstable."""
 

@@ -92,16 +92,6 @@ class SimTrace:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _reaction(u, v, config: SimConfig, v_ref):
-    m = config.model
-    eps = config.params.eps
-    gain = config.params.control_slope
-    fu = m.f(u)
-    du = -u + fu ** 2 * m.t_o(u) * v ** 2 / (3.0 * eps)
-    dv = -v + fu * v ** 2 + gain * (v - v_ref)
-    return du, dv
-
-
 def _neumann_laplacian(w, dx):
     out = np.empty_like(w)
     out[1:-1] = w[:-2] - 2.0 * w[1:-1] + w[2:]
@@ -110,20 +100,20 @@ def _neumann_laplacian(w, dx):
     return out / dx ** 2
 
 
-def rhs(state, config: SimConfig, v_ref=None):
-    """Discrete right-hand side with zero-flux boundaries."""
-    u, v = state
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise NumericalBlowup()
-    if v_ref is None:
-        v_ref = v
+def _derivatives(u, v, config: SimConfig, v_ref):
+    """Explicit part (reaction plus control) and full time derivative.
+
+    Returns (du, dv, u_t, v_t); u_t and v_t add the zero-flux Laplacian.
+    With v_ref = v the control term is exactly zero.
+    """
+    m = config.model
     eps = config.params.eps
-    du, dv = _reaction(u, v, config, v_ref)
-    du += _neumann_laplacian(u, config.dx)
-    dv += eps ** 2 * _neumann_laplacian(v, config.dx)
-    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dv))):
-        raise NumericalBlowup()
-    return du, dv
+    fu = m.f(u)
+    du = -u + fu ** 2 * m.t_o(u) * v ** 2 / (3.0 * eps)
+    dv = -v + fu * v ** 2 + config.params.control_slope * (v - v_ref)
+    u_t = du + _neumann_laplacian(u, config.dx)
+    v_t = dv + eps ** 2 * _neumann_laplacian(v, config.dx)
+    return du, dv, u_t, v_t
 
 
 def _implicit_bands(n, dx, dt, diffusivity):
@@ -139,9 +129,10 @@ def _implicit_bands(n, dx, dt, diffusivity):
 
 
 class _StepContext:
-    """Implicit-diffusion bands and the step history of one trajectory."""
+    """Config, implicit-diffusion bands and step history of one trajectory."""
 
     def __init__(self, config: SimConfig, v_ref):
+        self.config = config
         n = config.x.size
         eps2 = config.params.eps ** 2
         dt = config.dt
@@ -154,11 +145,11 @@ class _StepContext:
         self.history = None
 
 
-def step(state, dt, config: SimConfig, context: _StepContext | None = None):
+def step(state, context: _StepContext):
     """One SBDF2 step: implicit diffusion, extrapolated explicit reaction.
 
-    For each component w with diffusivity D and explicit part N (reaction
-    plus control), solves
+    The step size is ``context.config.dt``.  For each component w with
+    diffusivity D and explicit part N (reaction plus control), solves
 
         (I - 2/3 dt D Lap) w' = (4 w - w_old)/3 + 2/3 dt (2 N - N_old)
 
@@ -169,11 +160,9 @@ def step(state, dt, config: SimConfig, context: _StepContext | None = None):
     trajectory.
     """
     u, v = state
-    if context is None:
-        context = _StepContext(config, v)
-    if abs(dt - config.dt) > 1e-15 * config.dt:
-        raise ValueError("dt must match the config (bands are precomputed)")
-    du, dv = _reaction(u, v, config, context.v_ref)
+    config = context.config
+    dt = config.dt
+    du, dv, u_t, v_t = _derivatives(u, v, config, context.v_ref)
     if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dv))):
         raise NumericalBlowup()
     # solve for the increment w' - w, whose right-hand side carries the full
@@ -181,8 +170,6 @@ def step(state, dt, config: SimConfig, context: _StepContext | None = None):
     # relative to the step, so a stationary state stays fixed (solving for
     # w' directly lets rounding move the relaxed pulse by a few 1e-12 over
     # t ~ 1)
-    u_t = du + _neumann_laplacian(u, config.dx)
-    v_t = dv + config.params.eps ** 2 * _neumann_laplacian(v, config.dx)
     history = context.history
     if history is not None and history[0] is u and history[1] is v:
         u_old, v_old, du_old, dv_old = history[2:]
@@ -200,18 +187,6 @@ def step(state, dt, config: SimConfig, context: _StepContext | None = None):
         raise NumericalBlowup()
     context.history = (u_new, v_new, u, v, du, dv)
     return u_new, v_new
-
-
-def _half_residual(u, v, config: SimConfig):
-    """rhs at gain 0 on the half grid [0, L] with symmetry at x = 0."""
-    eps = config.params.eps
-    m = config.model
-    fu = m.f(u)
-    ru = -u + fu ** 2 * m.t_o(u) * v ** 2 / (3.0 * eps)
-    rv = -v + fu * v ** 2
-    ru += _neumann_laplacian(u, config.dx)
-    rv += eps ** 2 * _neumann_laplacian(v, config.dx)
-    return ru, rv
 
 
 def _half_jacobian_bands(u, v, config: SimConfig):
@@ -271,7 +246,9 @@ def relax_profile(config: SimConfig, max_iter: int = 40):
     v = np.asarray(v, dtype=float)
 
     def res_norm(uu, vv):
-        ru, rv = _half_residual(uu, vv, config)
+        # v is its own control reference: the residual is taken at zero
+        # control, on the half grid [0, L] with symmetry at x = 0
+        _, _, ru, rv = _derivatives(uu, vv, config, vv)
         return max(np.max(np.abs(ru)), np.max(np.abs(rv))), ru, rv
 
     # absolute 1e-12 is below the roundoff floor of the O(1/eps) reaction
@@ -408,7 +385,7 @@ def run(config: SimConfig) -> SimTrace:
     t = 0.0
     for k in range(1, n_steps + 1):
         try:
-            u, v = step((u, v), dt, config, context)
+            u, v = step((u, v), context)
         except NumericalBlowup:
             raise NumericalBlowup(time=t)
         t = k * dt

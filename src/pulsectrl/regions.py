@@ -208,37 +208,35 @@ def _sweep_row(args):
     return i_nu, row
 
 
-def _critical_tag(params: ModelParams) -> str:
-    """Hopf if the rightmost non-translation eigenvalue pair is complex."""
-    report = uncontrolled_report(params)
-    eigs = [z for z in report.eigenvalues if z != report.translation_eigenvalue]
-    if not eigs:
-        return TAG_FOLD
-    critical = max(eigs, key=lambda z: z.real)
-    return TAG_HOPF if abs(critical.imag) > 1e-6 else TAG_FOLD
-
-
 def _refine_edge(p_stable, p_unstable, u_star, f_val, eps, tol=1e-4):
-    """Bisect the verdict flip along a grid edge; returns (point, tag)."""
+    """Bisect the verdict flip along a grid edge; returns (point, tag).
+
+    The tag is Hopf if the rightmost non-translation eigenvalue at the
+    unstable end is complex.  It is read from the spectrum of the last
+    unstable midpoint, so a spectrum at ``p_unstable`` itself is computed
+    only if the bisection never moved that end.
+    """
     a = np.array(p_stable, dtype=float)
     b = np.array(p_unstable, dtype=float)
-    while np.max(np.abs(b - a)) > tol:
-        m = 0.5 * (a + b)
-        try:
-            params = _grid_params(m[0], m[1], u_star, f_val, eps)
-            unstable = _root_max_real(uncontrolled_report(params)) > 0.0
-        except (PulseControlError, ValueError):
-            return None
-        if unstable:
-            b = m
-        else:
-            a = m
-    mid = 0.5 * (a + b)
+    report = None  # spectrum at b once b has moved
     try:
-        tag = _critical_tag(_grid_params(b[0], b[1], u_star, f_val, eps))
+        while np.max(np.abs(b - a)) > tol:
+            m = 0.5 * (a + b)
+            mid_report = uncontrolled_report(
+                _grid_params(m[0], m[1], u_star, f_val, eps))
+            if _root_max_real(mid_report) > 0.0:
+                b, report = m, mid_report
+            else:
+                a = m
+        if report is None:
+            report = uncontrolled_report(
+                _grid_params(b[0], b[1], u_star, f_val, eps))
     except (PulseControlError, ValueError):
         return None
-    return ([float(mid[0]), float(mid[1])], tag)
+    eigs = [z for z in report.eigenvalues if z != report.translation_eigenvalue]
+    hopf = bool(eigs) and abs(max(eigs, key=lambda z: z.real).imag) > 1e-6
+    mid = 0.5 * (a + b)
+    return ([float(mid[0]), float(mid[1])], TAG_HOPF if hopf else TAG_FOLD)
 
 
 def _chain_points(points):

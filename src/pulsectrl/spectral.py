@@ -29,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    BranchCut,
     EssentialRay,
     PoleAtInput,
     QuadratureFailure,
@@ -76,9 +75,10 @@ class SpectrumReport:
     search_window: dict
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """JSON-ready fields; complex numbers become [re, im] pairs."""
         eigs = sorted(self.eigenvalues, key=lambda z: (-z.real, z.imag))
-        return json.dumps({
+        return {
             "eigenvalues": [[z.real, z.imag] for z in eigs],
             "translation_eigenvalue": [self.translation_eigenvalue.real,
                                        self.translation_eigenvalue.imag],
@@ -87,7 +87,10 @@ class SpectrumReport:
             "max_real_part": self.max_real_part,
             "search_window": self.search_window,
             "diagnostics": self.diagnostics,
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def r_discrete(lambda_hat: complex) -> complex:
@@ -223,14 +226,6 @@ def r_total(lambda_hat: complex, tol: float = 1e-10) -> RValue:
     r_d = r_discrete(lambda_hat)
     r_c, err = r_continuous(lambda_hat, tol)
     return RValue(r_d=r_d, r_c=r_c, total=r_d + r_c, quad_error=err)
-
-
-def lhs(lambda_hat: complex, coeffs: ReducedCoefficients, control_slope: float) -> complex:
-    """Left side alpha + beta * sqrt(1 + lh + l'(0)), principal branch."""
-    z = complex(lambda_hat) + 1.0 + control_slope
-    if z.imag == 0.0 and z.real < 0.0:
-        raise BranchCut(f"sqrt argument {z} on the negative real axis")
-    return coeffs.alpha + coeffs.beta * np.sqrt(z)
 
 
 def essential_edges(control_slope: float):

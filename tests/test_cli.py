@@ -12,6 +12,8 @@ from pulsectrl.cli import (
     EXIT_USAGE,
     dispatch,
 )
+from pulsectrl.model import ModelParams
+from pulsectrl.spectral import assemble_spectrum
 
 FIG4_FLAGS = ["--u-star", "1", "--f-val", "1", "--f-der", "-3",
               "--to-log-der", "8"]
@@ -52,6 +54,16 @@ def test_spectrum_fig4_controlled(capsys):
     assert all(re < 0.0 for re, _ in doc["eigenvalues"])
     eigs = doc["eigenvalues"]
     assert eigs == sorted(eigs, key=lambda p: (-p[0], p[1]))
+
+
+def test_spectrum_json_is_the_report_json(capsys):
+    # one serializer: the CLI payload is the report's own JSON plus manifest
+    code, doc = run_json(capsys, ["spectrum"] + FIG4_FLAGS + ["--gain", "-3"])
+    assert code == EXIT_OK
+    doc.pop("manifest")
+    report = assemble_spectrum(ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0,
+                                           to_log_der=8.0, control_slope=-3.0))
+    assert doc == json.loads(report.to_json())
 
 
 def test_spectrum_uncontrolled_default_unstable(capsys):
@@ -95,6 +107,22 @@ def test_simulate_quick_run(tmp_path, capsys):
     lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert lines[0] == "t,deviation_norm"
     assert len(lines) > 5
+
+
+def test_tol_only_on_verify(capsys):
+    # spectrum, region and simulate have no tolerance to set; the other
+    # flags keep each run short should one of them accept --tol again
+    for argv in (["spectrum"], ["region", "--grid", "2"],
+                 ["simulate"] + FIG4_FLAGS + ["--t-end", "0.01"]):
+        assert dispatch(argv + ["--tol", "1e-3"]) == EXIT_USAGE, argv[0]
+    # verify applies it to the oracle-equivalence checks
+    code, doc = run_json(capsys, ["verify", "--tol", "1e-30"])
+    assert code == EXIT_NUMERICAL
+    assert doc["manifest"]["parameters"] == {"tol": 1e-30}
+    oracle = [c for c in doc["checks"]
+              if c["name"].startswith("oracle_equivalence")]
+    assert oracle and all(c["tolerance"] == 1e-30 for c in oracle)
+    assert not any(c["pass"] for c in oracle)
 
 
 def test_verify_all_pass(capsys):

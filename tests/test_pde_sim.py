@@ -11,12 +11,12 @@ from pulsectrl.model import ModelParams, PowerLawModel, pulse_profile
 from pulsectrl.pde_sim import (
     SimConfig,
     _StepContext,
+    _derivatives,
     _fit_rate,
     _neumann_laplacian,
     deviation_norm,
     perturbation,
     relax_profile,
-    rhs,
     run,
     step,
 )
@@ -64,16 +64,20 @@ def test_rhs_zero_state_forcing():
     config = SimConfig(model=model, params=params, t_end=1.0)
     v_ref = pulse_profile(params, config.x)[1]
     zero = np.zeros_like(config.x)
-    du, dv = rhs((zero, zero), config, v_ref=v_ref)
-    assert np.max(np.abs(du)) == 0.0
-    assert np.allclose(dv, 0.5 * v_ref, atol=1e-15)
+    du, dv, u_t, v_t = _derivatives(zero, zero, config, v_ref)
+    assert np.max(np.abs(u_t)) == 0.0
+    assert np.allclose(v_t, 0.5 * v_ref, atol=1e-15)
+    # the zero state has no diffusion, so the explicit part is all of it
+    assert np.array_equal(du, u_t) and np.array_equal(dv, v_t)
 
 
 def test_rhs_blowup_guard():
+    # a non-finite state trips the right-hand-side check in step
     config = fig4_config()
+    v_ref = pulse_profile(FIG4, config.x)[1]
     bad = np.full(config.x.size, np.nan)
     with pytest.raises(NumericalBlowup):
-        rhs((bad, bad), config)
+        step((bad, bad), _StepContext(config, v_ref))
 
 
 def test_rhs_leading_order_profile_nearly_stationary():
@@ -84,7 +88,7 @@ def test_rhs_leading_order_profile_nearly_stationary():
     config = fig4_config()
     x = config.x
     u0, v0 = pulse_profile(FIG4, x)
-    du, dv = rhs((u0, v0), config)
+    _, _, du, dv = _derivatives(u0, v0, config, v0)
     scale = FIG4.eps + config.dx ** 2
     assert np.max(np.abs(dv)) <= 5.0 * scale
     tail = np.abs(x) >= 8.0 * FIG4.eps
@@ -107,7 +111,7 @@ def test_laplacian_stencil_second_order():
 def test_relax_profile_stationary_and_close_to_leading_order():
     config = fig4_config()
     u_ref, v_ref = relax_profile(config)
-    du, dv = rhs((u_ref, v_ref), config)
+    _, _, du, dv = _derivatives(u_ref, v_ref, config, v_ref)
     assert max(np.max(np.abs(du)), np.max(np.abs(dv))) <= 1e-9
     u0, v0 = pulse_profile(FIG4, config.x)
     assert np.max(np.abs(u_ref - u0)) <= 3.0 * FIG4.eps
@@ -122,7 +126,7 @@ def test_step_fixed_point_and_noninvasive_control():
     context = _StepContext(config, v_ref)
     u, v = u_ref.copy(), v_ref.copy()
     for _ in range(1000):
-        u, v = step((u, v), config.dt, config, context)
+        u, v = step((u, v), context)
     assert deviation_norm(u, v, u_ref, v_ref, config) <= 1e-10
     # noninvasiveness: the control term never leaves the roundoff floor
     assert np.max(np.abs(v - v_ref)) <= 1e-12
@@ -133,21 +137,14 @@ def test_step_history_only_continues_its_own_trajectory():
     u_ref, v_ref = relax_profile(config)
     du, dv = perturbation(config)
     context = _StepContext(config, v_ref)
-    first = step((u_ref + du, v_ref + dv), config.dt, config, context)
-    second = step(first, config.dt, config, context)
-    euler = step(first, config.dt, config, _StepContext(config, v_ref))
+    first = step((u_ref + du, v_ref + dv), context)
+    second = step(first, context)
+    euler = step(first, _StepContext(config, v_ref))
     assert not np.array_equal(second[0], euler[0])
     # a state the context did not return last restarts with an Euler step
-    restarted = step(tuple(w.copy() for w in first), config.dt, config, context)
+    restarted = step(tuple(w.copy() for w in first), context)
     assert np.array_equal(restarted[0], euler[0])
     assert np.array_equal(restarted[1], euler[1])
-
-
-def test_step_dt_guard():
-    config = fig4_config()
-    u, v = pulse_profile(FIG4, config.x)
-    with pytest.raises(ValueError):
-        step((u, v), 2.0 * config.dt, config)
 
 
 def test_perturbation_shapes():
@@ -226,7 +223,7 @@ def test_second_order_in_time_and_default_dt_accuracy():
         u, v = u_ref + du, v_ref + dv
         context = _StepContext(config, v_ref)
         for _ in range(round(t_fixed / config.dt)):
-            u, v = step((u, v), config.dt, config, context)
+            u, v = step((u, v), context)
         states.append((u, v))
     diffs = [deviation_norm(*a, *b, config)
              for a, b in zip(states, states[1:])]

@@ -9,7 +9,6 @@ import pytest
 
 from pulsectrl import spectral
 from pulsectrl.errors import (
-    BranchCut,
     EssentialRay,
     PoleAtInput,
     UnstableEssential,
@@ -23,7 +22,6 @@ from pulsectrl.spectral import (
     essential_edges,
     find_complex_roots,
     find_real_roots,
-    lhs,
     r_continuous,
     r_discrete,
     r_total,
@@ -121,20 +119,6 @@ class TestRTotal:
 
     def test_bound_away_from_poles(self):
         assert verify_r_bound()
-
-
-class TestLhs:
-    def test_reference_values(self):
-        assert lhs(-1.0, FIG4_COEFFS, 0.0) == pytest.approx(2.0)
-        assert lhs(0.0, FIG4_COEFFS, 0.0) == pytest.approx(2.0 - 1.0)
-        assert lhs(3.0, FIG4_COEFFS, 0.0) == pytest.approx(0.0)
-        co = ReducedCoefficients(alpha=-1.0, beta=2.0, nu=0.5)
-        assert lhs(-1.0 + 3.0, co, -3.0) == pytest.approx(-1.0)
-        assert lhs(3.0, co, -3.0) == pytest.approx(-1.0 + 2.0)
-
-    def test_branch_cut(self):
-        with pytest.raises(BranchCut):
-            lhs(-2.0, FIG4_COEFFS, 0.0)
 
 
 def test_essential_edges():
