@@ -5,8 +5,8 @@ closed-form trichotomy, computes the uncontrolled stability verdict, and
 traces the Hopf/fold boundary of the uncontrolled-stable set.  Writes the
 cell table to region_cells.csv.
 
-Runs in roughly half a minute single-threaded; pass threads to sweep_plane
-to use more cores.
+Runs in about 5 s single-threaded; pass threads to sweep_plane to use more
+cores.
 """
 
 from collections import Counter
@@ -30,8 +30,10 @@ for name, count in sorted(verdicts.items()):
 # as per-cell failures, not raised
 print(f"degenerate cells skipped: {len(result.failures)}")
 
-# the uncontrolled-stable set only exists for f' > 0 with nu < 1/u*; its
-# boundary decomposes into an oscillatory (Hopf) arc and a real (fold) arc
+# the uncontrolled-stable set lies at f' < 0 (368 of the 1681 cells here,
+# none at f' > 0), below the oscillatory (Hopf) arc and above the real
+# (fold) line nu = 2 f'/f(u*) + 1/u*; the two meet at the Bogdanov-Takens
+# point (-1/3, 1/3), where the Hopf arc starts
 print(f"Hopf boundary points: {len(result.hopf)}")
 print(f"fold boundary points: {len(result.fold)}")
 if result.hopf:

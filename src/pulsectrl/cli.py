@@ -44,11 +44,6 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
 
-def _fmt(x) -> float:
-    """Round-trippable float for JSON (17 significant digits)."""
-    return float(f"{float(x):.17g}")
-
-
 def _manifest(subcommand: str, echo: dict) -> dict:
     blob = json.dumps(echo, sort_keys=True).encode()
     return {
@@ -73,6 +68,10 @@ def _load_config(path: str | None) -> dict:
 def _merged(args: argparse.Namespace, keys) -> dict:
     """Config-file values overridden by explicitly set flags."""
     merged = dict(_load_config(getattr(args, "config", None)))
+    unread = sorted(set(merged) - set(keys))
+    if unread:
+        raise argparse.ArgumentError(
+            None, f"{args.subcommand} does not read config keys {unread}")
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
@@ -113,15 +112,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    merged = _merged(args, ("u-star", "f-val", "eps", "grid", "threads",
-                            "min-gain"))
+    merged = _merged(args, ("u-star", "f-val", "grid", "threads", "min-gain"))
     grid = int(merged.get("grid", 121))
     threads = int(merged.get("threads", 1))
     result = sweep_plane(
         n_f=grid, n_nu=grid,
         u_star=float(merged.get("u-star", 1.0)),
         f_val=float(merged.get("f-val", 1.0)),
-        eps=float(merged.get("eps", 0.02)),
         threads=threads,
         include_min_gain=bool(merged.get("min-gain", False)),
     )
@@ -162,8 +159,8 @@ def _cmd_simulate(args) -> int:
     verdict = "Unstable" if trace.fitted_rate > 0 else "Stable"
     payload = {
         "manifest": _manifest("simulate", merged),
-        "fitted_rate": _fmt(trace.fitted_rate),
-        "fit_r2": _fmt(trace.fit_r2),
+        "fitted_rate": float(trace.fitted_rate),
+        "fit_r2": float(trace.fit_r2),
         "verdict": verdict,
         "early_exit": trace.early_exit,
         "diagnostics": trace.diagnostics,
@@ -171,7 +168,7 @@ def _cmd_simulate(args) -> int:
     if args.out:
         csv_path = args.out if args.out.endswith(".csv") else args.out + ".csv"
         lines = ["t,deviation_norm"]
-        lines += [f"{_fmt(t)!r},{_fmt(n)!r}"
+        lines += [f"{float(t)!r},{float(n)!r}"
                   for t, n in zip(trace.times, trace.deviation_norms)]
         with open(csv_path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -190,10 +187,10 @@ def _cmd_verify(args) -> int:
         err = abs(computed - reference)
         checks.append({
             "name": name,
-            "computed": [_fmt(np.real(computed)), _fmt(np.imag(computed))],
-            "reference": [_fmt(np.real(reference)), _fmt(np.imag(reference))],
-            "abs_error": _fmt(err),
-            "tolerance": _fmt(tolerance),
+            "computed": [float(np.real(computed)), float(np.imag(computed))],
+            "reference": [float(np.real(reference)), float(np.imag(reference))],
+            "abs_error": float(err),
+            "tolerance": float(tolerance),
             "pass": bool(err <= tolerance),
         })
 
@@ -241,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg = sub.add_parser("region", help="sweep the (f', nu) parameter plane")
     p_reg.add_argument("--u-star", type=float)
     p_reg.add_argument("--f-val", type=float)
-    p_reg.add_argument("--eps", type=float)
     p_reg.add_argument("--grid", type=int, help="points per axis (default 121)")
     p_reg.add_argument("--threads", type=int, help="worker processes (default 1)")
     p_reg.add_argument("--min-gain", action="store_true", default=None,
@@ -277,6 +273,9 @@ def dispatch(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (QuadratureFailure, RootIsolationFailure, NearEigenvalue,
             NumericalBlowup, FloorInsufficient, ArithmeticError,
             np.linalg.LinAlgError) as exc:

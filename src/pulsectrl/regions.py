@@ -8,11 +8,11 @@ nu = 2 f'(u*)/f(u*) + T_o'(u*)/T_o(u*) versus 1/u*:
     f' > 0 and nu >= 1/u*     -> unstable, uncontrollable
     f' > 0 and nu <  1/u*     -> controllable
 
-The sweep resolves, inside the plane of (f', nu) at u* = f(u*) = 1, the
-numerically-determined subset where the uncontrolled pulse is already
-stable, and traces its boundary, splitting it into Hopf segments (critical
-eigenvalue pair leaves through the imaginary axis) and fold segments (a
-real eigenvalue crosses zero).
+The sweep resolves, inside the plane of (f', nu), the numerically-determined
+subset where the uncontrolled pulse is already stable, and traces its
+boundary: Hopf segments (a critical eigenvalue pair leaves through the
+imaginary axis) and fold segments (a real eigenvalue crosses zero), both
+solved in closed form from the root equation on the imaginary axis.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .spectral import (
     SpectrumReport,
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
+    _imaginary_axis_coefficients,
     assemble_spectrum,
 )
 
@@ -40,6 +41,10 @@ CONTROLLABLE_CLASSES = (CLASS_F_PRIME_NEG, CLASS_NU_SMALL)
 
 TAG_HOPF = "Hopf"
 TAG_FOLD = "Fold"
+
+# A boundary point may lie this many grid spacings past the grid's edge, so a
+# boundary reaches the cells on it; the Hopf arc is sampled that finely there.
+_EDGE = 0.25
 
 
 @dataclass
@@ -89,13 +94,8 @@ def classify_theorem(params: ModelParams) -> str:
 def _root_max_real(report: SpectrumReport) -> float:
     """Largest Re(lambda) over non-translation eigenvalues; edge if none."""
     eigs = list(report.eigenvalues)
-    for i, z in enumerate(eigs):
-        if z == report.translation_eigenvalue:
-            eigs.pop(i)
-            break
-    if not eigs:
-        return float(report.essential_edge)
-    return float(max(z.real for z in eigs))
+    eigs.remove(report.translation_eigenvalue)
+    return float(max((z.real for z in eigs), default=report.essential_edge))
 
 
 def uncontrolled_report(params: ModelParams) -> SpectrumReport:
@@ -182,21 +182,15 @@ def min_control_gain_deepening(params: ModelParams, gain_floor: float = -64.0,
                 raise
 
 
-def _grid_params(f_der: float, nu: float, u_star: float, f_val: float,
-                 eps: float) -> ModelParams:
-    to_log_der = nu - 2.0 * f_der / f_val
-    return ModelParams(u_star=u_star, f_val=f_val, f_der=f_der,
-                       to_log_der=to_log_der, eps=eps)
-
-
 def _sweep_row(args):
-    i_nu, nu, f_values, u_star, f_val, eps, include_min_gain = args
+    nu, f_values, u_star, f_val, include_min_gain = args
     row = []
     for f_der in f_values:
         cls = classify_point(f_der, nu, u_star)
         cell = RegionCell(f_der=float(f_der), nu=float(nu), theorem_class=cls)
         try:
-            params = _grid_params(f_der, nu, u_star, f_val, eps)
+            params = ModelParams(u_star=u_star, f_val=f_val, f_der=f_der,
+                                 to_log_der=nu - 2.0 * f_der / f_val)
             report = uncontrolled_report(params)
             cell.uncontrolled_verdict = report.verdict
             cell.max_real_part = _root_max_real(report)
@@ -205,83 +199,84 @@ def _sweep_row(args):
         except (PulseControlError, ValueError) as exc:
             cell.error = f"{type(exc).__name__}: {exc}"
         row.append(cell)
-    return i_nu, row
+    return row
 
 
-def _refine_edge(p_stable, p_unstable, u_star, f_val, eps, tol=1e-4):
-    """Bisect the verdict flip along a grid edge; returns (point, tag).
+def _fold_line(lo, hi, u_star: float, f_val: float, spacing: float):
+    """The fold line from edge to edge of the plane [lo, hi], ``spacing`` apart."""
+    slope = 2.0 / f_val
+    f_lo = max(lo[0], (lo[1] - 1.0 / u_star) / slope)
+    f_hi = min(hi[0], (hi[1] - 1.0 / u_star) / slope)
+    n = int(np.ceil((f_hi - f_lo) * np.hypot(1.0, slope) / spacing)) + 1 if f_lo <= f_hi else 0
+    f_der = np.linspace(f_lo, f_hi, n)
+    return np.column_stack((f_der, 2.0 * f_der / f_val + 1.0 / u_star))
 
-    The tag is Hopf if the rightmost non-translation eigenvalue at the
-    unstable end is complex.  It is read from the spectrum of the last
-    unstable midpoint, so a spectrum at ``p_unstable`` itself is computed
-    only if the bisection never moved that end.
+
+def _hopf_arc(lo, hi, u_star: float, f_val: float, spacing: float):
+    """Points where lambda = +-i omega is a root, in omega order from the
+    Bogdanov-Takens point on the fold line (omega -> 0).
+
+    A gap that meets the plane [lo, hi] is split at its geometric-mean omega
+    until it is at most ``spacing`` wide, ``_EDGE * spacing`` across an edge.
     """
-    a = np.array(p_stable, dtype=float)
-    b = np.array(p_unstable, dtype=float)
-    report = None  # spectrum at b once b has moved
-    try:
-        while np.max(np.abs(b - a)) > tol:
-            m = 0.5 * (a + b)
-            mid_report = uncontrolled_report(
-                _grid_params(m[0], m[1], u_star, f_val, eps))
-            if _root_max_real(mid_report) > 0.0:
-                b, report = m, mid_report
-            else:
-                a = m
-        if report is None:
-            report = uncontrolled_report(
-                _grid_params(b[0], b[1], u_star, f_val, eps))
-    except (PulseControlError, ValueError):
-        return None
-    eigs = [z for z in report.eigenvalues if z != report.translation_eigenvalue]
-    hopf = bool(eigs) and abs(max(eigs, key=lambda z: z.real).imag) > 1e-6
-    mid = 0.5 * (a + b)
-    return ([float(mid[0]), float(mid[1])], TAG_HOPF if hopf else TAG_FOLD)
+    def plane(omega):
+        alpha, beta = _imaginary_axis_coefficients(omega)
+        return np.column_stack((3.0 * f_val / (u_star * beta), -alpha / (u_star * beta)))
+
+    # omega = 1e-3 lies 3e-7 from that point at u* = f(u*) = 1; 1e4 far outside
+    # any plane of interest, at f' = -3e5 f(u*)/u*
+    omega = np.geomspace(1e-3, 1e4, 8)
+    points = plane(omega)
+    for _ in range(64):
+        a, b = points[:-1], points[1:]
+        inside = np.all((points >= lo) & (points <= hi), axis=1)
+        meets = np.all((np.minimum(a, b) <= hi) & (np.maximum(a, b) >= lo), axis=1)
+        widest = np.where(inside[:-1] == inside[1:], spacing, _EDGE * spacing)
+        split = np.flatnonzero(meets & (np.hypot(*(b - a).T) > widest))
+        if not split.size:
+            break
+        mid = np.sqrt(omega[split] * omega[split + 1])
+        omega = np.insert(omega, split + 1, mid)
+        points = np.insert(points, split + 1, plane(mid), axis=0)
+    return points
 
 
-def _chain_points(points):
-    """Greedy nearest-neighbor ordering into a single polyline."""
-    if not points:
-        return []
-    remaining = sorted(points)
-    chain = [remaining.pop(0)]
-    while remaining:
-        last = chain[-1]
-        idx = min(range(len(remaining)),
-                  key=lambda i: ((remaining[i][0] - last[0]) ** 2
-                                 + (remaining[i][1] - last[1]) ** 2,
-                                 remaining[i]))
-        chain.append(remaining.pop(idx))
-    return chain
+def _clip(points, f_values, nu_values, side, lo, hi) -> list:
+    """Points in [lo, hi] whose grid square has a stable and an unstable
+    non-failed corner; a point outside the grid takes the nearest edge square.
+    """
+    near = np.all((points >= lo) & (points <= hi), axis=1)
+    j = np.clip(np.searchsorted(f_values, points[:, 0]) - 1, 0, len(f_values) - 2)
+    i = np.clip(np.searchsorted(nu_values, points[:, 1]) - 1, 0, len(nu_values) - 2)
+    corners = side[[i, i, i + 1, i + 1], [j, j + 1, j, j + 1]]
+    keep = near & (corners == 1.0).any(axis=0) & (corners == 0.0).any(axis=0)
+    return points[keep].tolist()
 
 
 def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
                 n_f: int = 121, n_nu: int = 121,
-                u_star: float = 1.0, f_val: float = 1.0, eps: float = 0.02,
+                u_star: float = 1.0, f_val: float = 1.0,
                 threads: int | None = None,
                 include_min_gain: bool = False) -> SweepResult:
     """Classify a (f', nu) grid and trace the uncontrolled stability boundary.
 
-    Cells are independent and evaluated concurrently; results merge by row
-    index, so the output is deterministic for a fixed grid.  Per-cell solver
+    Cells are independent and evaluated concurrently; rows merge in grid
+    order, so the output is deterministic for a fixed grid.  Per-cell solver
     failures are recorded on the cell and in ``failures`` rather than raised.
+    The Hopf arc and the fold line come from the root equation on the
+    imaginary axis, kept where the grid around them changes verdict.
     """
     if n_f < 2 or n_nu < 2:
         raise ValueError("grid resolution must be >= 2 in each axis")
     f_values = np.linspace(f_der_range[0], f_der_range[1], n_f)
     nu_values = np.linspace(nu_range[0], nu_range[1], n_nu)
 
-    jobs = [(i, nu, f_values, u_star, f_val, eps, include_min_gain)
-            for i, nu in enumerate(nu_values)]
-    rows = [None] * n_nu
+    jobs = [(nu, f_values, u_star, f_val, include_min_gain) for nu in nu_values]
     if threads is not None and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for i_nu, row in pool.map(_sweep_row, jobs, chunksize=4):
-                rows[i_nu] = row
+            rows = list(pool.map(_sweep_row, jobs, chunksize=4))
     else:
-        for job in jobs:
-            i_nu, row = _sweep_row(job)
-            rows[i_nu] = row
+        rows = list(map(_sweep_row, jobs))
     cells = [cell for row in rows for cell in row]
 
     result = SweepResult(
@@ -291,47 +286,35 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
         failures=[(c.f_der, c.nu, c.error) for c in cells if c.error],
     )
 
-    def stable_side(cell):
-        if cell.error or cell.uncontrolled_verdict is None:
-            return None
-        return cell.uncontrolled_verdict != VERDICT_UNSTABLE
-
-    hopf_pts, fold_pts = [], []
-    for i in range(n_nu):
-        for j in range(n_f):
-            here = result.cell(i, j)
-            s_here = stable_side(here)
-            if s_here is None:
+    # 1 at stable cells, 0 at unstable ones, NaN at failed ones
+    side = np.array([np.nan if c.error else float(c.uncontrolled_verdict != VERDICT_UNSTABLE)
+                     for c in cells]).reshape(n_nu, n_f)
+    # lambda = 0 solves the root equation where alpha + beta = R(0) = -6, on
+    # the fold line u* T'/T = 1 (the degenerate existence line).  Cells a few
+    # ulps off it pass ModelParams, so the sign of u* T'/T - 1 is 0 near it.
+    gap = u_star * (nu_values[:, None] - 2.0 * f_values / f_val) - 1.0
+    fold_side = np.where(np.abs(gap) <= 1e-12, 0.0, np.sign(gap))
+    for i, j in np.argwhere(~np.isnan(side)):
+        for di, dj in ((0, 1), (1, 0)):
+            ii, jj = i + di, j + dj
+            if ii < n_nu and jj < n_f and np.isnan(side[ii, jj]):
+                # bridge a single failed cell: the degenerate existence line
+                # is the fold line, so a fold edge often spans one
+                ii, jj = ii + di, jj + dj
+            if ii >= n_nu or jj >= n_f or side[ii, jj] != 1.0 - side[i, j]:
                 continue
-            for di, dj in ((0, 1), (1, 0)):
-                ii, jj = i + di, j + dj
-                if ii >= n_nu or jj >= n_f:
-                    continue
-                there = result.cell(ii, jj)
-                s_there = stable_side(there)
-                if s_there is None:
-                    # bridge a single failed cell so a boundary hugging the
-                    # degenerate existence line is still traced
-                    ii, jj = i + 2 * di, j + 2 * dj
-                    if ii >= n_nu or jj >= n_f:
-                        continue
-                    there = result.cell(ii, jj)
-                    s_there = stable_side(there)
-                if s_there is None or s_here == s_there:
-                    continue
-                stable_cell, unstable_cell = (here, there) if s_here else (there, here)
-                refined = _refine_edge((stable_cell.f_der, stable_cell.nu),
-                                       (unstable_cell.f_der, unstable_cell.nu),
-                                       u_star, f_val, eps)
-                if refined is None:
-                    continue
-                point, tag = refined
-                here.boundary_tag = here.boundary_tag or tag
-                there.boundary_tag = there.boundary_tag or tag
-                (hopf_pts if tag == TAG_HOPF else fold_pts).append(tuple(point))
+            tag = TAG_FOLD if fold_side[i, j] * fold_side[ii, jj] <= 0.0 else TAG_HOPF
+            here, there = result.cell(i, j), result.cell(ii, jj)
+            here.boundary_tag = here.boundary_tag or tag
+            there.boundary_tag = there.boundary_tag or tag
 
-    result.hopf = [list(p) for p in _chain_points(hopf_pts)]
-    result.fold = [list(p) for p in _chain_points(fold_pts)]
+    spacing = min(f_values[1] - f_values[0], nu_values[1] - nu_values[0])
+    lo, hi = np.array([f_values[0], nu_values[0]]), np.array([f_values[-1], nu_values[-1]])
+    edge = _EDGE * spacing
+    hopf = _hopf_arc(lo, hi, u_star, f_val, spacing)
+    fold = _fold_line(lo, hi, u_star, f_val, spacing)
+    result.hopf = _clip(hopf, f_values, nu_values, side, lo - edge, hi + edge)
+    result.fold = _clip(fold, f_values, nu_values, side, lo - edge, hi + edge)
     return result
 
 

@@ -185,6 +185,23 @@ def _r_discrete_values(lh):
     return over(WEIGHT_HIGH, lh - POLE_HIGH) - over(WEIGHT_LOW, lh - POLE_LOW)
 
 
+def _r_values(lh):
+    """R at a scalar or on an array, as the root solver evaluates it."""
+    return _r_discrete_values(lh) + _continuum_sum(lh)
+
+
+def _imaginary_axis_coefficients(omega):
+    """(alpha, beta) for which lh = i*omega, omega > 0, is a root at zero gain.
+
+    There alpha + beta*sqrt(1 + lh) = R(lh) is linear in (alpha, beta): its
+    imaginary part gives beta, its real part then alpha.
+    """
+    lh = 1j * np.asarray(omega, dtype=float)
+    r, s = _r_values(lh), np.sqrt(1.0 + lh)
+    beta = r.imag / s.imag
+    return r.real - beta * s.real, beta
+
+
 def _cmul(a, b):
     """a * b, on a complex array rounded as the scalar product rounds.
 
@@ -276,8 +293,7 @@ class _RootProblem:
 
     def phi(self, lh):
         lh = self._points(lh)
-        r = _r_discrete_values(lh) + _continuum_sum(lh)
-        return self.alpha + self.beta * self._sqrt_term(lh) - r
+        return self.alpha + self.beta * self._sqrt_term(lh) - _r_values(lh)
 
     def phi_prime(self, lh: complex) -> complex:
         s = self._sqrt_term(lh)
@@ -516,7 +532,7 @@ def verify_r_bound(margin_radius: float = 1.0, bound: float = 12.0) -> bool:
     im = np.linspace(-60.0, 60.0, 120)
     lh = (re[:, None] + 1j * im[None, :]).ravel()
     lh = lh[(abs(lh - POLE_HIGH) >= margin_radius) & (abs(lh - POLE_LOW) >= margin_radius)]
-    return bool(np.all(abs(_r_discrete_values(lh) + _continuum_sum(lh)) <= bound))
+    return bool(np.all(abs(_r_values(lh)) <= bound))
 
 
 VERDICT_STABLE = "Stable"

@@ -86,6 +86,22 @@ def test_config_file_merging(tmp_path, capsys):
     assert doc["verdict"] == "Stable"
 
 
+def test_config_keys_the_subcommand_does_not_read(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    for key in ("tol", "bogus"):
+        config.write_text(json.dumps({"f-der": -3.0, key: 1e-3}))
+        assert dispatch(["spectrum", "--config", str(config)]) == EXIT_USAGE, key
+        assert key in capsys.readouterr().err
+    # verify reads tol from a config file as from its flag
+    config.write_text(json.dumps({"tol": 1e-30}))
+    code, doc = run_json(capsys, ["verify", "--config", str(config)])
+    assert code == EXIT_NUMERICAL
+    assert doc["manifest"]["parameters"] == {"tol": 1e-30}
+    oracle = [c for c in doc["checks"]
+              if c["name"].startswith("oracle_equivalence")]
+    assert oracle and all(c["tolerance"] == 1e-30 for c in oracle)
+
+
 def test_region_outputs(tmp_path, capsys):
     out = tmp_path / "plane"
     code, doc = run_json(capsys, ["region", "--grid", "5", "--out", str(out)])
@@ -110,11 +126,13 @@ def test_simulate_quick_run(tmp_path, capsys):
 
 
 def test_tol_only_on_verify(capsys):
-    # spectrum, region and simulate have no tolerance to set; the other
-    # flags keep each run short should one of them accept --tol again
-    for argv in (["spectrum"], ["region", "--grid", "2"],
-                 ["simulate"] + FIG4_FLAGS + ["--t-end", "0.01"]):
-        assert dispatch(argv + ["--tol", "1e-3"]) == EXIT_USAGE, argv[0]
+    # spectrum, region and simulate have no tolerance to set, and the sweep
+    # no eps; the other flags keep each run short should one be accepted
+    for argv in (["spectrum", "--tol", "1e-3"],
+                 ["region", "--grid", "2", "--tol", "1e-3"],
+                 ["simulate"] + FIG4_FLAGS + ["--t-end", "0.01", "--tol", "1e-3"],
+                 ["region", "--grid", "2", "--eps", "1"]):
+        assert dispatch(argv) == EXIT_USAGE, argv
     # verify applies it to the oracle-equivalence checks
     code, doc = run_json(capsys, ["verify", "--tol", "1e-30"])
     assert code == EXIT_NUMERICAL

@@ -16,4 +16,6 @@ def test_all_names_public_objects_not_submodules():
 
 def test_distribution_version_is_package_version():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    assert read_configuration(pyproject)["project"]["version"] == pulsectrl.__version__
+    project = read_configuration(pyproject)["project"]
+    assert project["name"] == "pulsectrl"
+    assert project["version"] == pulsectrl.__version__

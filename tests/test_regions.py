@@ -159,6 +159,77 @@ class TestSweep:
         threaded = sweep_plane(n_f=13, n_nu=13, threads=2)
         assert sweep_to_dict(threaded) == sweep_to_dict(small_sweep)
 
+    def test_fold_traced_without_repeated_points(self, small_sweep):
+        # the fold line is the degenerate existence line, and it runs through
+        # failed cells of this grid
+        assert small_sweep.hopf and small_sweep.fold
+        points = [tuple(p) for p in small_sweep.hopf + small_sweep.fold]
+        assert len(set(points)) == len(points)
+
+
+@pytest.fixture(scope="module")
+def sweep_16():
+    return sweep_plane(n_f=16, n_nu=16)
+
+
+def test_hopf_points_have_a_pair_on_the_imaginary_axis(sweep_16):
+    assert sweep_16.hopf
+    for f_der, nu in sweep_16.hopf:
+        report = uncontrolled_report(grid_params(f_der, nu))
+        assert any(z.imag != 0.0 and abs(z.real) <= 1e-6
+                   for z in report.eigenvalues), (f_der, nu)
+
+
+def test_fold_points_on_the_fold_line(sweep_16):
+    # lambda = 0 solves the root equation where nu = 2 f'/f(u*) + 1/u*
+    assert sweep_16.fold
+    for f_der, nu in sweep_16.fold:
+        assert abs(nu - 2.0 * f_der - 1.0) <= 1e-12, (f_der, nu)
+
+
+def _crosses_polyline(p, q, line) -> bool:
+    """Whether the segment pq meets a segment of the polyline ``line``."""
+    a, b = line[:-1], line[1:]
+
+    def turn(u, v, w):
+        return np.sign((v[..., 0] - u[..., 0]) * (w[..., 1] - u[..., 1])
+                       - (v[..., 1] - u[..., 1]) * (w[..., 0] - u[..., 0]))
+
+    return bool(np.any((turn(p, q, a) * turn(p, q, b) <= 0)
+                       & (turn(a, b, p) * turn(a, b, q) <= 0)))
+
+
+@pytest.mark.parametrize("u_star, f_val", [(1.0, 1.0), (2.0, 0.5)])
+def test_boundaries_cross_every_disagreeing_edge(u_star, f_val):
+    result = sweep_plane(n_f=21, n_nu=21, u_star=u_star, f_val=f_val)
+    spacing = result.f_der_values[1] - result.f_der_values[0]
+    hopf, fold = np.array(result.hopf), np.array(result.fold)
+    for line in (hopf, fold):
+        assert len(line) > 1
+        assert np.all(np.hypot(*np.diff(line, axis=0).T) <= spacing)
+    points = [tuple(p) for p in result.hopf + result.fold]
+    assert len(set(points)) == len(points)
+
+    def fold_side(cell):
+        return np.sign(cell.nu - 2.0 * cell.f_der / f_val - 1.0 / u_star)
+
+    n = len(result.f_der_values)
+    edges = 0
+    for i in range(n):
+        for j in range(n):
+            for ii, jj in ((i, j + 1), (i + 1, j)):
+                if ii >= n or jj >= n:
+                    continue
+                a, b = result.cell(i, j), result.cell(ii, jj)
+                if a.error or b.error or (a.uncontrolled_verdict == "Unstable") \
+                        == (b.uncontrolled_verdict == "Unstable"):
+                    continue
+                edges += 1
+                p, q = np.array([a.f_der, a.nu]), np.array([b.f_der, b.nu])
+                assert fold_side(a) * fold_side(b) <= 0 \
+                    or _crosses_polyline(p, q, hopf), (a, b)
+    assert edges
+
 
 def test_sweep_min_gain_cells():
     result = sweep_plane(f_der_range=(-2.0, 2.0), nu_range=(-2.0, 2.0),
