@@ -99,7 +99,7 @@ def _emit(payload: dict, out: str | None):
         print(text)
 
 
-PARAM_KEYS = ("u-star", "f-val", "f-der", "to-log-der", "eps", "gain")
+PARAM_KEYS = ("u-star", "f-val", "f-der", "to-log-der", "gain")
 
 
 def _cmd_spectrum(args) -> int:
@@ -144,7 +144,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    merged = _merged(args, PARAM_KEYS + ("t-end", "eta", "seed", "shape"))
+    merged = _merged(args, PARAM_KEYS + ("eps", "t-end", "eta", "seed", "shape"))
     params = _params_from(merged)
     model = PowerLawModel.from_params(params)
     config = SimConfig(
@@ -230,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file path")
 
     p_spec = sub.add_parser("spectrum", help="locate eigenvalues and classify stability")
-    for flag in ("--u-star", "--f-val", "--f-der", "--to-log-der", "--eps", "--gain"):
-        p_spec.add_argument(flag, type=float)
+    for key in PARAM_KEYS:
+        p_spec.add_argument("--" + key, type=float)
     add_common(p_spec)
     p_spec.set_defaults(func=_cmd_spectrum)
 
@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.set_defaults(func=_cmd_region)
 
     p_sim = sub.add_parser("simulate", help="time-integrate the controlled system")
-    for flag in ("--u-star", "--f-val", "--f-der", "--to-log-der", "--eps", "--gain"):
-        p_sim.add_argument(flag, type=float)
+    for key in PARAM_KEYS + ("eps",):
+        p_sim.add_argument("--" + key, type=float)
     p_sim.add_argument("--t-end", type=float)
     p_sim.add_argument("--eta", type=float, help="perturbation amplitude")
     p_sim.add_argument("--seed", type=int)

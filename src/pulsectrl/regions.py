@@ -241,6 +241,18 @@ def _hopf_arc(lo, hi, u_star: float, f_val: float, spacing: float):
     return points
 
 
+def _crosses_polyline(p, q, line) -> bool:
+    """Whether the segment pq meets a segment of the polyline ``line``."""
+    a, b = line[:-1], line[1:]
+
+    def turn(u, v, w):
+        return np.sign((v[..., 0] - u[..., 0]) * (w[..., 1] - u[..., 1])
+                       - (v[..., 1] - u[..., 1]) * (w[..., 0] - u[..., 0]))
+
+    return bool(np.any((turn(p, q, a) * turn(p, q, b) <= 0)
+                       & (turn(a, b, p) * turn(a, b, q) <= 0)))
+
+
 def _clip(points, f_values, nu_values, side, lo, hi) -> list:
     """Points in [lo, hi] whose grid square has a stable and an unstable
     non-failed corner; a point outside the grid takes the nearest edge square.
@@ -286,6 +298,12 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
         failures=[(c.f_der, c.nu, c.error) for c in cells if c.error],
     )
 
+    spacing = min(f_values[1] - f_values[0], nu_values[1] - nu_values[0])
+    lo, hi = np.array([f_values[0], nu_values[0]]), np.array([f_values[-1], nu_values[-1]])
+    edge = _EDGE * spacing
+    hopf = _hopf_arc(lo, hi, u_star, f_val, spacing)
+    fold = _fold_line(lo, hi, u_star, f_val, spacing)
+
     # 1 at stable cells, 0 at unstable ones, NaN at failed ones
     side = np.array([np.nan if c.error else float(c.uncontrolled_verdict != VERDICT_UNSTABLE)
                      for c in cells]).reshape(n_nu, n_f)
@@ -303,16 +321,16 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
                 ii, jj = ii + di, jj + dj
             if ii >= n_nu or jj >= n_f or side[ii, jj] != 1.0 - side[i, j]:
                 continue
-            tag = TAG_FOLD if fold_side[i, j] * fold_side[ii, jj] <= 0.0 else TAG_HOPF
             here, there = result.cell(i, j), result.cell(ii, jj)
+            # next to the Bogdanov-Takens point both curves can cross one
+            # edge, and the verdict then flips where the Hopf arc crosses it
+            tag = TAG_HOPF
+            if fold_side[i, j] * fold_side[ii, jj] <= 0.0 and not _crosses_polyline(
+                    np.array([here.f_der, here.nu]), np.array([there.f_der, there.nu]), hopf):
+                tag = TAG_FOLD
             here.boundary_tag = here.boundary_tag or tag
             there.boundary_tag = there.boundary_tag or tag
 
-    spacing = min(f_values[1] - f_values[0], nu_values[1] - nu_values[0])
-    lo, hi = np.array([f_values[0], nu_values[0]]), np.array([f_values[-1], nu_values[-1]])
-    edge = _EDGE * spacing
-    hopf = _hopf_arc(lo, hi, u_star, f_val, spacing)
-    fold = _fold_line(lo, hi, u_star, f_val, spacing)
     result.hopf = _clip(hopf, f_values, nu_values, side, lo - edge, hi + edge)
     result.fold = _clip(fold, f_values, nu_values, side, lo - edge, hi + edge)
     return result

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     EssentialRay,
@@ -93,13 +94,15 @@ class SpectrumReport:
         return json.dumps(self.to_dict())
 
 
-def r_discrete(lambda_hat: complex) -> complex:
-    """Two-pole part of R: closed form with simple poles at 5/4 and -3/4."""
-    lh = complex(lambda_hat)
+def r_discrete(lambda_hat):
+    """Two-pole part of R at a scalar or on an array: simple poles at 5/4 and
+    -3/4.  Real input gives real output."""
     for pole in (POLE_HIGH, POLE_LOW):
-        if lh == pole:
+        hit = lambda_hat == pole
+        # np.any on a scalar would cost more than the rest of a scalar call
+        if hit.any() if isinstance(hit, np.ndarray) else hit:
             raise PoleAtInput(pole)
-    return WEIGHT_HIGH / (lh - POLE_HIGH) - WEIGHT_LOW / (lh - POLE_LOW)
+    return WEIGHT_HIGH / (lambda_hat - POLE_HIGH) - WEIGHT_LOW / (lambda_hat - POLE_LOW)
 
 
 def _continuum_weight(kappa: np.ndarray) -> np.ndarray:
@@ -132,62 +135,23 @@ def _continuum_sum(lambda_hat, n: int = _FAST_NODES, power: int = 1):
     """Sum of w_k / (lh + kappa_k^2 + 1)^power over n Gauss-Legendre nodes.
 
     Takes a scalar or an array of lh and works through an array in blocks
-    of ``_BLOCK`` points.  Each point's value equals ``np.sum`` over that
-    point's own terms, bit for bit.  Real lh gives the real part of the
-    complex result, also bit for bit: numpy divides by a real-valued complex
-    number as ``w * (1/d)``, and the real terms are summed as complex numbers
-    so that the pairwise summation groups them the same way.
+    of ``_BLOCK`` points.  Real lh gives real values.
     """
     shift, w = _gauss_nodes(n)
     lh = np.asarray(lambda_hat)
-    is_complex = lh.dtype.kind == "c"
     rows = lh.reshape(-1, 1)
-    out = np.empty(len(rows), dtype=complex if is_complex else float)
+    out = np.empty(len(rows), dtype=complex if lh.dtype.kind == "c" else float)
     for i in range(0, len(rows), _BLOCK):
         d = rows[i:i + _BLOCK] + shift
         if power != 1:
             d = d ** power
-        if is_complex:
-            out[i:i + _BLOCK] = (w / d).sum(axis=1)
-        else:
-            out[i:i + _BLOCK] = (w * (1.0 / d)).astype(complex).sum(axis=1).real
+        out[i:i + _BLOCK] = (w / d).sum(axis=1)
     return out.reshape(lh.shape)[()]
-
-
-def _r_discrete_values(lh):
-    """``r_discrete`` at a Python scalar or on an array, rounded as it rounds.
-
-    Real input gives the real part, bit for bit.  On a complex array this is
-    CPython's complex division (Smith's method, ending in a division):
-    numpy's complex division multiplies by a reciprocal instead and can
-    differ in the last bit.
-    """
-    if not isinstance(lh, np.ndarray):
-        r = r_discrete(lh)
-        return r if isinstance(lh, complex) else r.real
-    for pole in (POLE_HIGH, POLE_LOW):
-        if (lh == pole).any():
-            raise PoleAtInput(pole)
-    if lh.dtype.kind != "c":
-        return WEIGHT_HIGH / (lh - POLE_HIGH) - WEIGHT_LOW / (lh - POLE_LOW)
-
-    def over(weight, d):
-        dr, di = d.real, d.imag
-        wide = np.abs(dr) >= np.abs(di)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(wide, di / dr, dr / di)
-            denom = np.where(wide, dr + di * ratio, dr * ratio + di)
-            out = np.empty(d.shape, dtype=complex)
-            out.real = np.where(wide, weight + 0.0 * ratio, weight * ratio + 0.0) / denom
-            out.imag = np.where(wide, 0.0 - weight * ratio, 0.0 * ratio - weight) / denom
-        return out
-
-    return over(WEIGHT_HIGH, lh - POLE_HIGH) - over(WEIGHT_LOW, lh - POLE_LOW)
 
 
 def _r_values(lh):
     """R at a scalar or on an array, as the root solver evaluates it."""
-    return _r_discrete_values(lh) + _continuum_sum(lh)
+    return r_discrete(lh) + _continuum_sum(lh)
 
 
 def _imaginary_axis_coefficients(omega):
@@ -200,20 +164,6 @@ def _imaginary_axis_coefficients(omega):
     r, s = _r_values(lh), np.sqrt(1.0 + lh)
     beta = r.imag / s.imag
     return r.real - beta * s.real, beta
-
-
-def _cmul(a, b):
-    """a * b, on a complex array rounded as the scalar product rounds.
-
-    numpy's SIMD complex multiply may fuse a multiply and an add, which can
-    change the last bit against the scalar product.
-    """
-    if not (isinstance(a, np.ndarray) and a.dtype.kind == "c"):
-        return a * b
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def r_continuous(lambda_hat: complex, tol: float = 1e-10):
@@ -258,9 +208,8 @@ class _RootProblem:
     """Root equation Phi(lh) = L(lh) - R(lh) with pole-cleared companion G.
 
     ``phi`` and ``g`` take a scalar or an array of lh and evaluate all of it
-    in one pass; real lh gives real values, equal bit for bit to the real
-    part of the complex ones.  ``n_eval`` counts points, and the last
-    winding search leaves its total and its retry count here.
+    in one pass; real lh gives real values.  ``n_eval`` counts points, and
+    the last winding search leaves its total and its retry count here.
     """
 
     def __init__(self, coeffs: ReducedCoefficients, control_slope: float):
@@ -274,7 +223,7 @@ class _RootProblem:
     def _points(self, lh):
         """Count the points; a scalar becomes a Python float or complex.
 
-        Single points (bisection, Newton, edge refinement) stay scalars
+        Single points (Brent, Newton, phase-step refinement) stay scalars
         because the array path costs about three times as much per call.
         """
         if isinstance(lh, (int, float, complex)):
@@ -303,10 +252,10 @@ class _RootProblem:
     def g(self, lh):
         """Phi times (lh - 5/4)(lh + 3/4): analytic, same zeros, no poles."""
         lh = self._points(lh)
-        q = _cmul(lh - POLE_HIGH, lh - POLE_LOW)
+        q = (lh - POLE_HIGH) * (lh - POLE_LOW)
         lhs_val = self.alpha + self.beta * self._sqrt_term(lh)
         r_d_cleared = WEIGHT_HIGH * (lh - POLE_LOW) - WEIGHT_LOW * (lh - POLE_HIGH)
-        return _cmul(lhs_val, q) - r_d_cleared - _cmul(_continuum_sum(lh), q)
+        return lhs_val * q - r_d_cleared - _continuum_sum(lh) * q
 
     def newton(self, lh0: complex, tol: float = 1e-10, maxit: int = 60):
         """Newton refinement of Phi; returns root or None."""
@@ -353,7 +302,8 @@ def _real_subintervals(lo: float, hi: float, control_slope: float):
 
 def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
                     window, problem: _RootProblem | None = None):
-    """All real roots of Phi in ``window``, refined to |Phi| <= 1e-12, ascending."""
+    """All real roots of Phi in ``window``, ascending: every sign change of
+    a sample scan is bracketed by Brent's method to 4 ulps."""
     lo, hi = float(window[0]), float(window[1])
     prob = problem if problem is not None else _RootProblem(coeffs, control_slope)
     roots = []
@@ -373,23 +323,9 @@ def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
             if sign[i] == 0:
                 roots.append(xs[i])
             else:
-                x0, x1 = xs[i], xs[i + 1]
-                f0 = vals[i]
-                for _ in range(200):
-                    xm = 0.5 * (x0 + x1)
-                    fm = prob.phi(xm)
-                    if fm == 0 or x1 - x0 < 1e-15 * max(1.0, abs(xm)):
-                        break
-                    if f0 * fm < 0:
-                        x1 = xm
-                    else:
-                        x0, f0 = xm, fm
-                refined = prob.newton(complex(xm), tol=1e-12)
-                if refined is not None and abs(refined.imag) < 1e-10 \
-                        and a - 1e-9 <= refined.real <= b + 1e-9:
-                    roots.append(refined.real)
-                else:
-                    roots.append(xm)
+                # 4 ulps is the least relative tolerance brentq accepts
+                roots.append(brentq(prob.phi, xs[i], xs[i + 1],
+                                    xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
     # dedupe
     roots = sorted(roots)
     out = []

@@ -88,8 +88,8 @@ def test_config_file_merging(tmp_path, capsys):
 
 def test_config_keys_the_subcommand_does_not_read(tmp_path, capsys):
     config = tmp_path / "run.json"
-    for key in ("tol", "bogus"):
-        config.write_text(json.dumps({"f-der": -3.0, key: 1e-3}))
+    for key, value in (("tol", 1e-3), ("bogus", 1), ("eps", 0.1)):
+        config.write_text(json.dumps({"f-der": -3.0, key: value}))
         assert dispatch(["spectrum", "--config", str(config)]) == EXIT_USAGE, key
         assert key in capsys.readouterr().err
     # verify reads tol from a config file as from its flag
@@ -126,12 +126,14 @@ def test_simulate_quick_run(tmp_path, capsys):
 
 
 def test_tol_only_on_verify(capsys):
-    # spectrum, region and simulate have no tolerance to set, and the sweep
-    # no eps; the other flags keep each run short should one be accepted
+    # spectrum, region and simulate have no tolerance to set, and the
+    # spectrum and the sweep no eps; the other flags keep each run short
+    # should one be accepted
     for argv in (["spectrum", "--tol", "1e-3"],
                  ["region", "--grid", "2", "--tol", "1e-3"],
                  ["simulate"] + FIG4_FLAGS + ["--t-end", "0.01", "--tol", "1e-3"],
-                 ["region", "--grid", "2", "--eps", "1"]):
+                 ["region", "--grid", "2", "--eps", "1"],
+                 ["spectrum", "--eps", "1"]):
         assert dispatch(argv) == EXIT_USAGE, argv
     # verify applies it to the oracle-equivalence checks
     code, doc = run_json(capsys, ["verify", "--tol", "1e-30"])

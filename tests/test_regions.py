@@ -23,6 +23,7 @@ from pulsectrl.regions import (
     uncontrolled_report,
     uncontrolled_verdict,
 )
+from pulsectrl.regions import _crosses_polyline
 from pulsectrl.spectral import assemble_spectrum
 
 FIG4 = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0)
@@ -187,18 +188,6 @@ def test_fold_points_on_the_fold_line(sweep_16):
         assert abs(nu - 2.0 * f_der - 1.0) <= 1e-12, (f_der, nu)
 
 
-def _crosses_polyline(p, q, line) -> bool:
-    """Whether the segment pq meets a segment of the polyline ``line``."""
-    a, b = line[:-1], line[1:]
-
-    def turn(u, v, w):
-        return np.sign((v[..., 0] - u[..., 0]) * (w[..., 1] - u[..., 1])
-                       - (v[..., 1] - u[..., 1]) * (w[..., 0] - u[..., 0]))
-
-    return bool(np.any((turn(p, q, a) * turn(p, q, b) <= 0)
-                       & (turn(a, b, p) * turn(a, b, q) <= 0)))
-
-
 @pytest.mark.parametrize("u_star, f_val", [(1.0, 1.0), (2.0, 0.5)])
 def test_boundaries_cross_every_disagreeing_edge(u_star, f_val):
     result = sweep_plane(n_f=21, n_nu=21, u_star=u_star, f_val=f_val)
@@ -229,6 +218,16 @@ def test_boundaries_cross_every_disagreeing_edge(u_star, f_val):
                 assert fold_side(a) * fold_side(b) <= 0 \
                     or _crosses_polyline(p, q, hopf), (a, b)
     assert edges
+
+
+def test_edge_crossed_by_both_curves_tagged_hopf():
+    # by the Bogdanov-Takens point the Hopf arc and the fold line both cross
+    # the edge between these cells, and the verdict flips at the Hopf arc
+    result = sweep_plane(n_f=21, n_nu=21, u_star=2.0, f_val=0.5)
+    for i_f in (9, 10):
+        cell = result.cell(11, i_f)
+        assert (cell.f_der, cell.nu) == pytest.approx((0.3 * i_f - 3.0, 0.3))
+        assert cell.boundary_tag == "Hopf", cell
 
 
 def test_sweep_min_gain_cells():

@@ -144,6 +144,12 @@ class TestRootProblemBatch:
         (ReducedCoefficients(alpha=-1.0, beta=2.0, nu=0.5), -3.0),
     ])
     def test_batch_equals_point_by_point(self, coeffs, gain):
+        # batched and scalar arithmetic may round differently, by a few ulps
+        def assert_close(values, reference):
+            reference = np.asarray(reference)
+            assert np.all(np.abs(values - reference)
+                          <= 1e-14 * np.maximum(1.0, np.abs(reference)))
+
         prob = spectral._RootProblem(coeffs, gain)
         block = spectral._BLOCK
         sizes = (1, block - 1, block, block + 1, 3 * block + 5)
@@ -152,11 +158,11 @@ class TestRootProblemBatch:
             for fn in (prob.phi, prob.g):
                 batch = fn(lh)
                 assert batch.shape == (n,)
-                assert np.array_equal(batch, [fn(z) for z in lh])
+                assert_close(batch, [fn(z) for z in lh])
                 real = fn(lh.real)
                 assert real.dtype == float
-                assert np.array_equal(real, [fn(complex(x)).real for x in lh.real])
-                assert np.array_equal(real, fn(lh.real.astype(complex)).real)
+                assert_close(real, [fn(complex(x)).real for x in lh.real])
+                assert_close(real, fn(lh.real.astype(complex)).real)
         # n_eval counts points: five evaluations of each point by each function
         assert prob.n_eval == 2 * 5 * sum(sizes)
 
@@ -206,6 +212,68 @@ class TestFindComplexRoots:
         assert prob.winding_retries == 1
 
 
+# Reference spectra at seeded points of the (f', nu) plane, u* = f(u*) = 1:
+# 16 on [-3, 3]^2 (both signs of f', so of beta), two with |f'| in [3, 8],
+# and the Fig. 4 point at gains 0 and -3.  Rows are (f', nu, gain, verdict,
+# eigenvalues as (re, im) in report order).  They were computed when real
+# roots were still bisected and refined by Newton, so they pin every change
+# of the root finders to the same roots.
+SEEDED_SPECTRA = [
+    (0.229, -0.94, 0.0, "Unstable",
+     [(1.4720395245999294, 0.0), (0.0, 0.0), (-0.7543382774267022, 0.0)]),
+    (-0.786, -0.753, 0.0, "Unstable",
+     [(0.19347525178557923, 0.0), (0.0, 0.0), (-0.6702776341719479, 0.0),
+      (-0.9991359707217804, 0.0)]),
+    (2.925, 0.797, 0.0, "Unstable",
+     [(5.3483400471132825, 0.0), (0.0, 0.0), (-0.7795010022689888, 0.0)]),
+    (1.046, -1.02, 0.0, "Unstable",
+     [(2.1579059013988804, 0.0), (0.0, 0.0), (-0.7622024573595649, 0.0)]),
+    (1.08, -2.262, 0.0, "Unstable",
+     [(1.9114078126576377, 0.0), (0.0, 0.0), (-0.7586149973930001, 0.0)]),
+    (-2.69, 2.101, 0.0, "Unstable",
+     [(1.5510059832241287, -5.1237923057927555),
+      (1.5510059832241287, 5.1237923057927555), (0.0, 0.0),
+      (-0.7678424820429313, 0.0)]),
+    (-2.947, 2.873, 0.0, "Unstable",
+     [(3.5278309078480166, -5.384288658508074),
+      (3.5278309078480166, 5.384288658508074), (0.0, 0.0),
+      (-0.7660005186632048, 0.0)]),
+    (1.962, 1.711, 0.0, "Unstable",
+     [(6.157434360750915, 0.0), (0.0, 0.0), (-0.8092904200616391, 0.0)]),
+    (-2.711, -1.755, 0.0, "NeutrallyStable",
+     [(0.0, 0.0), (-0.8339791942315278, 0.0)]),
+    (2.099, -0.405, 0.0, "Unstable",
+     [(3.29959599004249, 0.0), (0.0, 0.0), (-0.7698154985874208, 0.0)]),
+    (0.765, -2.266, 0.0, "Unstable",
+     [(1.7250812516180565, 0.0), (0.0, 0.0), (-0.7567286337294652, 0.0)]),
+    (-1.882, -0.016, 0.0, "NeutrallyStable",
+     [(0.0, 0.0), (-0.7840046852493452, 0.0),
+      (-0.9300059920149873, -2.145886101118805),
+      (-0.9300059920149873, 2.145886101118805)]),
+    (1.557, 0.239, 0.0, "Unstable",
+     [(3.303098920658761, 0.0), (0.0, 0.0), (-0.7737466886827089, 0.0)]),
+    (-2.359, 2.197, 0.0, "Unstable",
+     [(1.8611834244763221, -4.794211422870795),
+      (1.8611834244763221, 4.794211422870795), (0.0, 0.0),
+      (-0.7666950128767513, 0.0)]),
+    (-2.162, -0.362, 0.0, "NeutrallyStable",
+     [(0.0, 0.0), (-0.7892223140639305, 0.0)]),
+    (0.521, -1.085, 0.0, "Unstable",
+     [(1.7138303382339486, 0.0), (0.0, 0.0), (-0.757645800745542, 0.0)]),
+    (-4.521, -0.275, 0.0, "NeutrallyStable",
+     [(0.0, 0.0), (-0.7809977177032366, 0.0)]),
+    (7.16, 0.235, 0.0, "Unstable",
+     [(7.633227721087708, 0.0), (0.0, 0.0), (-0.7760269668330848, 0.0)]),
+    (-3.0, 2.0, 0.0, "Unstable",
+     [(1.2423052748579382, -5.385397902204238),
+      (1.2423052748579382, 5.385397902204238), (0.0, 0.0),
+      (-0.7688352028740895, 0.0)]),
+    (-3.0, 2.0, -3.0, "Stable",
+     [(-0.48037384869779265, -4.6637115951112085),
+      (-0.48037384869779265, 4.6637115951112085), (-3.0, 0.0)]),
+]
+
+
 class TestAssembleSpectrum:
     def test_no_cancellation_branch(self):
         params = ModelParams(1.0, 1.0, 0.0, 0.0, control_slope=0.9)
@@ -229,7 +297,7 @@ class TestAssembleSpectrum:
         assert report.verdict == "Unstable"
         assert report.max_real_part > 0.0
         # the work and the answer are pinned: batching saves overhead only
-        assert report.diagnostics == {"function_evaluations": 2892,
+        assert report.diagnostics == {"function_evaluations": 2856,
                                       "winding_total": 1, "winding_retries": 0}
         pair = sorted((z for z in report.eigenvalues if z.imag != 0.0),
                       key=lambda z: z.imag)
@@ -247,8 +315,18 @@ class TestAssembleSpectrum:
         finally:
             tracemalloc.stop()
         assert report.search_window["re"][1] > 14_000
-        assert report.diagnostics["function_evaluations"] == 39_711
+        assert report.diagnostics["function_evaluations"] == 39_675
         assert peak < 16e6
+
+    def test_seeded_spectra_agree_with_reference(self):
+        for f_der, nu, gain, verdict, eigenvalues in SEEDED_SPECTRA:
+            params = ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der, control_slope=gain)
+            report = assemble_spectrum(params)
+            assert report.verdict == verdict, (f_der, nu, gain)
+            assert len(report.eigenvalues) == len(eigenvalues), (f_der, nu, gain)
+            for z, (re, im) in zip(report.eigenvalues, eigenvalues):
+                assert abs(z - complex(re, im)) <= 1e-12 * abs(complex(re, im)), \
+                    (f_der, nu, gain, z)
 
     def test_fig4_controlled_stable(self):
         params = ModelParams(1.0, 1.0, -3.0, 8.0, control_slope=-3.0)
