@@ -21,6 +21,7 @@ the resulting R agrees with the brute-force resolvent solve (module
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,7 +49,19 @@ KAPPA_MAX = 12.0
 # against that envelope beyond KAPPA_MAX leaves less than 1e-27.
 TAIL_BOUND = 1e-27
 
-_FAST_NODES = 512
+# Gauss-Legendre on [0, KAPPA_MAX] errs like rho^(-2n), where rho labels the
+# Bernstein ellipse (foci 0 and KAPPA_MAX) through the integrand's nearest
+# singularity (Trefethen, SIAM Review 50, 2008).  A point kappa lies on the
+# ellipse with |kappa| + |kappa - KAPPA_MAX| = KAPPA_MAX cosh(log rho), so
+# rho^(-2n) <= 1e-16 once that sum reaches the tier's _TIER_REACH.  The nearest
+# singularity is the pole of 1/(lh + k^2 + 1) at kappa = sqrt(-1 - lh) or the
+# weight's pole at i/2 (sum _WEIGHT_REACH), whichever is nearer.  Each point
+# takes the fewest tier nodes its sum allows; points too near the cut for 256
+# nodes take 512.
+_NODE_TIERS = (64, 128, 256, 512)
+_TIER_REACH = tuple(KAPPA_MAX * math.cosh(8.0 * math.log(10.0) / n)
+                    for n in _NODE_TIERS[:-1])
+_WEIGHT_REACH = 0.5 + math.hypot(KAPPA_MAX, 0.5)
 # Points per block of the continuum sum: 128 points x 512 nodes of complex
 # terms is about 1 MB, so memory stays flat however many points one call has.
 _BLOCK = 128
@@ -131,21 +144,53 @@ def _on_essential_ray(lh: complex) -> bool:
     return lh.imag == 0.0 and lh.real <= -1.0
 
 
-def _continuum_sum(lambda_hat, n: int = _FAST_NODES, power: int = 1):
-    """Sum of w_k / (lh + kappa_k^2 + 1)^power over n Gauss-Legendre nodes.
+def _node_count(lh) -> int:
+    """Gauss-Legendre nodes for one point, by the rule above."""
+    kp = cmath.sqrt(-1.0 - lh)
+    reach = min(abs(kp) + abs(kp - KAPPA_MAX), _WEIGHT_REACH)
+    for n, tier_reach in zip(_NODE_TIERS, _TIER_REACH):
+        if reach >= tier_reach:
+            return n
+    return _NODE_TIERS[-1]
 
-    Takes a scalar or an array of lh and works through an array in blocks
-    of ``_BLOCK`` points.  Real lh gives real values.
-    """
+
+def _node_counts(lh: np.ndarray) -> np.ndarray:
+    """``_node_count`` on a 1-d array."""
+    kp = np.sqrt(-1.0 - lh.astype(complex))
+    reach = np.minimum(np.abs(kp) + np.abs(kp - KAPPA_MAX), _WEIGHT_REACH)
+    return np.take(_NODE_TIERS, np.digitize(reach, _TIER_REACH))
+
+
+def _block_sums(lh: np.ndarray, n: int, power: int) -> np.ndarray:
     shift, w = _gauss_nodes(n)
-    lh = np.asarray(lambda_hat)
     rows = lh.reshape(-1, 1)
-    out = np.empty(len(rows), dtype=complex if lh.dtype.kind == "c" else float)
+    out = np.empty(len(rows), dtype=lh.dtype)
     for i in range(0, len(rows), _BLOCK):
         d = rows[i:i + _BLOCK] + shift
         if power != 1:
             d = d ** power
         out[i:i + _BLOCK] = (w / d).sum(axis=1)
+    return out
+
+
+def _continuum_sum(lambda_hat, n: int | None = None, power: int = 1):
+    """Sum of w_k / (lh + kappa_k^2 + 1)^power over n Gauss-Legendre nodes.
+
+    Takes a scalar or an array of lh.  Without ``n``, each point takes its
+    own node count (``_node_count``); an array is grouped by node count and
+    worked through in blocks of ``_BLOCK`` points.  Real lh gives real values.
+    """
+    if isinstance(lambda_hat, (int, float, complex)):
+        shift, w = _gauss_nodes(n or _node_count(lambda_hat))
+        d = lambda_hat + shift
+        return (w / (d if power == 1 else d ** power)).sum()
+    lh = np.asarray(lambda_hat)
+    flat = lh.astype(complex if lh.dtype.kind == "c" else float, copy=False).ravel()
+    counts = _node_counts(flat) if n is None else np.full(flat.size, n)
+    out = np.empty_like(flat)
+    for n_k in np.unique(counts):
+        idx = np.flatnonzero(counts == n_k)
+        out[idx] = _block_sums(flat[idx], int(n_k), power)
     return out.reshape(lh.shape)[()]
 
 
@@ -257,8 +302,9 @@ class _RootProblem:
         r_d_cleared = WEIGHT_HIGH * (lh - POLE_LOW) - WEIGHT_LOW * (lh - POLE_HIGH)
         return lhs_val * q - r_d_cleared - _continuum_sum(lh) * q
 
-    def newton(self, lh0: complex, tol: float = 1e-10, maxit: int = 60):
-        """Newton refinement of Phi; returns root or None."""
+    def newton(self, lh0: complex, reach: float, tol: float = 1e-10, maxit: int = 60):
+        """Newton refinement of Phi; returns the root, or None once an
+        iterate lies farther than ``reach`` from ``lh0`` or ``maxit`` runs out."""
         lh = complex(lh0)
         for _ in range(maxit):
             for pole in (POLE_HIGH, POLE_LOW):
@@ -272,7 +318,7 @@ class _RootProblem:
                 return None
             step = f / df
             lh = lh - step
-            if not np.isfinite(lh.real) or not np.isfinite(lh.imag):
+            if not cmath.isfinite(lh) or abs(lh - lh0) > reach:
                 return None
         return lh if abs(self.phi(lh)) <= tol else None
 
@@ -323,8 +369,11 @@ def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
             if sign[i] == 0:
                 roots.append(xs[i])
             else:
+                # Brent starts from both ends; hand it the scanned values there
+                ends = {xs[i]: vals[i], xs[i + 1]: vals[i + 1]}
                 # 4 ulps is the least relative tolerance brentq accepts
-                roots.append(brentq(prob.phi, xs[i], xs[i + 1],
+                roots.append(brentq(lambda x: ends[x] if x in ends else prob.phi(x),
+                                    xs[i], xs[i + 1],
                                     xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
     # dedupe
     roots = sorted(roots)
@@ -390,7 +439,9 @@ class _WindingSearch:
             return []
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
         if w == 1 or diam < 1e-3:
-            root = self.prob.newton(center)
+            # an iterate farther than the diameter from the centre has left
+            # the rectangle; give up there and subdivide
+            root = self.prob.newton(center, diam)
             if root is not None and re0 - 1e-9 <= root.real <= re1 + 1e-9 \
                     and im0 - 1e-9 <= root.imag <= im1 + 1e-9:
                 if w == 1:

@@ -2,6 +2,7 @@
 finders, and verdict assembly."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,42 @@ class TestRContinuous:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             r_continuous(2.0, tol=0.0)
+
+
+class TestContinuumNodeRule:
+    """Per-point node counts from the pole's Bernstein ellipse."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(7)
+        # the right half-plane out to Re 80
+        right = rng.uniform(0.0, 80.0, 200) + 1j * rng.uniform(-60.0, 60.0, 200)
+        # 1e-6 to 10 from the branch point, every direction but the cut itself
+        near_branch = -1.0 + 10.0 ** rng.uniform(-6.0, 1.0, 300) \
+            * np.exp(1j * rng.uniform(-0.999, 0.999, 300) * np.pi)
+        # just above the cut, where |lh + 1| is large but the pole is not
+        above_cut = -1.0 - 10.0 ** rng.uniform(-3.0, 2.5, 300) \
+            + 1j * 10.0 ** rng.uniform(-6.0, 0.0, 300)
+        return np.concatenate([right, near_branch, above_cut])
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_as_accurate_as_512_nodes(self, power):
+        lh = self.points()
+        ref = spectral._continuum_sum(lh, 2048, power)
+        tol = 5e-14 * np.maximum(1.0, np.abs(ref))
+        held = np.abs(spectral._continuum_sum(lh, 512, power) - ref) <= tol
+        # every tier is exercised where 512 nodes hold
+        assert set(spectral._node_counts(lh[held])) == {64, 128, 256, 512}
+        err = np.abs(spectral._continuum_sum(lh, power=power) - ref)
+        assert np.all(err[held] <= tol[held])
+
+    def test_scalar_rule_matches_array_rule(self):
+        lh = self.points()
+        counts = spectral._node_counts(lh)
+        assert list(counts) == [spectral._node_count(z) for z in lh]
+        assert set(counts) == {64, 128, 256, 512}
+        assert list(spectral._node_counts(lh.real)) \
+            == [spectral._node_count(float(x)) for x in lh.real]
 
 
 class TestRTotal:
@@ -212,6 +249,26 @@ class TestFindComplexRoots:
         assert prob.winding_retries == 1
 
 
+class TestNewton:
+    def test_gives_up_once_it_leaves_the_rectangle(self):
+        # from the centre of the off-axis window, Newton runs away from the
+        # one root near -0.75 + 0.34i and would wander for all 60 steps
+        co = ReducedCoefficients(alpha=-3.0, beta=-1.0, nu=0.0)
+        re0, re1, _, im1 = default_window(co, 0.0)
+        rect = (re0, re1, 1e-6, im1)
+        centre = complex(0.5 * (re0 + re1), 0.5 * (1e-6 + im1))
+        diam = math.hypot(re1 - re0, im1 - 1e-6)
+        unbounded = spectral._RootProblem(co, 0.0)
+        assert unbounded.newton(centre, math.inf) is None
+        assert unbounded.n_eval == 61
+        prob = spectral._RootProblem(co, 0.0)
+        assert prob.newton(centre, diam) is None
+        assert prob.n_eval <= 3
+        # subdividing still finds the root
+        (root,) = find_complex_roots(co, 0.0, rect, problem=prob)
+        assert abs(root - (-0.7523620903272242 + 0.33614943901371314j)) <= 1e-10
+
+
 # Reference spectra at seeded points of the (f', nu) plane, u* = f(u*) = 1:
 # 16 on [-3, 3]^2 (both signs of f', so of beta), two with |f'| in [3, 8],
 # and the Fig. 4 point at gains 0 and -3.  Rows are (f', nu, gain, verdict,
@@ -297,7 +354,7 @@ class TestAssembleSpectrum:
         assert report.verdict == "Unstable"
         assert report.max_real_part > 0.0
         # the work and the answer are pinned: batching saves overhead only
-        assert report.diagnostics == {"function_evaluations": 2856,
+        assert report.diagnostics == {"function_evaluations": 2854,
                                       "winding_total": 1, "winding_retries": 0}
         pair = sorted((z for z in report.eigenvalues if z.imag != 0.0),
                       key=lambda z: z.imag)
@@ -315,7 +372,7 @@ class TestAssembleSpectrum:
         finally:
             tracemalloc.stop()
         assert report.search_window["re"][1] > 14_000
-        assert report.diagnostics["function_evaluations"] == 39_675
+        assert report.diagnostics["function_evaluations"] == 39_673
         assert peak < 16e6
 
     def test_seeded_spectra_agree_with_reference(self):
