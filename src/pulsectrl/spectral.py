@@ -304,20 +304,25 @@ class _RootProblem:
 
     def newton(self, lh0: complex, reach: float, tol: float = 1e-10, maxit: int = 60):
         """Newton refinement of Phi; returns the root, or None once an
-        iterate lies farther than ``reach`` from ``lh0`` or ``maxit`` runs out."""
+        iterate lies farther than ``reach`` from ``lh0`` or ``maxit`` runs out.
+
+        Once |Phi| <= tol, one more step is kept unless it raises |Phi|, so
+        the root no longer depends on where Newton started.
+        """
         lh = complex(lh0)
         for _ in range(maxit):
             for pole in (POLE_HIGH, POLE_LOW):
                 if abs(lh - pole) < 1e-12:
                     return None
             f = self.phi(lh)
-            if abs(f) <= tol:
-                return lh
+            converged = abs(f) <= tol
             df = self.phi_prime(lh)
             if df == 0:
-                return None
-            step = f / df
-            lh = lh - step
+                return lh if converged else None
+            nxt = lh - f / df
+            if converged:
+                return nxt if abs(self.phi(nxt)) <= abs(f) else lh
+            lh = nxt
             if not cmath.isfinite(lh) or abs(lh - lh0) > reach:
                 return None
         return lh if abs(self.phi(lh)) <= tol else None
@@ -385,20 +390,56 @@ def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
 
 
 class _WindingSearch:
-    """Argument-principle root isolation on a rectangle in the lh-plane."""
+    """Argument-principle root isolation on a rectangle in the lh-plane.
 
-    def __init__(self, problem: _RootProblem, max_depth: int = 60):
+    Each side is sampled every ``SPACING`` (at least ``MIN_SIDE`` points).
+    Where the phase of G turns fast, samples are added in one batch instead
+    of bisecting phase steps one point at a time: on a bottom edge that lies
+    less than 1e-5 above the real axis, at ``ROOT_SAMPLES`` geometric offsets
+    either side of each of ``real_roots``; on a left edge whose bottom corner
+    lies that close to a branch point (of the square root at -1 - l'(0), or
+    the end of R_c's cut at -1), at ``BRANCH_SAMPLES`` geometric heights up to 1.
+    """
+
+    SPACING = 0.75
+    MIN_SIDE = 8
+    ROOT_SAMPLES = 24
+    BRANCH_SAMPLES = 12
+    NEAR_AXIS = 1e-5
+
+    def __init__(self, problem: _RootProblem, real_roots=(), max_depth: int = 60):
         self.prob = problem
+        self.real_roots = np.asarray(real_roots, dtype=float)
+        self.branch_points = (-1.0 - problem.gain, -1.0)
         self.max_depth = max_depth
         self.winding_total = 0
+
+    def _side(self, a: complex, b: complex, extra):
+        """Samples from ``a`` toward ``b`` (``b`` left out), with the extra
+        samples given as fractions of the way along."""
+        n = max(self.MIN_SIDE, int(abs(b - a) / self.SPACING) + 1)
+        t = np.linspace(0.0, 1.0, n, endpoint=False)
+        if len(extra):
+            extra = extra[(extra > 0.0) & (extra < 1.0)]
+            t = np.unique(np.concatenate([t, extra]))
+        return a + (b - a) * t
 
     def _boundary_points(self, rect):
         re0, re1, im0, im1 = rect
         corners = [complex(re0, im0), complex(re1, im0),
                    complex(re1, im1), complex(re0, im1), complex(re0, im0)]
-        sides = [a + (b - a) * np.linspace(0.0, 1.0, max(8, int(abs(b - a) / 0.75) + 1),
-                                           endpoint=False)
-                 for a, b in zip(corners[:-1], corners[1:])]
+        extras = [np.empty(0)] * 4
+        if 0.0 < im0 < self.NEAR_AXIS:
+            if self.real_roots.size:
+                offsets = np.geomspace(im0, self.SPACING, self.ROOT_SAMPLES)
+                near = np.concatenate([-offsets[::-1], [0.0], offsets])
+                x = (self.real_roots[:, None] + near).ravel()
+                extras[0] = (x - re0) / (re1 - re0)
+            if any(abs(complex(re0, im0) - b) < self.NEAR_AXIS for b in self.branch_points):
+                y = np.geomspace(im0, min(im1, 1.0), self.BRANCH_SAMPLES)
+                extras[3] = (im1 - y) / (im1 - im0)
+        sides = [self._side(a, b, extra)
+                 for a, b, extra in zip(corners[:-1], corners[1:], extras)]
         return np.concatenate(sides + [[corners[0]]])
 
     def winding(self, rect) -> int:
@@ -471,14 +512,20 @@ def find_complex_roots(coeffs: ReducedCoefficients, control_slope: float,
     the winding total and the number of retries are left on ``problem``.
     """
     prob = problem if problem is not None else _RootProblem(coeffs, control_slope)
+    return _complex_roots(prob, rect)
+
+
+def _complex_roots(prob: _RootProblem, rect, real_roots=()):
+    """``find_complex_roots`` on ``prob``, told the real roots so that the
+    winding search samples around them."""
     re0, re1, im0, im1 = (float(v) for v in rect)
-    _, edge_hat = essential_edges(control_slope)
+    _, edge_hat = essential_edges(prob.gain)
     re0 = max(re0, edge_hat + 1e-6)
     # nudge boundaries off the poles and the real axis
     for pole in (POLE_LOW, POLE_HIGH):
         if abs(im0) < 1e-12 and re0 < pole < re1:
             im0 -= 1e-6
-    search = _WindingSearch(prob)
+    search = _WindingSearch(prob, real_roots)
     for attempt in range(4):
         try:
             found = search.roots((re0, re1, im0, im1))
@@ -500,26 +547,72 @@ def find_complex_roots(coeffs: ReducedCoefficients, control_slope: float,
     return found
 
 
-def default_window(coeffs: ReducedCoefficients, control_slope: float):
-    """Search rectangle in the lh-plane guaranteed to contain every root.
+@lru_cache(maxsize=1)
+def _continuum_weight_total() -> float:
+    """The largest sum of |w_k| over the node tiers.  Where Re lh >= -1, each
+    denominator has |lh + kappa_k^2 + 1| >= |lh + 1|, so the continuum sum
+    is at most this over |lh + 1| in modulus, for every node count used."""
+    return max(float(np.abs(_gauss_nodes(n)[1]).sum()) for n in _NODE_TIERS)
 
-    Beyond the right edge, |beta*sqrt(1+lh+l'(0))| exceeds |alpha| + sup|R|
-    (|R| <= 12 away from unit disks around the poles), so no roots exist.
+
+def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
+    """Radius about the branch point c = -1 - l'(0) outside which, on
+    Re lh >= -1, Phi has no root.
+
+    There |R(lh)| <= sum_j W_j / |lh - p_j| over the poles 5/4 and -3/4 and
+    the cut's end -1 (``_continuum_weight_total``), which bounds the
+    discretised R the solver evaluates, not only the integral.  Take the
+    circle |lh - c| = r, where |beta sqrt(1 + lh + l'(0))| = |beta| sqrt(r),
+    and on it the arc Re lh >= c, which holds every point of the window.
+    There |lh - p| >= r - (p - c) for p > c, and |lh - p| >= hypot(r, p - c)
+    for p <= c.  So no root lies on the arc once
+        |beta| sqrt(r) - |alpha| - sum_j W_j / dist_j(r) > 0,
+    and this excess increases with r past max(0, max_j p_j - c).  Its zero
+    is bracketed by halving and doubling and found by Brent, then rounded up
+    by Brent's tolerance.
     """
+    no_window = ValueError(f"no finite search window for alpha = {alpha}, "
+                           f"beta = {beta}, l'(0) = {control_slope}")
+    if beta == 0.0 or not all(map(math.isfinite, (alpha, beta, control_slope))):
+        raise no_window
+    c = -1.0 - control_slope
+    terms = [(WEIGHT_HIGH, POLE_HIGH - c), (WEIGHT_LOW, POLE_LOW - c),
+             (_continuum_weight_total(), -1.0 - c)]
+    d = max(0.0, max(offset for _, offset in terms))
+
+    def excess(t):
+        # at r = d + t; r - offset is t + (d - offset) >= t > 0
+        r = d + t
+        return abs(beta) * math.sqrt(r) - abs(alpha) \
+            - sum(w / (t + (d - offset) if offset > 0.0 else math.hypot(r, offset))
+                  for w, offset in terms)
+
+    # excess < 0 as t -> 0 and -> +inf as t -> inf, so both loops end; they
+    # run out of floats only where |beta| sqrt(r) or the radius overflows
+    hi = 1.0
+    while excess(hi) <= 0.0:
+        hi *= 2.0
+        if hi == math.inf:
+            raise no_window
+    lo = 0.5 * hi
+    while excess(lo) > 0.0:
+        hi, lo = lo, 0.5 * lo
+        if lo == 0.0:
+            raise no_window
+    xtol = rtol = 1e-12
+    t = brentq(excess, lo, hi, xtol=xtol, rtol=rtol)
+    return d + t + xtol + rtol * t
+
+
+def default_window(coeffs: ReducedCoefficients, control_slope: float):
+    """Search rectangle in the lh-plane that contains every root: the
+    square around the disk of radius ``_certified_radius`` about the branch
+    point -1 - l'(0), cut at the essential edge."""
     _, edge_hat = essential_edges(control_slope)
-    bound = ((abs(coeffs.alpha) + 12.0) / abs(coeffs.beta)) ** 2 - 1.0 - control_slope
-    re_max = max(10.0, bound + 1.0)
-    im_max = 50.0
-    return edge_hat + 1e-6, re_max, -im_max, im_max
-
-
-def verify_r_bound(margin_radius: float = 1.0, bound: float = 12.0) -> bool:
-    """Grid check that |R| <= ``bound`` away from unit disks around the poles."""
-    re = np.linspace(-0.999, 60.0, 160)
-    im = np.linspace(-60.0, 60.0, 120)
-    lh = (re[:, None] + 1j * im[None, :]).ravel()
-    lh = lh[(abs(lh - POLE_HIGH) >= margin_radius) & (abs(lh - POLE_LOW) >= margin_radius)]
-    return bool(np.all(abs(_r_values(lh)) <= bound))
+    # at least 1e-3, so that the box clears its 1e-6 offsets from the edge
+    # and from the axis; deep gains with alpha near 0 give far smaller radii
+    rho = max(_certified_radius(coeffs.alpha, coeffs.beta, control_slope), 1e-3)
+    return edge_hat + 1e-6, -1.0 - control_slope + rho, -rho, rho
 
 
 VERDICT_STABLE = "Stable"
@@ -577,7 +670,7 @@ def assemble_spectrum(params: ModelParams, window=None) -> SpectrumReport:
             # low pole, where the sign identity Im R = -sgn(Im lh)|Im R| fails
             off_axis = (re0, -0.35, 1e-6, 0.6) if re0 < -0.36 else None
         if off_axis is not None:
-            for z in find_complex_roots(coeffs, gain, off_axis, problem=prob):
+            for z in _complex_roots(prob, off_axis, real_roots):
                 roots.append(z)
                 roots.append(z.conjugate())
         diagnostics.update(function_evaluations=prob.n_eval,

@@ -14,7 +14,7 @@ from pulsectrl.errors import (
     PoleAtInput,
     UnstableEssential,
 )
-from pulsectrl.model import ModelParams, ReducedCoefficients
+from pulsectrl.model import ModelParams, ReducedCoefficients, reduced_coefficients
 from pulsectrl.oracle import FastGrid, r_oracle
 from pulsectrl.spectral import (
     WEIGHT_LOW,
@@ -26,7 +26,6 @@ from pulsectrl.spectral import (
     r_continuous,
     r_discrete,
     r_total,
-    verify_r_bound,
 )
 
 FIG4_COEFFS = ReducedCoefficients(alpha=2.0, beta=-1.0, nu=2.0)
@@ -154,8 +153,76 @@ class TestRTotal:
             b = r_total(np.conj(lh)).total
             assert abs(b - np.conj(a)) <= 1e-14 * abs(a)
 
-    def test_bound_away_from_poles(self):
-        assert verify_r_bound()
+
+class TestCertifiedWindow:
+    """The analytic bound on |R| and the search window derived from it."""
+
+    @staticmethod
+    def bound(lh):
+        return (spectral.WEIGHT_HIGH / np.abs(lh - spectral.POLE_HIGH)
+                + spectral.WEIGHT_LOW / np.abs(lh - spectral.POLE_LOW)
+                + spectral._continuum_weight_total() / np.abs(lh + 1.0))
+
+    def test_bound_holds_for_the_evaluated_r(self):
+        rng = np.random.default_rng(11)
+        # every point has Re lh >= -1, where the bound is claimed
+        by_poles = np.concatenate(
+            [p + 1e-6 * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
+             for p in (spectral.POLE_HIGH, spectral.POLE_LOW)])
+        by_branch = -1.0 + 10.0 ** rng.uniform(-6.0, 1.0, 400) \
+            * np.exp(0.5j * np.pi * rng.uniform(-1.0, 1.0, 400))
+        upper = -1.0 + 10.0 ** rng.uniform(-3.0, 4.0, 400) \
+            * np.exp(0.5j * np.pi * rng.uniform(0.0, 1.0, 400))
+        lh = np.concatenate([by_poles, by_branch, upper])
+        assert np.all(lh.real >= -1.0) and np.max(np.abs(lh)) > 5e3
+        assert np.all(np.abs(spectral._r_values(lh)) <= self.bound(lh))
+        # the continuum part alone, at every node count the solver uses
+        for n in spectral._NODE_TIERS:
+            cont = np.abs(spectral._continuum_sum(lh, n))
+            assert np.all(cont <= spectral._continuum_weight_total() / np.abs(lh + 1.0))
+
+    def test_no_root_outside_the_certified_radius(self):
+        rng = np.random.default_rng(12)
+        for k in range(60):
+            alpha = rng.uniform(-10.0, 10.0)
+            beta = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+            # moderate gains, and deep ones that put every pole left of c
+            gain = rng.uniform(-8.0, 0.9) if k % 2 else -(10.0 ** rng.uniform(0.0, 3.0))
+            rho = spectral._certified_radius(alpha, beta, gain)
+            c = -1.0 - gain
+            lh = c + rng.uniform(1.0, 3.0, 200) * rho \
+                * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
+            # every point of a window has Re lh >= c and Re lh >= -1
+            lh = lh[(lh.real >= c) & (lh.real >= -1.0)]
+            lhs = np.abs(alpha + beta * np.sqrt(lh - c))
+            assert np.all(lhs > np.abs(spectral._r_values(lh))), (alpha, beta, gain)
+
+    def test_search_on_a_box_three_times_larger_finds_nothing_outside(self):
+        rng = np.random.default_rng(13)
+        for k in range(36):
+            alpha = rng.uniform(-6.0, 6.0)
+            beta = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
+            gain = rng.uniform(-5.0, 0.5) if k % 3 else -(10.0 ** rng.uniform(0.5, 2.5))
+            co = ReducedCoefficients(alpha, beta, 0.0)
+            re0, re1, _, im1 = default_window(co, gain)
+            c = -1.0 - gain
+            big = (re0, c + 3.0 * (re1 - c), 1e-6, 3.0 * im1)
+            prob = spectral._RootProblem(co, gain)
+            real = find_real_roots(co, gain, big[:2], problem=prob)
+            roots = real + spectral._complex_roots(prob, big, real)
+            for z in roots:
+                assert re0 <= z.real <= re1 and abs(z.imag) <= im1, (alpha, beta, gain, z)
+
+    def test_window_ends_for_extreme_inputs(self):
+        for alpha, beta, gain in ((0.0, 1e-150, 0.0), (-1e6, -1e-6, 0.99),
+                                  (5.0, 1e150, -1e100), (1e100, -1.0, 0.0)):
+            rho = spectral._certified_radius(alpha, beta, gain)
+            assert math.isfinite(rho) and rho > 0.0
+        # beta = 0, a radius past the float range, or |beta| sqrt(r) overflowing
+        for alpha, beta, gain in ((1.0, 0.0, 0.0), (1e300, -1.0, 0.0),
+                                  (0.0, 1e300, -1e300), (math.nan, 1.0, 0.0)):
+            with pytest.raises(ValueError):
+                spectral._certified_radius(alpha, beta, gain)
 
 
 def test_essential_edges():
@@ -354,7 +421,7 @@ class TestAssembleSpectrum:
         assert report.verdict == "Unstable"
         assert report.max_real_part > 0.0
         # the work and the answer are pinned: batching saves overhead only
-        assert report.diagnostics == {"function_evaluations": 2854,
+        assert report.diagnostics == {"function_evaluations": 511,
                                       "winding_total": 1, "winding_retries": 0}
         pair = sorted((z for z in report.eigenvalues if z.imag != 0.0),
                       key=lambda z: z.imag)
@@ -363,16 +430,21 @@ class TestAssembleSpectrum:
             assert abs(z - complex(1.2423052748579382, im)) <= 1e-12
 
     def test_large_window_memory_bounded(self):
-        # the window reaches Re 14,520; the continuum sum must work in blocks
-        params = ModelParams(1.0, 1.0, -30.0, 0.5 + 60.0)
+        # the window reaches Re 3.0e5, and the work is pinned
+        params = ModelParams(1.0, 1.0, -300.0, 50.0)
+        report = assemble_spectrum(params)
+        assert 3.0e5 < report.search_window["re"][1] < 3.1e5
+        assert report.diagnostics["function_evaluations"] == 1_614_254
+        # one call on a long side of that window: the continuum sum works in
+        # blocks, so its memory stays flat however many points the call has
+        co = reduced_coefficients(params)
+        lh = np.linspace(0.0, report.search_window["re"][1], 65_536) + 1e-6j
         tracemalloc.start()
         try:
-            report = assemble_spectrum(params)
+            spectral._RootProblem(co, 0.0).g(lh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.search_window["re"][1] > 14_000
-        assert report.diagnostics["function_evaluations"] == 39_673
         assert peak < 16e6
 
     def test_seeded_spectra_agree_with_reference(self):
@@ -382,8 +454,61 @@ class TestAssembleSpectrum:
             assert report.verdict == verdict, (f_der, nu, gain)
             assert len(report.eigenvalues) == len(eigenvalues), (f_der, nu, gain)
             for z, (re, im) in zip(report.eigenvalues, eigenvalues):
-                assert abs(z - complex(re, im)) <= 1e-12 * abs(complex(re, im)), \
+                assert abs(z - complex(re, im)) <= 1e-10 * abs(complex(re, im)), \
                     (f_der, nu, gain, z)
+            # every root satisfies the root equation to rounding
+            prob = spectral._RootProblem(reduced_coefficients(params), gain)
+            for z in report.eigenvalues:
+                if z == report.translation_eigenvalue:
+                    continue
+                lh = complex(z) - gain
+                r = spectral._r_values(lh)
+                assert abs(prob.phi(lh)) <= 1e-12 * max(1.0, abs(r)), (f_der, nu, gain, z)
+
+    @pytest.mark.parametrize("f_der, nu, pair", [
+        (-2.29658178836911, -2.000028720091109,
+         (-0.8162307903265754, 0.4514293876874016)),
+        (-2.870538256838147, -2.459134330067749,
+         (-0.9616723846857161, 0.47936475186086375)),
+    ])
+    def test_pair_by_the_branch_point(self, f_der, nu, pair):
+        # the phase of G turns by more than a full turn between two left-edge
+        # samples 0.75 apart next to the branch point; uniform samples alone
+        # lose that turn and the pair with it
+        report = assemble_spectrum(ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der))
+        assert report.verdict == "NeutrallyStable"
+        off_axis = sorted((z for z in report.eigenvalues if z.imag != 0.0),
+                          key=lambda z: z.imag)
+        assert len(off_axis) == 2
+        for z, sign in zip(off_axis, (-1.0, 1.0)):
+            assert abs(z - complex(pair[0], sign * pair[1])) <= 1e-10
+            assert abs(spectral._r_values(complex(z)) - r_oracle(complex(z))) <= 1e-4
+
+    def test_root_count_holds_under_denser_samples(self, monkeypatch):
+        # beta < 0 (f' < 0) spectra, most of them in the corner by the branch
+        # point where the winding count used to lose roots
+        rng = np.random.default_rng(8)
+        points = [(rng.uniform(-3.0, -0.05), rng.uniform(-3.0, 3.0)) for _ in range(160)] \
+            + [(rng.uniform(-3.0, -2.0), rng.uniform(-3.0, -1.0)) for _ in range(80)]
+
+        def off_axis_counts():
+            counts = []
+            for f_der, nu in points:
+                params = ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der)
+                report = assemble_spectrum(params)
+                counts.append(sum(z.imag != 0.0 for z in report.eigenvalues))
+                # the top rectangle's winding number is the roots found in it
+                assert 2 * report.diagnostics["winding_total"] == counts[-1], (f_der, nu)
+            return counts
+
+        counts = off_axis_counts()
+        search = spectral._WindingSearch
+        monkeypatch.setattr(search, "SPACING", search.SPACING / 8.0)
+        monkeypatch.setattr(search, "MIN_SIDE", search.MIN_SIDE * 8)
+        monkeypatch.setattr(search, "ROOT_SAMPLES", search.ROOT_SAMPLES * 8)
+        monkeypatch.setattr(search, "BRANCH_SAMPLES", search.BRANCH_SAMPLES * 8)
+        assert counts == off_axis_counts()
+        assert sum(counts) > 0
 
     def test_fig4_controlled_stable(self):
         params = ModelParams(1.0, 1.0, -3.0, 8.0, control_slope=-3.0)
