@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import NumericalBlowup
 from .model import ModelParams, PowerLawModel, pulse_profile
@@ -117,29 +118,47 @@ def _derivatives(u, v, config: SimConfig, v_ref):
 
 
 def _implicit_bands(n, dx, dt, diffusivity):
-    """Banded form of I - dt*diffusivity*Laplacian with zero-flux rows."""
+    """Sub-, main and superdiagonal of I - dt*diffusivity*Laplacian.
+
+    The zero-flux rows 0 and n-1 carry -2r on their one off-diagonal.
+    """
     r = dt * diffusivity / dx ** 2
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    ab[0, 1] = -2.0 * r
-    ab[2, -2] = -2.0 * r
-    return ab
+    lower = np.full(n - 1, -r)
+    upper = np.full(n - 1, -r)
+    upper[0] = -2.0 * r
+    lower[-1] = -2.0 * r
+    return lower, np.full(n, 1.0 + 2.0 * r), upper
+
+
+def _factor(n, dx, dt, diffusivity):
+    """LU factors of I - dt*diffusivity*Laplacian, as ``dgttrs`` takes them."""
+    *factors, info = dgttrf(*_implicit_bands(n, dx, dt, diffusivity))
+    if info != 0:
+        raise NumericalBlowup()
+    return factors
+
+
+def _solve(factors, rhs):
+    """Solve with factors from ``_factor``; overwrites ``rhs``."""
+    return dgttrs(*factors, rhs, overwrite_b=1)[0]
 
 
 class _StepContext:
-    """Config, implicit-diffusion bands and step history of one trajectory."""
+    """Config, implicit-diffusion factors and step history of one trajectory.
+
+    The implicit-diffusion matrices depend only on the grid and the step
+    size, so each is factored once, here, and every step reuses it.
+    """
 
     def __init__(self, config: SimConfig, v_ref):
         self.config = config
         n = config.x.size
         eps2 = config.params.eps ** 2
         dt = config.dt
-        self.start_bands = (_implicit_bands(n, config.dx, dt, 1.0),
-                            _implicit_bands(n, config.dx, dt, eps2))
-        self.bands = (_implicit_bands(n, config.dx, 2.0 * dt / 3.0, 1.0),
-                      _implicit_bands(n, config.dx, 2.0 * dt / 3.0, eps2))
+        self.start_factors = (_factor(n, config.dx, dt, 1.0),
+                              _factor(n, config.dx, dt, eps2))
+        self.factors = (_factor(n, config.dx, 2.0 * dt / 3.0, 1.0),
+                        _factor(n, config.dx, 2.0 * dt / 3.0, eps2))
         self.v_ref = v_ref
         # (u_out, v_out, u_in, v_in, du_in, dv_in) of the last step
         self.history = None
@@ -166,23 +185,23 @@ def step(state, context: _StepContext):
     if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dv))):
         raise NumericalBlowup()
     # solve for the increment w' - w, whose right-hand side carries the full
-    # time derivative w_t = D Lap w + N: the banded solve then rounds
+    # time derivative w_t = D Lap w + N: the tridiagonal solve then rounds
     # relative to the step, so a stationary state stays fixed (solving for
     # w' directly lets rounding move the relaxed pulse by a few 1e-12 over
     # t ~ 1)
     history = context.history
     if history is not None and history[0] is u and history[1] is v:
         u_old, v_old, du_old, dv_old = history[2:]
-        ab_u, ab_v = context.bands
+        lu_u, lu_v = context.factors
         c = 2.0 * dt / 3.0
         inc_u = (u - u_old) / 3.0 + c * (u_t + du - du_old)
         inc_v = (v - v_old) / 3.0 + c * (v_t + dv - dv_old)
     else:
-        ab_u, ab_v = context.start_bands
+        lu_u, lu_v = context.start_factors
         inc_u = dt * u_t
         inc_v = dt * v_t
-    u_new = u + solve_banded((1, 1), ab_u, inc_u)
-    v_new = v + solve_banded((1, 1), ab_v, inc_v)
+    u_new = u + _solve(lu_u, inc_u)
+    v_new = v + _solve(lu_v, inc_v)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         raise NumericalBlowup()
     context.history = (u_new, v_new, u, v, du, dv)
@@ -383,22 +402,25 @@ def run(config: SimConfig) -> SimTrace:
     norms = [deviation_norm(u, v, u_ref, v_ref, config)]
     early_exit = None
     t = 0.0
-    for k in range(1, n_steps + 1):
-        try:
-            u, v = step((u, v), context)
-        except NumericalBlowup:
-            raise NumericalBlowup(time=t)
-        t = k * dt
-        if k % sample_every == 0 or k == n_steps:
-            norm = deviation_norm(u, v, u_ref, v_ref, config)
-            times.append(t)
-            norms.append(norm)
-            if norm > grow_limit:
-                early_exit = "unstable"
-                break
-            if norm < 1e-12:
-                early_exit = "stable"
-                break
+    # a blow-up overflows or goes NaN inside a step before step's finiteness
+    # checks turn it into NumericalBlowup; numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            try:
+                u, v = step((u, v), context)
+            except NumericalBlowup:
+                raise NumericalBlowup(time=t)
+            t = k * dt
+            if k % sample_every == 0 or k == n_steps:
+                norm = deviation_norm(u, v, u_ref, v_ref, config)
+                times.append(t)
+                norms.append(norm)
+                if norm > grow_limit:
+                    early_exit = "unstable"
+                    break
+                if norm < 1e-12:
+                    early_exit = "stable"
+                    break
 
     times = np.array(times)
     norms = np.array(norms)

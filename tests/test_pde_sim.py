@@ -14,6 +14,7 @@ from pulsectrl.pde_sim import (
     _derivatives,
     _fit_rate,
     _neumann_laplacian,
+    _solve,
     deviation_norm,
     perturbation,
     relax_profile,
@@ -132,6 +133,38 @@ def test_step_fixed_point_and_noninvasive_control():
     assert np.max(np.abs(v - v_ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.02])
+def test_step_context_factors_solve_their_matrices(eps):
+    # each factored solve must invert the dense I - r Lap it stands for,
+    # zero-flux boundary entries included; a swapped diagonal or a lost
+    # boundary entry would only show as a small drift in the fitted rate
+    params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0,
+                         eps=eps)
+    config = SimConfig(model=PowerLawModel.from_params(params), params=params,
+                       t_end=1.0)
+    n = config.x.size
+    context = _StepContext(config, np.zeros(n))
+    dt, eps2 = config.dt, eps ** 2
+    cases = [(context.start_factors[0], dt),
+             (context.start_factors[1], dt * eps2),
+             (context.factors[0], 2.0 * dt / 3.0),
+             (context.factors[1], 2.0 * dt / 3.0 * eps2)]
+    rhs = np.random.default_rng(17).standard_normal(n)
+    rows = np.arange(n)
+    for factors, dt_diffusivity in cases:
+        r = dt_diffusivity / config.dx ** 2
+        dense = np.zeros((n, n))
+        dense[rows, rows] = 1.0 + 2.0 * r
+        dense[rows[:-1], rows[1:]] = -r
+        dense[rows[1:], rows[:-1]] = -r
+        dense[0, 1] = dense[-1, -2] = -2.0 * r
+        expected = np.linalg.solve(dense, rhs)
+        del dense  # 128 MB at eps = 0.02; free it before the next one
+        got = _solve(factors, rhs.copy())
+        assert np.max(np.abs(got - expected)) <= (
+            1e-13 * np.max(np.abs(expected)))
+
+
 def test_step_history_only_continues_its_own_trajectory():
     config = fig4_config()
     u_ref, v_ref = relax_profile(config)
@@ -204,6 +237,17 @@ def test_run_structure_and_determinism():
         deviation_norm(du, dv, np.zeros_like(du), np.zeros_like(dv), config))
     for key in ("n_steps", "dt", "dx", "grid_points"):
         assert key in trace1.diagnostics
+
+
+def test_run_pins_benchmark_point_rate():
+    # the Fig. 4 point at eps = 0.1 that the benchmark integrates; a PDE
+    # refactor that moves this number changes the time-domain answer
+    params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0,
+                         eps=0.1)
+    trace = run(SimConfig(model=PowerLawModel.from_params(params),
+                          params=params, t_end=4.0))
+    assert trace.diagnostics["n_steps"] == 1000
+    assert trace.fitted_rate == pytest.approx(1.2643815988730878, rel=1e-10)
 
 
 def test_second_order_in_time_and_default_dt_accuracy():
