@@ -22,7 +22,6 @@ from .errors import (
     OutOfContinuum,
     PoleAtInput,
     PulseControlError,
-    QuadratureFailure,
     RootIsolationFailure,
     UnstableEssential,
 )
@@ -39,9 +38,7 @@ from .spectral import (
     SpectrumReport,
     assemble_spectrum,
     essential_edges,
-    find_complex_roots,
     find_real_roots,
-    r_continuous,
     r_discrete,
     r_total,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "OutOfContinuum",
     "PoleAtInput",
     "PulseControlError",
-    "QuadratureFailure",
     "RootIsolationFailure",
     "UnstableEssential",
     # model
@@ -91,9 +87,7 @@ __all__ = [
     "SpectrumReport",
     "assemble_spectrum",
     "essential_edges",
-    "find_complex_roots",
     "find_real_roots",
-    "r_continuous",
     "r_discrete",
     "r_total",
     # oracle

@@ -21,7 +21,6 @@ from .errors import (
     NearEigenvalue,
     NumericalBlowup,
     PulseControlError,
-    QuadratureFailure,
     RootIsolationFailure,
 )
 from .model import ModelParams, PowerLawModel
@@ -35,7 +34,7 @@ from .oracle import (
     top_eigenvalues,
 )
 from .pde_sim import SimConfig, run as run_sim
-from .regions import cells_to_csv, min_control_gain_deepening, sweep_plane, sweep_to_dict
+from .regions import cells_to_csv, sweep_plane, sweep_to_dict
 from .spectral import assemble_spectrum, r_total
 
 EXIT_OK = 0
@@ -276,9 +275,8 @@ def dispatch(argv=None) -> int:
     except argparse.ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureFailure, RootIsolationFailure, NearEigenvalue,
-            NumericalBlowup, FloorInsufficient, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except (RootIsolationFailure, NearEigenvalue, NumericalBlowup,
+            FloorInsufficient, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, PulseControlError) as exc:

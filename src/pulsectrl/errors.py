@@ -21,14 +21,6 @@ class EssentialRay(PulseControlError):
     """Continuum integral evaluated on its branch cut (-inf, -1]."""
 
 
-class QuadratureFailure(PulseControlError):
-    """Requested quadrature tolerance could not be reached."""
-
-    def __init__(self, achieved):
-        self.achieved = achieved
-        super().__init__(f"quadrature stalled at error {achieved:.3e}")
-
-
 class UnstableEssential(PulseControlError):
     """Control slope >= 1: the essential spectrum is unstable."""
 
@@ -50,7 +42,8 @@ class NotControllable(PulseControlError):
 
 
 class FloorInsufficient(PulseControlError):
-    """Gain floor does not stabilize; caller should deepen it."""
+    """No stabilizing gain found in the gain search's range.  The message
+    says whether that range held every imaginary-axis crossing."""
 
 
 class NumericalBlowup(PulseControlError):

@@ -23,11 +23,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import FloorInsufficient, NotControllable, PulseControlError
-from .model import ModelParams
+from .model import ModelParams, reduced_coefficients
 from .spectral import (
     SpectrumReport,
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
+    _gain_floor,
     _imaginary_axis_coefficients,
     assemble_spectrum,
 )
@@ -41,6 +42,15 @@ CONTROLLABLE_CLASSES = (CLASS_F_PRIME_NEG, CLASS_NU_SMALL)
 
 TAG_HOPF = "Hopf"
 TAG_FOLD = "Fold"
+
+# Ends of the gain search's range [max(min(g*, SHALLOWEST_FLOOR),
+# DEEPEST_FLOOR), 0], g* from spectral._gain_floor.  Wherever g* >= -64 the
+# range is [-64, 0], so there the scan's samples, and the gain it returns, do
+# not depend on g*.  Near nu u* = 1, g* grows like W_H / |alpha + beta|
+# (-1.4e15 at f' = -1, nu = 1), and at such gains lambda = lh + g has lost
+# the digits a verdict needs; -4096 stops the range there.
+SHALLOWEST_FLOOR = -64.0
+DEEPEST_FLOOR = -4096.0
 
 # A boundary point may lie this many grid spacings past the grid's edge, so a
 # boundary reaches the cells on it; the Hopf arc is sampled that finely there.
@@ -112,23 +122,33 @@ def _stable_at(params: ModelParams, gain: float) -> bool:
     return report.verdict == VERDICT_STABLE
 
 
-def min_control_gain(params: ModelParams, gain_floor: float = -64.0,
-                     tol: float = 1e-3, diagnostics: dict | None = None) -> float:
+def min_control_gain(params: ModelParams, tol: float = 1e-3,
+                     diagnostics: dict | None = None) -> float:
     """Least-negative stabilizing control slope, located to width ``tol``.
 
-    A coarse scan of [gain_floor, 0] finds the stable-to-unstable transition
-    closest to zero gain, which bisection then sharpens.  Stability is not
-    assumed monotone in the gain: the scan counts every transition it sees
-    and reports extras through ``diagnostics``.
+    Below g* = ``spectral._gain_floor(alpha, beta)`` no eigenvalue meets the
+    imaginary axis, so every gain there has the verdict of the deep-gain
+    limit lambda -> (nu u*)^2 - 1.  A coarse scan of
+    [max(min(g*, SHALLOWEST_FLOOR), DEEPEST_FLOOR), 0] finds the
+    stable-to-unstable transition closest to zero gain, which bisection then
+    sharpens.  Stability is not assumed monotone in the gain: the scan counts
+    every transition it sees and reports extras, and g* as ``gain_floor``,
+    through ``diagnostics``.
+
+    Raises FloorInsufficient when no scanned gain is stable.  Where
+    g* >= DEEPEST_FLOOR the range holds every crossing and ends at the limit's
+    verdict, so for nu u* < 1 a stable gain is always found.
     """
     if classify_theorem(params) not in CONTROLLABLE_CLASSES:
         raise NotControllable(
             f"theorem class {classify_theorem(params)} admits no stabilizing gain")
-    if not gain_floor < 0:
-        raise ValueError("gain_floor must be negative")
     if not tol > 0:
         raise ValueError("tol must be positive")
 
+    coeffs = reduced_coefficients(params)
+    g_star = _gain_floor(coeffs.alpha, coeffs.beta)
+    if diagnostics is not None:
+        diagnostics["gain_floor"] = g_star
     if uncontrolled_verdict(params) != VERDICT_UNSTABLE:
         if diagnostics is not None:
             diagnostics.update({"transitions": 0, "non_monotone": False})
@@ -138,17 +158,26 @@ def min_control_gain(params: ModelParams, gain_floor: float = -64.0,
     # beta < 0 a real eigenvalue returns to lambda = (alpha/beta)^2 - 1 > 0
     # as l'(0) -> -inf, so stable gains form a window.  Scan with increasing
     # density until a stable sample appears.
+    floor = max(min(g_star, SHALLOWEST_FLOOR), DEEPEST_FLOOR)
     gains = None
     stable_flags = None
     for n_scan in (33, 65, 129, 257):
-        gains = np.linspace(0.0, gain_floor, n_scan)
+        gains = np.linspace(0.0, floor, n_scan)
         stable_flags = [False] + [_stable_at(params, float(g)) for g in gains[1:]]
         if any(stable_flags):
             break
     if not any(stable_flags):
+        found = (f"no stable gain found in [{floor:.6g}, 0] at spacing "
+                 f"{abs(floor) / (len(gains) - 1):.3g}")
+        if g_star >= DEEPEST_FLOOR:
+            limit = (coeffs.alpha / coeffs.beta) ** 2 - 1.0
+            raise FloorInsufficient(
+                f"{found}; the range holds every imaginary-axis crossing "
+                f"(g* = {g_star:.6g}), and below it every gain has the verdict "
+                f"of the limit lambda -> (nu u*)^2 - 1 = {limit:.6g}")
         raise FloorInsufficient(
-            f"no stable gain found in [{gain_floor}, 0] at spacing "
-            f"{abs(gain_floor) / (len(gains) - 1):.3g}")
+            f"{found}; crossings may lie below the range, down to "
+            f"g* = {g_star:.6g}")
     transitions = sum(1 for a, b in zip(stable_flags[:-1], stable_flags[1:])
                       if a != b)
     if diagnostics is not None:
@@ -167,21 +196,6 @@ def min_control_gain(params: ModelParams, gain_floor: float = -64.0,
     return float(lo)
 
 
-def min_control_gain_deepening(params: ModelParams, gain_floor: float = -64.0,
-                               floor_limit: float = -4096.0,
-                               tol: float = 1e-3,
-                               diagnostics: dict | None = None) -> float:
-    """min_control_gain with the floor doubled on FloorInsufficient."""
-    floor = gain_floor
-    while True:
-        try:
-            return min_control_gain(params, floor, tol, diagnostics)
-        except FloorInsufficient:
-            floor *= 2.0
-            if floor < floor_limit:
-                raise
-
-
 def _sweep_row(args):
     nu, f_values, u_star, f_val, include_min_gain = args
     row = []
@@ -195,7 +209,7 @@ def _sweep_row(args):
             cell.uncontrolled_verdict = report.verdict
             cell.max_real_part = _root_max_real(report)
             if include_min_gain and cls in CONTROLLABLE_CLASSES:
-                cell.min_gain = min_control_gain_deepening(params)
+                cell.min_gain = min_control_gain(params)
         except (PulseControlError, ValueError) as exc:
             cell.error = f"{type(exc).__name__}: {exc}"
         row.append(cell)

@@ -33,7 +33,6 @@ from scipy.optimize import brentq
 from .errors import (
     EssentialRay,
     PoleAtInput,
-    QuadratureFailure,
     RootIsolationFailure,
     UnstableEssential,
 )
@@ -44,10 +43,9 @@ POLE_LOW = -0.75
 WEIGHT_HIGH = 6075.0 * np.pi ** 2 / 8192.0
 WEIGHT_LOW = 81.0 * np.pi ** 2 / 8192.0
 
-KAPPA_MAX = 12.0
 # csch^2(pi*k) <= 4.01 exp(-2*pi*k) for k >= 1; integrating the full weight
 # against that envelope beyond KAPPA_MAX leaves less than 1e-27.
-TAIL_BOUND = 1e-27
+KAPPA_MAX = 12.0
 
 # Gauss-Legendre on [0, KAPPA_MAX] errs like rho^(-2n), where rho labels the
 # Bernstein ellipse (foci 0 and KAPPA_MAX) through the integrand's nearest
@@ -74,7 +72,6 @@ class RValue:
     r_d: complex
     r_c: complex
     total: complex
-    quad_error: float
 
 
 @dataclass
@@ -138,10 +135,6 @@ def _gauss_nodes(n: int):
     # continuum contribution enters R with a minus sign; fold it into the weights
     w = -0.5 * KAPPA_MAX * w * _continuum_weight(kappa)
     return kappa ** 2 + 1.0, w
-
-
-def _on_essential_ray(lh: complex) -> bool:
-    return lh.imag == 0.0 and lh.real <= -1.0
 
 
 def _node_count(lh) -> int:
@@ -211,33 +204,15 @@ def _imaginary_axis_coefficients(omega):
     return r.real - beta * s.real, beta
 
 
-def r_continuous(lambda_hat: complex, tol: float = 1e-10):
-    """Continuum part of R by Gauss-Legendre with node doubling.
-
-    Returns ``(value, quad_error)``; the error estimate includes the
-    truncation tail beyond kappa = 12.
-    """
+def r_total(lambda_hat: complex) -> RValue:
+    """R(lh) = R_d(lh) + R_c(lh) at one point, as the root solver evaluates
+    it (``_r_values``): the continuum sum takes ``_node_count`` nodes."""
     lh = complex(lambda_hat)
-    if _on_essential_ray(lh):
-        raise EssentialRay(f"lambda_hat = {lh} lies on (-inf, -1]")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    prev = None
-    for n in (64, 128, 256, 512, 1024, 2048):
-        val = complex(_continuum_sum(lh, n))
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= tol:
-                return val, err + TAIL_BOUND
-        prev = val
-    raise QuadratureFailure(abs(val - prev))
-
-
-def r_total(lambda_hat: complex, tol: float = 1e-10) -> RValue:
-    """R(lh) = R_d(lh) + R_c(lh) with a quadrature error estimate."""
+    if lh.imag == 0.0 and lh.real <= -1.0:
+        raise EssentialRay(f"lambda_hat = {lambda_hat} lies on (-inf, -1]")
     r_d = r_discrete(lambda_hat)
-    r_c, err = r_continuous(lambda_hat, tol)
-    return RValue(r_d=r_d, r_c=r_c, total=r_d + r_c, quad_error=err)
+    r_c = _continuum_sum(lambda_hat)
+    return RValue(r_d=complex(r_d), r_c=complex(r_c), total=complex(r_d + r_c))
 
 
 def essential_edges(control_slope: float):
@@ -504,27 +479,16 @@ class _WindingSearch:
         return out
 
 
-def find_complex_roots(coeffs: ReducedCoefficients, control_slope: float,
-                       rect, problem: _RootProblem | None = None):
-    """All roots of Phi inside ``rect`` = (re_lo, re_hi, im_lo, im_hi).
+def _complex_roots(prob: _RootProblem, rect, real_roots=()):
+    """All roots of Phi inside ``rect`` = (re_lo, re_hi, im_lo, im_hi); the
+    winding search is told the real roots so that it samples around them.
 
     A search that fails is retried up to three times with the edges moved;
-    the winding total and the number of retries are left on ``problem``.
+    the winding total and the number of retries are left on ``prob``.
     """
-    prob = problem if problem is not None else _RootProblem(coeffs, control_slope)
-    return _complex_roots(prob, rect)
-
-
-def _complex_roots(prob: _RootProblem, rect, real_roots=()):
-    """``find_complex_roots`` on ``prob``, told the real roots so that the
-    winding search samples around them."""
     re0, re1, im0, im1 = (float(v) for v in rect)
     _, edge_hat = essential_edges(prob.gain)
     re0 = max(re0, edge_hat + 1e-6)
-    # nudge boundaries off the poles and the real axis
-    for pole in (POLE_LOW, POLE_HIGH):
-        if abs(im0) < 1e-12 and re0 < pole < re1:
-            im0 -= 1e-6
     search = _WindingSearch(prob, real_roots)
     for attempt in range(4):
         try:
@@ -555,13 +519,20 @@ def _continuum_weight_total() -> float:
     return max(float(np.abs(_gauss_nodes(n)[1]).sum()) for n in _NODE_TIERS)
 
 
+def _r_bound_terms():
+    """(W_j, p_j) of the bound |R(lh)| <= sum_j W_j / |lh - p_j| on
+    Re lh >= -1: the poles 5/4 and -3/4, and the cut's end -1 with weight
+    ``_continuum_weight_total``.  It bounds the discretised R the solver
+    evaluates, not only the integral."""
+    return ((WEIGHT_HIGH, POLE_HIGH), (WEIGHT_LOW, POLE_LOW),
+            (_continuum_weight_total(), -1.0))
+
+
 def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     """Radius about the branch point c = -1 - l'(0) outside which, on
     Re lh >= -1, Phi has no root.
 
-    There |R(lh)| <= sum_j W_j / |lh - p_j| over the poles 5/4 and -3/4 and
-    the cut's end -1 (``_continuum_weight_total``), which bounds the
-    discretised R the solver evaluates, not only the integral.  Take the
+    There |R(lh)| <= sum_j W_j / |lh - p_j| (``_r_bound_terms``).  Take the
     circle |lh - c| = r, where |beta sqrt(1 + lh + l'(0))| = |beta| sqrt(r),
     and on it the arc Re lh >= c, which holds every point of the window.
     There |lh - p| >= r - (p - c) for p > c, and |lh - p| >= hypot(r, p - c)
@@ -576,8 +547,7 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     if beta == 0.0 or not all(map(math.isfinite, (alpha, beta, control_slope))):
         raise no_window
     c = -1.0 - control_slope
-    terms = [(WEIGHT_HIGH, POLE_HIGH - c), (WEIGHT_LOW, POLE_LOW - c),
-             (_continuum_weight_total(), -1.0 - c)]
+    terms = [(w, p - c) for w, p in _r_bound_terms()]
     d = max(0.0, max(offset for _, offset in terms))
 
     def excess(t):
@@ -602,6 +572,47 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     xtol = rtol = 1e-12
     t = brentq(excess, lo, hi, xtol=xtol, rtol=rtol)
     return d + t + xtol + rtol * t
+
+
+def _gain_floor(alpha: float, beta: float) -> float:
+    """Gain g* below which no eigenvalue lies on the imaginary axis.
+
+    At lambda = i omega and gain g = -t < -5/4 the root equation reads
+    alpha + beta sqrt(1 + i omega) = R(lh) with lh = i omega + t.  There
+    Re lh = t lies right of every p_j of ``_r_bound_terms``, so
+    |R(lh)| <= sum_j W_j / (t - p_j).  The left side is at least
+    |beta| d(-alpha/beta), where d(a) is the distance from a to the curve
+    sqrt(1 + i omega), the branch x >= 1 of x^2 - y^2 = 1: |a - 1| for
+    a <= 2 and sqrt(a^2/2 - 1) beyond.  So below the g* where the bound
+    falls to |beta| d no eigenvalue crosses the axis, and the verdict there
+    is that of the deep-gain limit lambda -> (nu u*)^2 - 1, since
+    -alpha/beta = nu u*.  |beta| d is floored at 4 eps (|alpha| + |beta|),
+    the rounding of alpha + beta, so that the line nu u* = 1, where d = 0,
+    has a finite g*.  g* is found by Brent on the analytic bracket below and
+    rounded down by Brent's tolerance.
+    """
+    if beta != 0.0 and -alpha / beta > 2.0:
+        gap = math.sqrt(0.5 * alpha * alpha - beta * beta)
+    else:
+        gap = abs(alpha + beta)
+    gap = max(gap, 4.0 * math.ulp(1.0) * (abs(alpha) + abs(beta)))
+    if not 0.0 < gap < math.inf:
+        raise ValueError(f"no gain floor for alpha = {alpha}, beta = {beta}")
+    # at t = 5/4 + s; every p_j <= 5/4, so the bound lies between
+    # W_H / s and (sum_j W_j) / s, which brackets its crossing with gap
+    terms = [(w, POLE_HIGH - p) for w, p in _r_bound_terms()]
+
+    def excess(s):
+        return sum(w / (s + offset) for w, offset in terms) - gap
+
+    lo, hi = WEIGHT_HIGH / gap, sum(w for w, _ in terms) / gap
+    # rounding closes the bracket only at extreme gaps, where hi, an upper
+    # bound on the crossing, stands in for it
+    if excess(lo) > 0.0 > excess(hi):
+        xtol = rtol = 1e-12
+        s = brentq(excess, lo, hi, xtol=xtol, rtol=rtol)
+        hi = min(hi, s + xtol + rtol * s)
+    return -(POLE_HIGH + hi)
 
 
 def default_window(coeffs: ReducedCoefficients, control_slope: float):
@@ -630,7 +641,7 @@ def _verdict(root_eigs, gain: float) -> str:
     return VERDICT_STABLE
 
 
-def assemble_spectrum(params: ModelParams, window=None) -> SpectrumReport:
+def assemble_spectrum(params: ModelParams) -> SpectrumReport:
     """Locate the full point spectrum and classify stability.
 
     With f'(u*) = 0 no zero-pole cancellation occurs and the fast eigenvalues
@@ -656,9 +667,7 @@ def assemble_spectrum(params: ModelParams, window=None) -> SpectrumReport:
         win = {"note": "no cancellation (f_der = 0): fast spectrum survives"}
     else:
         coeffs = reduced_coefficients(params)
-        if window is None:
-            window = default_window(coeffs, gain)
-        re0, re1, im0, im1 = window
+        re0, re1, im0, im1 = default_window(coeffs, gain)
         prob = _RootProblem(coeffs, gain)
         real_roots = find_real_roots(coeffs, gain, (re0, re1), problem=prob)
         roots = [complex(r, 0.0) for r in real_roots]

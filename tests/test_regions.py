@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from pulsectrl.errors import NotControllable
-from pulsectrl.model import ModelParams
+from pulsectrl.model import ModelParams, reduced_coefficients
 from pulsectrl.regions import (
     CLASS_F_PRIME_NEG,
     CLASS_F_PRIME_ZERO,
     CLASS_NU_LARGE,
     CLASS_NU_SMALL,
     CONTROLLABLE_CLASSES,
+    DEEPEST_FLOOR,
     RegionCell,
     classify_point,
     classify_theorem,
     cells_to_csv,
     min_control_gain,
-    min_control_gain_deepening,
     sweep_plane,
     sweep_to_dict,
     uncontrolled_report,
@@ -78,8 +78,6 @@ class TestMinControlGain:
         with pytest.raises(NotControllable):
             min_control_gain(grid_params(1.0, 2.0))
         with pytest.raises(ValueError):
-            min_control_gain(FIG4, gain_floor=1.0)
-        with pytest.raises(ValueError):
             min_control_gain(FIG4, tol=0.0)
 
     def test_already_stable_returns_zero(self):
@@ -87,9 +85,27 @@ class TestMinControlGain:
         assert min_control_gain(grid_params(-2.0, -1.0), diagnostics=diag) == 0.0
         assert diag["transitions"] == 0
 
-    def test_deepening_matches_plain_search(self):
-        assert min_control_gain_deepening(FIG4) == pytest.approx(
-            min_control_gain(FIG4), abs=2e-3)
+    def test_gain_below_minus_64(self):
+        # g* = -125.19 here, so the range reaches past -64, where the least
+        # stabilizing gain, about -121.285, lies
+        params = grid_params(1.5, 0.97)
+        diag = {}
+        gain = min_control_gain(params, diagnostics=diag)
+        assert diag["gain_floor"] == pytest.approx(-125.19, abs=5e-3)
+        assert gain == pytest.approx(-121.285, abs=2e-3)
+        assert assemble_spectrum(params.with_control_slope(gain)).verdict == "Stable"
+        assert assemble_spectrum(
+            params.with_control_slope(gain + 1e-3)).verdict == "Unstable"
+
+    def test_on_the_line_nu_one(self):
+        # alpha + beta = 0 exactly: g* is finite only by its rounding floor,
+        # and the range stops at -4096
+        params = grid_params(-1.0, 1.0)
+        coeffs = reduced_coefficients(params)
+        assert coeffs.alpha + coeffs.beta == 0.0
+        diag = {}
+        assert min_control_gain(params, diagnostics=diag) == pytest.approx(-0.375, abs=2e-3)
+        assert diag["gain_floor"] < DEEPEST_FLOOR
 
 
 def test_deep_gain_witness_for_positive_beta():

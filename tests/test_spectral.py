@@ -21,9 +21,7 @@ from pulsectrl.spectral import (
     assemble_spectrum,
     default_window,
     essential_edges,
-    find_complex_roots,
     find_real_roots,
-    r_continuous,
     r_discrete,
     r_total,
 )
@@ -59,39 +57,38 @@ class TestRDiscrete:
 
 
 class TestRContinuous:
+    """The continuum part R_c, as ``r_total`` evaluates it."""
+
     def test_essential_ray_rejected(self):
-        for lh in (-1.0, -1.5, -40.0):
+        for lh in (-1.0, -1.5, -40.0, -1.5 + 0.0j):
             with pytest.raises(EssentialRay):
-                r_continuous(lh)
-        # just off the ray is fine
-        val, err = r_continuous(-1.5 + 0.1j)
-        assert np.isfinite(val) and err < 1e-8
+                r_total(lh)
+        # just off the ray is fine; this point takes 512 nodes
+        lh = -1.5 + 0.1j
+        val = r_total(lh).r_c
+        assert np.isfinite(val)
+        assert abs(val - spectral._continuum_sum(lh, 2048)) <= 1e-12
 
     def test_real_input_real_output(self):
-        val, _ = r_continuous(3.0)
-        assert val.imag == 0.0
+        assert r_total(3.0).r_c.imag == 0.0
 
     def test_small_negative_real_part_on_right_half_plane(self):
         # the continuum part is a small negative correction on Re lh >= 0;
         # its magnitude peaks at lh = 0 (about 1.47e-2)
         for lh in (0.0, 0.5, 1.0, 5.0, 50.0):
-            val, _ = r_continuous(lh)
+            val = r_total(lh).r_c
             assert -1.5e-2 <= val.real < 0.0
 
     def test_matches_oracle_decomposition(self):
-        val, _ = r_continuous(2.0)
+        val = r_total(2.0).r_c
         reference = oracle_extrapolated(2.0) - r_discrete(2.0)
         assert abs(val - reference) <= 1e-6
 
     def test_quadrature_convergence(self):
-        lh = 0.3 + 2.1j
-        v1, e1 = r_continuous(lh, tol=1e-8)
-        v2, _ = r_continuous(lh, tol=5e-9)
-        assert abs(v1 - v2) <= e1
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            r_continuous(2.0, tol=0.0)
+        # the per-point node count holds against four times the largest tier
+        for lh in (0.3 + 2.1j, 2.0, -0.99 + 0.01j, 40.0 - 30.0j):
+            ref = spectral._continuum_sum(lh, 2048)
+            assert abs(r_total(lh).r_c - ref) <= 5e-14 * max(1.0, abs(ref))
 
 
 class TestContinuumNodeRule:
@@ -197,6 +194,30 @@ class TestCertifiedWindow:
             lhs = np.abs(alpha + beta * np.sqrt(lh - c))
             assert np.all(lhs > np.abs(spectral._r_values(lh))), (alpha, beta, gain)
 
+    def test_no_crossing_below_the_gain_floor(self):
+        # at gains below g*, no lambda = i omega solves the root equation
+        rng = np.random.default_rng(14)
+        omega = np.concatenate([np.linspace(0.0, 50.0, 2001), np.geomspace(50.0, 1e5, 400)])
+        s = np.sqrt(1.0 + 1j * omega)
+        for k in range(60):
+            # a = -alpha/beta = nu u*: either side of 2, where the nearest
+            # point of the curve sqrt(1 + i omega) leaves omega = 0, and
+            # near 1, where g* runs off to -inf
+            a = rng.uniform(-4.0, 6.0) if k % 2 else 1.0 + rng.choice([-1.0, 1.0]) \
+                * 10.0 ** rng.uniform(-4.0, 0.0)
+            beta = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+            alpha = -a * beta
+            g_star = spectral._gain_floor(alpha, beta)
+            assert g_star < -spectral.POLE_HIGH
+            lhs = np.abs(alpha + beta * s)
+            # g* is where the bound on |R| at Re lh = -g* meets the least
+            # modulus of the left side, rounded so that the bound lies below
+            bound = self.bound(np.array([-g_star]))[0]
+            assert bound <= lhs.min() <= (1.0 + 1e-3) * bound, (alpha, beta)
+            for gain in np.append(g_star - 10.0 ** rng.uniform(-6.0, 3.0, 3), g_star):
+                rhs = np.abs(spectral._r_values(1j * omega - gain))
+                assert np.all(lhs > rhs), (alpha, beta, gain)
+
     def test_search_on_a_box_three_times_larger_finds_nothing_outside(self):
         rng = np.random.default_rng(13)
         for k in range(36):
@@ -292,7 +313,8 @@ class TestFindRealRoots:
 
 class TestFindComplexRoots:
     def test_fig4_roots_and_conjugate_closure(self):
-        roots = find_complex_roots(FIG4_COEFFS, 0.0, (-0.9, 10.0, -8.0, 8.0))
+        roots = spectral._complex_roots(spectral._RootProblem(FIG4_COEFFS, 0.0),
+                                        (-0.9, 10.0, -8.0, 8.0))
         assert roots
         assert max(z.real for z in roots) < 1.28
         for z in roots:
@@ -300,7 +322,8 @@ class TestFindComplexRoots:
 
     def test_positive_beta_roots_real(self):
         co = ReducedCoefficients(alpha=-1.0, beta=1.0, nu=1.0)
-        roots = find_complex_roots(co, 0.0, (-0.7, 30.0, -5.0, 5.0))
+        roots = spectral._complex_roots(spectral._RootProblem(co, 0.0),
+                                        (-0.7, 30.0, -5.0, 5.0))
         assert roots
         assert max(abs(z.imag) for z in roots) <= 1e-8
 
@@ -310,7 +333,7 @@ class TestFindComplexRoots:
         co = ReducedCoefficients(alpha=-1.0, beta=1.0, nu=1.0)
         (real_root,) = find_real_roots(co, 0.0, (4.5, 7.0))
         prob = spectral._RootProblem(co, 0.0)
-        roots = find_complex_roots(co, 0.0, (4.5, 7.0, 0.0, 1.0), problem=prob)
+        roots = spectral._complex_roots(prob, (4.5, 7.0, 0.0, 1.0))
         assert len(roots) == 1
         assert abs(roots[0] - real_root) <= 1e-10
         assert prob.winding_retries == 1
@@ -332,7 +355,7 @@ class TestNewton:
         assert prob.newton(centre, diam) is None
         assert prob.n_eval <= 3
         # subdividing still finds the root
-        (root,) = find_complex_roots(co, 0.0, rect, problem=prob)
+        (root,) = spectral._complex_roots(prob, rect)
         assert abs(root - (-0.7523620903272242 + 0.33614943901371314j)) <= 1e-10
 
 
