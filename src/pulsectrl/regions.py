@@ -17,6 +17,7 @@ solved in closed form from the root equation on the imaginary axis.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -286,9 +287,11 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
                 include_min_gain: bool = False) -> SweepResult:
     """Classify a (f', nu) grid and trace the uncontrolled stability boundary.
 
-    Cells are independent and evaluated concurrently; rows merge in grid
-    order, so the output is deterministic for a fixed grid.  Per-cell solver
-    failures are recorded on the cell and in ``failures`` rather than raised.
+    Cells are independent and evaluated concurrently, by at most
+    ``threads`` worker processes and no more than one per row or per core;
+    rows merge in grid order, so the output is deterministic for a fixed
+    grid.  Per-cell solver failures are recorded on the cell and in
+    ``failures`` rather than raised.
     The Hopf arc and the fold line come from the root equation on the
     imaginary axis, kept where the grid around them changes verdict.
     """
@@ -298,8 +301,11 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
     nu_values = np.linspace(nu_range[0], nu_range[1], n_nu)
 
     jobs = [(nu, f_values, u_star, f_val, include_min_gain) for nu in nu_values]
-    if threads is not None and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # the pool starts all its workers at the first task, so it gets no more
+    # than there are rows and cores, whatever ``threads`` asks for
+    workers = min(threads or 1, n_nu, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, jobs, chunksize=4))
     else:
         rows = list(map(_sweep_row, jobs))

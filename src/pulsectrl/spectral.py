@@ -17,6 +17,9 @@ k = sqrt(-1-mu), which was validated two independent ways: it reconstructs
 the pulse core from the eigenfunction expansion to machine precision, and
 the resulting R agrees with the brute-force resolvent solve (module
 ``oracle``) pointwise.
+
+R_c has a closed form: partial fractions in k^2 and Binet's formula
+(DLMF 5.9.16) give it through the trigamma function (``_continuum_cleared``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -43,26 +45,16 @@ POLE_LOW = -0.75
 WEIGHT_HIGH = 6075.0 * np.pi ** 2 / 8192.0
 WEIGHT_LOW = 81.0 * np.pi ** 2 / 8192.0
 
-# csch^2(pi*k) <= 4.01 exp(-2*pi*k) for k >= 1; integrating the full weight
-# against that envelope beyond KAPPA_MAX leaves less than 1e-27.
-KAPPA_MAX = 12.0
+# B_4, ..., B_20 of psi'(z) ~ 1/z + 1/(2 z^2) + 1/(6 z^3) + sum_m B_2m / z^(2m+1)
+# (DLMF 5.15.8); with |z| >= _SHIFT they leave ``_trigamma_remainder``
+# within 1e-15 relative on b > 0 and 2e-14 on Re b >= 0.
+_BERNOULLI = (-1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510, 43867 / 798, -174611 / 330)
+_SHIFT = 8
 
-# Gauss-Legendre on [0, KAPPA_MAX] errs like rho^(-2n), where rho labels the
-# Bernstein ellipse (foci 0 and KAPPA_MAX) through the integrand's nearest
-# singularity (Trefethen, SIAM Review 50, 2008).  A point kappa lies on the
-# ellipse with |kappa| + |kappa - KAPPA_MAX| = KAPPA_MAX cosh(log rho), so
-# rho^(-2n) <= 1e-16 once that sum reaches the tier's _TIER_REACH.  The nearest
-# singularity is the pole of 1/(lh + k^2 + 1) at kappa = sqrt(-1 - lh) or the
-# weight's pole at i/2 (sum _WEIGHT_REACH), whichever is nearer.  Each point
-# takes the fewest tier nodes its sum allows; points too near the cut for 256
-# nodes take 512.
-_NODE_TIERS = (64, 128, 256, 512)
-_TIER_REACH = tuple(KAPPA_MAX * math.cosh(8.0 * math.log(10.0) / n)
-                    for n in _NODE_TIERS[:-1])
-_WEIGHT_REACH = 0.5 + math.hypot(KAPPA_MAX, 0.5)
-# Points per block of the continuum sum: 128 points x 512 nodes of complex
-# terms is about 1 MB, so memory stays flat however many points one call has.
-_BLOCK = 128
+# W_c = Int_0^inf w = (9/16)(333 pi^2 / 256 - 64/5), where w > 0 and
+# R_c(lh) = -Int_0^inf w(kappa) / (lh + kappa^2 + 1) dkappa
+WEIGHT_CONTINUUM = 0.021485446793165962
 
 
 @dataclass(frozen=True)
@@ -115,81 +107,96 @@ def r_discrete(lambda_hat):
     return WEIGHT_HIGH / (lambda_hat - POLE_HIGH) - WEIGHT_LOW / (lambda_hat - POLE_LOW)
 
 
-def _continuum_weight(kappa: np.ndarray) -> np.ndarray:
-    kappa = np.asarray(kappa, dtype=float)
-    k2 = kappa ** 2
-    x = np.pi * kappa
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # k^2 csch^2(pi k) -> 1/pi^2 as k -> 0; series below 1e-4 avoids 0/0
-        k2csch2 = np.where(x < 1e-4,
-                           (1.0 - x * x / 3.0) / np.pi ** 2,
-                           k2 / np.sinh(np.minimum(x, 350.0)) ** 2)
-    return (9.0 * np.pi / 16.0) * k2 * (1.0 + k2) ** 2 \
-        / ((k2 + 2.25) * (k2 + 0.25)) * k2csch2
+def _trigamma_remainder(b):
+    """E(b) = b^3 psi'(b) - b^2 - b/2 - 1/6, Re b >= 0, at a scalar or on an
+    array.  By Binet's formula (DLMF 5.9.16) it gives, for Re b > 0,
+    Int_0^inf k^2 csch^2(pi k) / (k^2 + b^2) dk = (E(b) + 1/6) / (pi b^2).
+    psi'(b) = 1/b^2 + psi'(b + 1), telescoped against the series' first three
+    terms, leaves -1/(6 y_k^3) a step, y_k = (b + k)(b + k + 1), so that
+        E(b) = -1/(6 (1 + b)^3) + b^3 [V(b + N) - sum_{0<k<N} 1/(6 y_k^3)]
+    with N = _SHIFT and V the series' terms m >= 2; on b > 0 none cancels."""
+    z = b + _SHIFT
+    w = 1.0 / (z * z)
+    v = _BERNOULLI[-1] * w
+    for c in _BERNOULLI[-2::-1]:
+        v += c
+        v *= w
+    v *= w / z
+    y = (b + 1.0) * (b + 2.0)
+    step = 2.0 * b + 4.0  # y_{k+1} - y_k
+    for _ in range(_SHIFT - 1):
+        v -= (1.0 / 6.0) / (y * y * y)
+        y += step
+        step += 2.0
+    v *= b * b * b
+    return v - (1.0 / 6.0) / (1.0 + b) ** 3
 
 
-@lru_cache(maxsize=16)
-def _gauss_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    kappa = 0.5 * KAPPA_MAX * (x + 1.0)
-    # continuum contribution enters R with a minus sign; fold it into the weights
-    w = -0.5 * KAPPA_MAX * w * _continuum_weight(kappa)
-    return kappa ** 2 + 1.0, w
+def _trigamma_remainder_slope(b, e):
+    """E'(b) given e = E(b): E = -1/(6 (1 + b)^3) + b^3 F has E' = 3 b^2 F
+    + b^3 F' + 1/(2 (1 + b)^4), F' = V' + sum_k y_k' / (2 y_k^4) with
+    y_k' = 2b + 2k + 1, and 3 b^2 F from e, to 1e-16 / |b| absolute."""
+    z = b + _SHIFT
+    w = 1.0 / (z * z)
+    slope = 0.0
+    for j in range(len(_BERNOULLI) - 1, -1, -1):
+        slope = slope * w - (2 * j + 5) * _BERNOULLI[j]
+    slope *= w * w * w
+    y = (b + 1.0) * (b + 2.0)
+    step = 2.0 * b + 4.0  # y_{k+1} - y_k, and y_k' = step - 1
+    for _ in range(_SHIFT - 1):
+        slope += 0.5 * (step - 1.0) / (y * y * y * y)
+        y += step
+        step += 2.0
+    return b * b * b * slope + 3.0 * (e + (1.0 / 6.0) / (1.0 + b) ** 3) / b \
+        + 0.5 / (1.0 + b) ** 4
 
 
-def _node_count(lh) -> int:
-    """Gauss-Legendre nodes for one point, by the rule above."""
-    kp = cmath.sqrt(-1.0 - lh)
-    reach = min(abs(kp) + abs(kp - KAPPA_MAX), _WEIGHT_REACH)
-    for n, tier_reach in zip(_NODE_TIERS, _TIER_REACH):
-        if reach >= tier_reach:
-            return n
-    return _NODE_TIERS[-1]
+# x (1 + x)^2 / ((x + 9/4)(x + 1/4)(x + a^2)) = 1 + sum_j A_j / (x + b_j^2)
+# in x = k^2, a^2 = 1 + lh, over b_j = 3/2, 1/2, a, with A_j = (225/128) /
+# (lh - 5/4), -(9/128) / (lh + 3/4) and -(1 + lh) lh^2 / q, where
+# q = (lh - 5/4)(lh + 3/4).  Binet's formula then gives R_c q = (9/16)
+# [lh^2 E(a) + (lh/2 + 15/16)/6 - C_H (lh + 3/4) - C_L (lh - 5/4)], which
+# is (9/16) lh^2 E(a) + _L_SLOPE lh + _L_ZERO.
+_C_HIGH = 25.0 / 32.0 * (_trigamma_remainder(1.5) + 1.0 / 6.0)
+_C_LOW = -9.0 / 32.0 * (_trigamma_remainder(0.5) + 1.0 / 6.0)
+_L_SLOPE = 9.0 / 16.0 * (1.0 / 12.0 - _C_HIGH - _C_LOW)
+_L_ZERO = 9.0 / 16.0 * (5.0 / 32.0 - 0.75 * _C_HIGH + 1.25 * _C_LOW)
 
 
-def _node_counts(lh: np.ndarray) -> np.ndarray:
-    """``_node_count`` on a 1-d array."""
-    kp = np.sqrt(-1.0 - lh.astype(complex))
-    reach = np.minimum(np.abs(kp) + np.abs(kp - KAPPA_MAX), _WEIGHT_REACH)
-    return np.take(_NODE_TIERS, np.digitize(reach, _TIER_REACH))
-
-
-def _block_sums(lh: np.ndarray, n: int, power: int) -> np.ndarray:
-    shift, w = _gauss_nodes(n)
-    rows = lh.reshape(-1, 1)
-    out = np.empty(len(rows), dtype=lh.dtype)
-    for i in range(0, len(rows), _BLOCK):
-        d = rows[i:i + _BLOCK] + shift
-        if power != 1:
-            d = d ** power
-        out[i:i + _BLOCK] = (w / d).sum(axis=1)
+def _continuum_cleared(lh):
+    """R_c(lh) q at a scalar or on an array, real for real lh > -1.  Its
+    parts tend to -(3/160) lh and -0.0027 lh at large lh, adding without
+    cancelling, and cancel to 0 at the poles, where R_c is analytic."""
+    if isinstance(lh, float) and lh < -1.0 \
+            or isinstance(lh, np.ndarray) and lh.dtype.kind == "f" and (lh < -1.0).any():
+        # left of -1, the real part of the value above the cut (``_sqrt_term``)
+        return _continuum_cleared(lh + 0j).real
+    out = _trigamma_remainder((1.0 + lh) ** 0.5)  # np.sqrt on an array
+    out *= (9.0 / 16.0) * lh * lh
+    out += _L_SLOPE * lh + _L_ZERO
     return out
 
 
-def _continuum_sum(lambda_hat, n: int | None = None, power: int = 1):
-    """Sum of w_k / (lh + kappa_k^2 + 1)^power over n Gauss-Legendre nodes.
+def _continuum(lh):
+    """R_c at a scalar or on an array; 0/0 at the poles, where it is analytic."""
+    return _continuum_cleared(lh) / ((lh - POLE_HIGH) * (lh - POLE_LOW))
 
-    Takes a scalar or an array of lh.  Without ``n``, each point takes its
-    own node count (``_node_count``); an array is grouped by node count and
-    worked through in blocks of ``_BLOCK`` points.  Real lh gives real values.
-    """
-    if isinstance(lambda_hat, (int, float, complex)):
-        shift, w = _gauss_nodes(n or _node_count(lambda_hat))
-        d = lambda_hat + shift
-        return (w / (d if power == 1 else d ** power)).sum()
-    lh = np.asarray(lambda_hat)
-    flat = lh.astype(complex if lh.dtype.kind == "c" else float, copy=False).ravel()
-    counts = _node_counts(flat) if n is None else np.full(flat.size, n)
-    out = np.empty_like(flat)
-    for n_k in np.unique(counts):
-        idx = np.flatnonzero(counts == n_k)
-        out[idx] = _block_sums(flat[idx], int(n_k), power)
-    return out.reshape(lh.shape)[()]
+
+def _continuum_slope(lh):
+    """dR_c/dlh at one point, by the quotient rule on R_c q over q."""
+    q = (lh - POLE_HIGH) * (lh - POLE_LOW)
+    a = (1.0 + lh) ** 0.5
+    e = _trigamma_remainder(a)
+    e_slope = _trigamma_remainder_slope(a, e)  # dE(a)/dlh = E'(a) / (2a)
+    cleared = 9.0 / 16.0 * lh * lh * e + _L_SLOPE * lh + _L_ZERO
+    cleared_slope = 9.0 / 16.0 * lh * (2.0 * e + 0.5 * lh * e_slope / a) + _L_SLOPE
+    return (cleared_slope - cleared / q * (2.0 * lh - 0.5)) / q
 
 
 def _r_values(lh):
-    """R at a scalar or on an array, as the root solver evaluates it."""
-    return r_discrete(lh) + _continuum_sum(lh)
+    """R at a scalar or on an array."""
+    return r_discrete(lh) + _continuum(lh)
 
 
 def _imaginary_axis_coefficients(omega):
@@ -205,13 +212,11 @@ def _imaginary_axis_coefficients(omega):
 
 
 def r_total(lambda_hat: complex) -> RValue:
-    """R(lh) = R_d(lh) + R_c(lh) at one point, as the root solver evaluates
-    it (``_r_values``): the continuum sum takes ``_node_count`` nodes."""
+    """R(lh) = R_d(lh) + R_c(lh) at one point, as ``_r_values`` gives it."""
     lh = complex(lambda_hat)
     if lh.imag == 0.0 and lh.real <= -1.0:
         raise EssentialRay(f"lambda_hat = {lambda_hat} lies on (-inf, -1]")
-    r_d = r_discrete(lambda_hat)
-    r_c = _continuum_sum(lambda_hat)
+    r_d, r_c = r_discrete(lambda_hat), _continuum(lambda_hat)
     return RValue(r_d=complex(r_d), r_c=complex(r_c), total=complex(r_d + r_c))
 
 
@@ -267,15 +272,17 @@ class _RootProblem:
     def phi_prime(self, lh: complex) -> complex:
         s = self._sqrt_term(lh)
         r_d_prime = -WEIGHT_HIGH / (lh - POLE_HIGH) ** 2 + WEIGHT_LOW / (lh - POLE_LOW) ** 2
-        return self.beta / (2.0 * s) - r_d_prime + _continuum_sum(lh, power=2)
+        return self.beta / (2.0 * s) - r_d_prime - _continuum_slope(lh)
 
     def g(self, lh):
         """Phi times (lh - 5/4)(lh + 3/4): analytic, same zeros, no poles."""
         lh = self._points(lh)
+        # the continuum part first: its temporaries go before the rest's come
+        r_c_cleared = _continuum_cleared(lh)
         q = (lh - POLE_HIGH) * (lh - POLE_LOW)
         lhs_val = self.alpha + self.beta * self._sqrt_term(lh)
         r_d_cleared = WEIGHT_HIGH * (lh - POLE_LOW) - WEIGHT_LOW * (lh - POLE_HIGH)
-        return lhs_val * q - r_d_cleared - _continuum_sum(lh) * q
+        return lhs_val * q - r_d_cleared - r_c_cleared
 
     def newton(self, lh0: complex, reach: float, tol: float = 1e-10, maxit: int = 60):
         """Newton refinement of Phi; returns the root, or None once an
@@ -511,21 +518,13 @@ def _complex_roots(prob: _RootProblem, rect, real_roots=()):
     return found
 
 
-@lru_cache(maxsize=1)
-def _continuum_weight_total() -> float:
-    """The largest sum of |w_k| over the node tiers.  Where Re lh >= -1, each
-    denominator has |lh + kappa_k^2 + 1| >= |lh + 1|, so the continuum sum
-    is at most this over |lh + 1| in modulus, for every node count used."""
-    return max(float(np.abs(_gauss_nodes(n)[1]).sum()) for n in _NODE_TIERS)
-
-
 def _r_bound_terms():
     """(W_j, p_j) of the bound |R(lh)| <= sum_j W_j / |lh - p_j| on
     Re lh >= -1: the poles 5/4 and -3/4, and the cut's end -1 with weight
-    ``_continuum_weight_total``.  It bounds the discretised R the solver
-    evaluates, not only the integral."""
+    W_c = ``WEIGHT_CONTINUUM``.  There every denominator of the continuum
+    integral has |lh + kappa^2 + 1| >= |lh + 1|, and its weight is positive."""
     return ((WEIGHT_HIGH, POLE_HIGH), (WEIGHT_LOW, POLE_LOW),
-            (_continuum_weight_total(), -1.0))
+            (WEIGHT_CONTINUUM, -1.0))
 
 
 def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:

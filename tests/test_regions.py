@@ -4,6 +4,7 @@ parameter-plane sweep with boundary tracing."""
 import numpy as np
 import pytest
 
+from pulsectrl import regions
 from pulsectrl.errors import NotControllable
 from pulsectrl.model import ModelParams, reduced_coefficients
 from pulsectrl.regions import (
@@ -182,6 +183,35 @@ class TestSweep:
         assert small_sweep.hopf and small_sweep.fold
         points = [tuple(p) for p in small_sweep.hopf + small_sweep.fold]
         assert len(set(points)) == len(points)
+
+
+def test_worker_pool_capped_by_rows_and_cores(monkeypatch):
+    # a process pool starts all its workers at the first task, so a pool of
+    # the size asked for could fork any number of processes; this one records
+    # its size and maps in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(regions, "ProcessPoolExecutor", RecordingPool)
+    serial = sweep_to_dict(sweep_plane(n_f=2, n_nu=3))
+    for cores, size in ((64, 3), (2, 2), (None, None)):
+        monkeypatch.setattr(regions.os, "cpu_count", lambda cores=cores: cores)
+        del sizes[:]
+        assert sweep_to_dict(sweep_plane(n_f=2, n_nu=3, threads=100_000)) == serial
+        # an unknown core count runs serially, without a pool
+        assert sizes == ([] if size is None else [size])
 
 
 @pytest.fixture(scope="module")

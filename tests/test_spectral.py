@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from pulsectrl import spectral
 from pulsectrl.errors import (
@@ -63,11 +64,9 @@ class TestRContinuous:
         for lh in (-1.0, -1.5, -40.0, -1.5 + 0.0j):
             with pytest.raises(EssentialRay):
                 r_total(lh)
-        # just off the ray is fine; this point takes 512 nodes
-        lh = -1.5 + 0.1j
-        val = r_total(lh).r_c
-        assert np.isfinite(val)
-        assert abs(val - spectral._continuum_sum(lh, 2048)) <= 1e-12
+        # just off the ray is fine; the reference is 40-digit mpmath
+        val = r_total(-1.5 + 0.1j).r_c
+        assert abs(val - complex(0.016050955699934026584, 0.04705480502988777923)) <= 1e-16
 
     def test_real_input_real_output(self):
         assert r_total(3.0).r_c.imag == 0.0
@@ -84,50 +83,93 @@ class TestRContinuous:
         reference = oracle_extrapolated(2.0) - r_discrete(2.0)
         assert abs(val - reference) <= 1e-6
 
-    def test_quadrature_convergence(self):
-        # the per-point node count holds against four times the largest tier
-        for lh in (0.3 + 2.1j, 2.0, -0.99 + 0.01j, 40.0 - 30.0j):
-            ref = spectral._continuum_sum(lh, 2048)
-            assert abs(r_total(lh).r_c - ref) <= 5e-14 * max(1.0, abs(ref))
+
+def continuum_weight(kappa):
+    """w(kappa) of R_c = -Int_0^inf w(kappa) / (lh + kappa^2 + 1) dkappa."""
+    k2 = kappa * kappa
+    return (9.0 * np.pi / 16.0) * k2 * (1.0 + k2) ** 2 / ((k2 + 2.25) * (k2 + 0.25)) \
+        * (kappa / np.sinh(np.pi * kappa)) ** 2
 
 
-class TestContinuumNodeRule:
-    """Per-point node counts from the pole's Bernstein ellipse."""
+def continuum_quad(lh: complex) -> complex:
+    """R_c by adaptive quadrature; past kappa = 40 the weight is below 1e-100."""
+    def part(f):
+        return quad(lambda k: f(-continuum_weight(k) / (lh + k * k + 1.0)), 0.0, 40.0,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return complex(part(np.real), part(np.imag))
+
+
+class TestContinuumClosedForm:
+    """R_c through the trigamma function against the integral it replaces."""
 
     @staticmethod
-    def points():
-        rng = np.random.default_rng(7)
-        # the right half-plane out to Re 80
-        right = rng.uniform(0.0, 80.0, 200) + 1j * rng.uniform(-60.0, 60.0, 200)
-        # 1e-6 to 10 from the branch point, every direction but the cut itself
-        near_branch = -1.0 + 10.0 ** rng.uniform(-6.0, 1.0, 300) \
-            * np.exp(1j * rng.uniform(-0.999, 0.999, 300) * np.pi)
-        # just above the cut, where |lh + 1| is large but the pole is not
-        above_cut = -1.0 - 10.0 ** rng.uniform(-3.0, 2.5, 300) \
-            + 1j * 10.0 ** rng.uniform(-6.0, 0.0, 300)
-        return np.concatenate([right, near_branch, above_cut])
+    def right_half_plane(n, seed):
+        rng = np.random.default_rng(seed)
+        return 10.0 ** rng.uniform(-3.0, 3.0, n) \
+            * np.exp(0.5j * np.pi * rng.uniform(-1.0, 1.0, n))
 
-    @pytest.mark.parametrize("power", [1, 2])
-    def test_as_accurate_as_512_nodes(self, power):
-        lh = self.points()
-        ref = spectral._continuum_sum(lh, 2048, power)
-        tol = 5e-14 * np.maximum(1.0, np.abs(ref))
-        held = np.abs(spectral._continuum_sum(lh, 512, power) - ref) <= tol
-        # every tier is exercised where 512 nodes hold
-        assert set(spectral._node_counts(lh[held])) == {64, 128, 256, 512}
-        err = np.abs(spectral._continuum_sum(lh, power=power) - ref)
-        assert np.all(err[held] <= tol[held])
+    def test_matches_quad_on_right_half_plane(self):
+        lh = self.right_half_plane(60, 21)
+        batch = spectral._continuum(lh)
+        for z, value in zip(lh, batch):
+            ref = continuum_quad(z)
+            assert abs(value - ref) <= 1e-13 * abs(ref), z
+            # scalar and array arithmetic round apart by a few ulps
+            assert abs(r_total(complex(z)).r_c - value) <= 1e-14 * abs(ref), z
 
-    def test_scalar_rule_matches_array_rule(self):
-        lh = self.points()
-        counts = spectral._node_counts(lh)
-        assert list(counts) == [spectral._node_count(z) for z in lh]
-        assert set(counts) == {64, 128, 256, 512}
-        assert list(spectral._node_counts(lh.real)) \
-            == [spectral._node_count(float(x)) for x in lh.real]
+    def test_slope_matches_cauchy_integral(self):
+        # dR_c/dlh = mean of R_c(z + r e^(it)) e^(-it) / r over the circle:
+        # the trapezoid rule on it converges geometrically in the points.
+        # Newton divides by dR/dlh, so the error counts against all of it.
+        lh = np.concatenate([self.right_half_plane(20, 22),
+                             [-0.99 + 0.01j, -1.5 + 0.1j, 1.25 + 1e-3j, -0.75 + 0.3j]])
+        theta = 2.0 * np.pi * np.arange(64) / 64.0
+        for z in lh:
+            r = 0.25 * min(1.0, abs(z + 1.0), abs(z.imag) if z.real < -1.0 else 1.0)
+            ref = np.mean(spectral._continuum(z + r * np.exp(1j * theta))
+                          * np.exp(-1j * theta)) / r
+            r_d_slope = -spectral.WEIGHT_HIGH / (z - spectral.POLE_HIGH) ** 2 \
+                + spectral.WEIGHT_LOW / (z - spectral.POLE_LOW) ** 2
+            assert abs(spectral._continuum_slope(complex(z)) - ref) \
+                <= 1e-12 * max(1.0, abs(ref + r_d_slope)), z
+
+    def test_weight_total_is_the_integral(self):
+        total = quad(continuum_weight, 0.0, 40.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert abs(total - spectral.WEIGHT_CONTINUUM) <= 1e-15 * total
 
 
 class TestRTotal:
+    # R at points within 1e-6 of the cut's end -1, within 1e-7 of each pole,
+    # and out to |lh| = 3e5: the closed form in 40-digit mpmath (mpmath.psi),
+    # which mpmath.quad of the integral matched to 35 digits or more, rounded
+    # to the nearest double.
+    REFERENCE = [
+        (-0.9999999, -2.9998420026930366),
+        (complex(-0.9999997, 5e-07), complex(-2.999668104728971, 0.00018753200040967047)),
+        (complex(-0.999999999, 8e-07), complex(-2.99968357714427, 0.00031509830552975225)),
+        (complex(-0.9999995, -4e-07), complex(-2.999623039109538, -0.00013196966850532966)),
+        (1.2500001, 73190730.78039639),
+        (complex(1.24999995, 6e-08), complex(-59992402.39920285, -71990882.92902566)),
+        (-0.7499999, -975880.106852883),
+        (complex(-0.75000002, -7e-08), complex(368251.55493420013, -1288893.3740837218)),
+        (2.0, 9.717216671610943),
+        (complex(0.3, 2.1), complex(-1.3323082255953027, -2.8502610707907867)),
+        (complex(40.0, -30.0), complex(0.11620292706849206, 0.09004070563978991)),
+        (complex(1000.0, 5.0), complex(0.007209087780196179, -3.6091836813085063e-05)),
+        (300000.0, 2.4000102857561905e-05),
+        (complex(-200000.0, 200000.0),
+         complex(-1.7999999999646432e-05, -1.7999884286067858e-05)),
+    ]
+
+    def test_reference_values(self):
+        for lh, ref in self.REFERENCE:
+            value = r_total(lh).total
+            assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), lh
+
+    def test_value_at_zero(self):
+        # lambda = 0 solves the root equation on the fold line alpha + beta = R(0)
+        assert abs(r_total(0.0).total + 6.0) <= 1e-15 * 6.0
+
     def test_parts_sum_exactly(self):
         val = r_total(1.0 + 2.0j)
         assert val.total == val.r_d + val.r_c
@@ -158,7 +200,7 @@ class TestCertifiedWindow:
     def bound(lh):
         return (spectral.WEIGHT_HIGH / np.abs(lh - spectral.POLE_HIGH)
                 + spectral.WEIGHT_LOW / np.abs(lh - spectral.POLE_LOW)
-                + spectral._continuum_weight_total() / np.abs(lh + 1.0))
+                + spectral.WEIGHT_CONTINUUM / np.abs(lh + 1.0))
 
     def test_bound_holds_for_the_evaluated_r(self):
         rng = np.random.default_rng(11)
@@ -173,10 +215,9 @@ class TestCertifiedWindow:
         lh = np.concatenate([by_poles, by_branch, upper])
         assert np.all(lh.real >= -1.0) and np.max(np.abs(lh)) > 5e3
         assert np.all(np.abs(spectral._r_values(lh)) <= self.bound(lh))
-        # the continuum part alone, at every node count the solver uses
-        for n in spectral._NODE_TIERS:
-            cont = np.abs(spectral._continuum_sum(lh, n))
-            assert np.all(cont <= spectral._continuum_weight_total() / np.abs(lh + 1.0))
+        # the continuum part alone
+        cont = np.abs(spectral._continuum(lh))
+        assert np.all(cont <= spectral.WEIGHT_CONTINUUM / np.abs(lh + 1.0))
 
     def test_no_root_outside_the_certified_radius(self):
         rng = np.random.default_rng(12)
@@ -276,8 +317,7 @@ class TestRootProblemBatch:
                           <= 1e-14 * np.maximum(1.0, np.abs(reference)))
 
         prob = spectral._RootProblem(coeffs, gain)
-        block = spectral._BLOCK
-        sizes = (1, block - 1, block, block + 1, 3 * block + 5)
+        sizes = (1, 127, 128, 129, 389)
         for n in sizes:
             lh = np.resize(self.POINTS, n)
             for fn in (prob.phi, prob.g):
@@ -457,9 +497,9 @@ class TestAssembleSpectrum:
         params = ModelParams(1.0, 1.0, -300.0, 50.0)
         report = assemble_spectrum(params)
         assert 3.0e5 < report.search_window["re"][1] < 3.1e5
-        assert report.diagnostics["function_evaluations"] == 1_614_254
-        # one call on a long side of that window: the continuum sum works in
-        # blocks, so its memory stays flat however many points the call has
+        assert report.diagnostics["function_evaluations"] == 1_614_255
+        # one call on a long side of that window: the closed form for R_c
+        # holds a few arrays of the call's size at a time, 1 MB each here
         co = reduced_coefficients(params)
         lh = np.linspace(0.0, report.search_window["re"][1], 65_536) + 1e-6j
         tracemalloc.start()
