@@ -260,9 +260,15 @@ class _RootProblem:
 
     def _sqrt_term(self, lh):
         z = lh + 1.0 + self.gain
-        if np.iscomplexobj(z):
+        # a scalar stays in cmath/math, where numpy would cost ten times the
+        # arithmetic; real z gives the real part of the principal root, also
+        # left of the branch point, and max(nan, 0.0) keeps NaN
+        if isinstance(z, complex):
+            return cmath.sqrt(z)
+        if isinstance(z, float):
+            return math.sqrt(max(z, 0.0))
+        if z.dtype.kind == "c":
             return np.sqrt(z)
-        # real part of the principal root, also left of the branch point
         return np.sqrt(np.maximum(z, 0.0))
 
     def phi(self, lh):
@@ -292,10 +298,12 @@ class _RootProblem:
         the root no longer depends on where Newton started.
         """
         lh = complex(lh0)
+        # Phi has poles at 5/4 and -3/4, and Phi' is infinite at the branch
+        # points -1 - l'(0) and -1, where a scalar step divides by zero
+        stops = (POLE_HIGH, POLE_LOW, -1.0 - self.gain, -1.0)
         for _ in range(maxit):
-            for pole in (POLE_HIGH, POLE_LOW):
-                if abs(lh - pole) < 1e-12:
-                    return None
+            if any(abs(lh - p) < 1e-12 for p in stops):
+                return None
             f = self.phi(lh)
             converged = abs(f) <= tol
             df = self.phi_prime(lh)
@@ -333,42 +341,65 @@ def _real_subintervals(lo: float, hi: float, control_slope: float):
     return out
 
 
+def _geomspace(start: float, stop, num: int):
+    """``np.geomspace(start, stop_k, num)`` bit for bit, a row for each
+    stop_k of ``stop`` (a float gives one row), for start > 0 and stop_k > 0:
+    the same 10 ** (k * step + log10 start) with both ends set, without the
+    argument handling that costs np.geomspace more than its arithmetic."""
+    stop = np.asarray(stop, dtype=float)[..., None]
+    lo = np.log10(start)
+    out = 10.0 ** (np.arange(num) * ((np.log10(stop) - lo) / (num - 1)) + lo)
+    out[..., 0] = start
+    out[..., -1] = stop[..., 0]
+    return out
+
+
+def _scan_points(a, b):
+    """Sorted scan samples of the subintervals [a_k, b_k] (arrays, in order,
+    sharing at most an end): per subinterval the grid
+    ``np.linspace(a_k, b_k, n_k)``, bit for bit, plus 25 geometric offsets
+    from 1e-8 to half its width in from either end, where R blows up at the
+    poles and L flattens at the branch point, so that sign changes hide there."""
+    pts = []
+    for lo, hi in zip(a.tolist(), b.tolist()):
+        n = max(64, min(512, int((hi - lo) * 16)))
+        # np.linspace's k * step + lo, ending at hi
+        grid = np.arange(n) * ((hi - lo) / (n - 1)) + lo
+        grid[-1] = hi
+        pts.append(grid)
+    geo = _geomspace(1e-8, 0.5 * (b - a), 25)
+    pts += [(a[:, None] + geo).ravel(), (b[:, None] - geo).ravel()]
+    return np.unique(np.concatenate(pts))
+
+
 def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
                     window, problem: _RootProblem | None = None):
-    """All real roots of Phi in ``window``, ascending: every sign change of
-    a sample scan is bracketed by Brent's method to 4 ulps."""
+    """All real roots of Phi in ``window``, ascending: one scan samples every
+    subinterval of ``_real_subintervals`` in one pass, and each sign change
+    between two samples of one subinterval is bracketed by Brent's method
+    to 4 ulps."""
     lo, hi = float(window[0]), float(window[1])
     prob = problem if problem is not None else _RootProblem(coeffs, control_slope)
-    roots = []
-    for a, b in _real_subintervals(lo, hi, control_slope):
-        # cluster sample points toward the endpoints: R blows up at the poles
-        # and L flattens at the branch point, so sign changes hide there
-        n_uniform = max(64, min(512, int((b - a) * 16)))
-        pts = [np.linspace(a, b, n_uniform)]
-        span = b - a
-        geo = np.geomspace(1e-8, 0.5 * span, 25)
-        pts.append(a + geo)
-        pts.append(b - geo)
-        xs = np.unique(np.concatenate(pts))
-        vals = prob.phi(xs)
-        sign = np.sign(vals)
-        for i in np.flatnonzero((sign[:-1] == 0) | (sign[:-1] * sign[1:] < 0)):
-            if sign[i] == 0:
-                roots.append(xs[i])
-            else:
-                # Brent starts from both ends; hand it the scanned values there
-                ends = {xs[i]: vals[i], xs[i + 1]: vals[i + 1]}
-                # 4 ulps is the least relative tolerance brentq accepts
-                roots.append(brentq(lambda x: ends[x] if x in ends else prob.phi(x),
-                                    xs[i], xs[i + 1],
-                                    xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
-    # dedupe
-    roots = sorted(roots)
-    out = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-7:
-            out.append(r)
-    return out
+    intervals = _real_subintervals(lo, hi, control_slope)
+    if not intervals:
+        return []
+    a, b = np.array(intervals).T
+    xs = _scan_points(a, b)
+    vals = prob.phi(xs)
+    sign = np.sign(vals)
+    # a pair counts only inside one subinterval, since Phi changes sign
+    # across a pole with no root there; an end two subintervals share (at
+    # the branch point's disk) belongs to both
+    inside = np.searchsorted(a, xs[:-1], side="right") - 1 == np.searchsorted(b, xs[1:])
+    roots = [float(x) for x in xs[sign == 0]]
+    for i in np.flatnonzero(inside & (sign[:-1] * sign[1:] < 0)):
+        # Brent starts from both ends; hand it the scanned values there
+        ends = {xs[i]: vals[i], xs[i + 1]: vals[i + 1]}
+        # 4 ulps is the least relative tolerance brentq accepts
+        roots.append(brentq(lambda x: ends[x] if x in ends else prob.phi(x),
+                            xs[i], xs[i + 1],
+                            xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
+    return sorted(roots)
 
 
 class _WindingSearch:
@@ -400,7 +431,8 @@ class _WindingSearch:
         """Samples from ``a`` toward ``b`` (``b`` left out), with the extra
         samples given as fractions of the way along."""
         n = max(self.MIN_SIDE, int(abs(b - a) / self.SPACING) + 1)
-        t = np.linspace(0.0, 1.0, n, endpoint=False)
+        # np.linspace(0, 1, n, endpoint=False), bit for bit
+        t = np.arange(n) * (1.0 / n)
         if len(extra):
             extra = extra[(extra > 0.0) & (extra < 1.0)]
             t = np.unique(np.concatenate([t, extra]))
@@ -413,12 +445,12 @@ class _WindingSearch:
         extras = [np.empty(0)] * 4
         if 0.0 < im0 < self.NEAR_AXIS:
             if self.real_roots.size:
-                offsets = np.geomspace(im0, self.SPACING, self.ROOT_SAMPLES)
+                offsets = _geomspace(im0, self.SPACING, self.ROOT_SAMPLES)
                 near = np.concatenate([-offsets[::-1], [0.0], offsets])
                 x = (self.real_roots[:, None] + near).ravel()
                 extras[0] = (x - re0) / (re1 - re0)
             if any(abs(complex(re0, im0) - b) < self.NEAR_AXIS for b in self.branch_points):
-                y = np.geomspace(im0, min(im1, 1.0), self.BRANCH_SAMPLES)
+                y = _geomspace(im0, min(im1, 1.0), self.BRANCH_SAMPLES)
                 extras[3] = (im1 - y) / (im1 - im0)
         sides = [self._side(a, b, extra)
                  for a, b, extra in zip(corners[:-1], corners[1:], extras)]

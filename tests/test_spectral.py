@@ -4,6 +4,7 @@ finders, and verdict assembly."""
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,6 +351,68 @@ class TestFindRealRoots:
         win = default_window(co, -20.0)
         assert find_real_roots(co, -20.0, (win[0], win[1])) == []
 
+    def test_close_pair_keeps_both_roots(self):
+        # two roots 1e-8 apart by the window's left end, each bracketed by
+        # its own pair of geometric samples
+        lo = -1.0 + 1e-6
+        r1, r2 = lo + 0.5e-8, lo + 1.5e-8
+        stub = SimpleNamespace(phi=lambda x: 1e12 * (x - r1) * (x - r2))
+        roots = find_real_roots(None, 0.0, (lo, 3.0), problem=stub)
+        assert len(roots) == 2
+        for root, r in zip(roots, (r1, r2)):
+            assert abs(root - r) <= 1e-15
+
+    def test_no_root_from_a_sign_change_across_a_pole(self):
+        # the scan's last sample below 5/4 and its first above it differ in
+        # sign, but they lie in two subintervals
+        stub = SimpleNamespace(phi=lambda x: x - 1.25)
+        assert find_real_roots(None, 0.0, (-0.5, 3.0), problem=stub) == []
+
+    def test_root_next_to_an_end_two_subintervals_share(self):
+        # the branch point's disk (-1 - 1e-8, -1 + 1e-8) and the subinterval
+        # right of it share their end; the root lies between that end and
+        # the next sample
+        intervals = spectral._real_subintervals(-2.0, 0.0, 0.0)
+        shared = intervals[0][1]
+        assert intervals[1][0] == shared
+        root = shared + 5e-9
+        stub = SimpleNamespace(phi=lambda x: x - root)
+        (found,) = find_real_roots(None, 0.0, (-2.0, 0.0), problem=stub)
+        assert abs(found - root) <= 1e-15
+
+
+class TestScanSamples:
+    @pytest.mark.parametrize("window, gain", [
+        ((-1.0 + 1e-6, 9.3), 0.0), ((-0.5, 3.0), 0.0), ((2.0, 14520.25), -3.0),
+        ((-2.0, 5.0), 0.0), ((-5.0, 5.0), -0.3),
+    ])
+    def test_one_pass_keeps_every_subinterval_sample(self, window, gain):
+        # the samples of a scan one subinterval at a time
+        pts = []
+        for a, b in spectral._real_subintervals(*window, gain):
+            n = max(64, min(512, int((b - a) * 16)))
+            geo = np.geomspace(1e-8, 0.5 * (b - a), 25)
+            pts.append(np.unique(np.concatenate([np.linspace(a, b, n), a + geo, b - geo])))
+        a, b = np.array(spectral._real_subintervals(*window, gain)).T
+        assert np.array_equal(spectral._scan_points(a, b), np.unique(np.concatenate(pts)))
+
+    def test_geomspace_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            start, num = 10.0 ** rng.uniform(-10.0, 0.0), int(rng.integers(2, 60))
+            stop = 10.0 ** rng.uniform(-9.0, 6.0, 3)
+            assert np.array_equal(spectral._geomspace(start, stop[0], num),
+                                  np.geomspace(start, stop[0], num))
+            assert np.array_equal(spectral._geomspace(start, stop, num),
+                                  np.geomspace(start, stop, num, axis=1))
+
+    def test_winding_sides_are_linspace(self):
+        search = spectral._WindingSearch(spectral._RootProblem(FIG4_COEFFS, 0.0))
+        for n in (8, 9, 100, 1999):
+            a, b = complex(-0.5, 1e-6), complex(-0.5 + 0.75 * (n - 1), 1e-6)
+            assert np.array_equal(search._side(a, b, np.empty(0)),
+                                  a + (b - a) * np.linspace(0.0, 1.0, n, endpoint=False))
+
 
 class TestFindComplexRoots:
     def test_fig4_roots_and_conjugate_closure(self):
@@ -397,6 +460,13 @@ class TestNewton:
         # subdividing still finds the root
         (root,) = spectral._complex_roots(prob, rect)
         assert abs(root - (-0.7523620903272242 + 0.33614943901371314j)) <= 1e-10
+
+    @pytest.mark.parametrize("gain", [0.0, -0.5])
+    def test_gives_up_at_a_branch_point(self, gain):
+        # Phi' is infinite at lh = -1 - l'(0) and at -1
+        prob = spectral._RootProblem(FIG4_COEFFS, gain)
+        for start in {complex(-1.0 - gain), complex(-1.0)}:
+            assert prob.newton(start, 1.0) is None
 
 
 # Reference spectra at seeded points of the (f', nu) plane, u* = f(u*) = 1:
@@ -491,6 +561,45 @@ class TestAssembleSpectrum:
         assert len(pair) == 2
         for z, im in zip(pair, (-5.385397902204238, 5.385397902204238)):
             assert abs(z - complex(1.2423052748579382, im)) <= 1e-12
+
+    def test_fig4_scans_the_real_axis_in_one_call(self, monkeypatch):
+        # every real subinterval's samples go through one array call
+        array_calls = []
+        phi = spectral._RootProblem.phi
+
+        def counted(prob, lh):
+            if isinstance(lh, np.ndarray):
+                array_calls.append(lh)
+            return phi(prob, lh)
+
+        monkeypatch.setattr(spectral._RootProblem, "phi", counted)
+        assemble_spectrum(ModelParams(1.0, 1.0, -3.0, 8.0))
+        assert len(array_calls) == 1
+
+    def test_positive_beta_zone_holds_every_complex_root(self):
+        # for beta > 0 the off-axis search covers only the zone
+        # (re0, -0.35) x (1e-6, 0.6) by the low pole; a search of the whole
+        # upper half of the window finds the same roots, all in the zone
+        rng = np.random.default_rng(5)
+        n_complex = 0
+        for _ in range(300):
+            f_der, nu = rng.uniform(0.05, 3.0), rng.uniform(-3.0, 3.0)
+            params = ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der)
+            report = assemble_spectrum(params)
+            co = reduced_coefficients(params)
+            assert co.beta > 0.0
+            re0, re1, _, im1 = default_window(co, 0.0)
+            prob = spectral._RootProblem(co, 0.0)
+            real_roots = find_real_roots(co, 0.0, (re0, re1), problem=prob)
+            full = spectral._complex_roots(prob, (re0, re1, 1e-6, im1), real_roots)
+            upper = sorted((z for z in report.eigenvalues if z.imag > 0.0),
+                           key=lambda z: (z.real, z.imag))
+            assert len(full) == len(upper), (f_der, nu)
+            for z, w in zip(full, upper):
+                assert re0 < z.real < -0.35 and 1e-6 < z.imag < 0.6, (f_der, nu, z)
+                assert abs(z - w) <= 1e-10 * abs(w), (f_der, nu, z, w)
+            n_complex += len(full)
+        assert n_complex >= 20
 
     def test_large_window_memory_bounded(self):
         # the window reaches Re 3.0e5, and the work is pinned
