@@ -56,6 +56,9 @@ _SHIFT = 8
 # R_c(lh) = -Int_0^inf w(kappa) / (lh + kappa^2 + 1) dkappa
 WEIGHT_CONTINUUM = 0.021485446793165962
 
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
+
 
 @dataclass(frozen=True)
 class RValue:
@@ -132,26 +135,6 @@ def _trigamma_remainder(b):
     return v - (1.0 / 6.0) / (1.0 + b) ** 3
 
 
-def _trigamma_remainder_slope(b, e):
-    """E'(b) given e = E(b): E = -1/(6 (1 + b)^3) + b^3 F has E' = 3 b^2 F
-    + b^3 F' + 1/(2 (1 + b)^4), F' = V' + sum_k y_k' / (2 y_k^4) with
-    y_k' = 2b + 2k + 1, and 3 b^2 F from e, to 1e-16 / |b| absolute."""
-    z = b + _SHIFT
-    w = 1.0 / (z * z)
-    slope = 0.0
-    for j in range(len(_BERNOULLI) - 1, -1, -1):
-        slope = slope * w - (2 * j + 5) * _BERNOULLI[j]
-    slope *= w * w * w
-    y = (b + 1.0) * (b + 2.0)
-    step = 2.0 * b + 4.0  # y_{k+1} - y_k, and y_k' = step - 1
-    for _ in range(_SHIFT - 1):
-        slope += 0.5 * (step - 1.0) / (y * y * y * y)
-        y += step
-        step += 2.0
-    return b * b * b * slope + 3.0 * (e + (1.0 / 6.0) / (1.0 + b) ** 3) / b \
-        + 0.5 / (1.0 + b) ** 4
-
-
 # x (1 + x)^2 / ((x + 9/4)(x + 1/4)(x + a^2)) = 1 + sum_j A_j / (x + b_j^2)
 # in x = k^2, a^2 = 1 + lh, over b_j = 3/2, 1/2, a, with A_j = (225/128) /
 # (lh - 5/4), -(9/128) / (lh + 3/4) and -(1 + lh) lh^2 / q, where
@@ -165,13 +148,9 @@ _L_ZERO = 9.0 / 16.0 * (5.0 / 32.0 - 0.75 * _C_HIGH + 1.25 * _C_LOW)
 
 
 def _continuum_cleared(lh):
-    """R_c(lh) q at a scalar or on an array, real for real lh > -1.  Its
+    """R_c(lh) q at a scalar or on an array, real for real lh >= -1.  Its
     parts tend to -(3/160) lh and -0.0027 lh at large lh, adding without
     cancelling, and cancel to 0 at the poles, where R_c is analytic."""
-    if isinstance(lh, float) and lh < -1.0 \
-            or isinstance(lh, np.ndarray) and lh.dtype.kind == "f" and (lh < -1.0).any():
-        # left of -1, the real part of the value above the cut (``_sqrt_term``)
-        return _continuum_cleared(lh + 0j).real
     out = _trigamma_remainder((1.0 + lh) ** 0.5)  # np.sqrt on an array
     out *= (9.0 / 16.0) * lh * lh
     out += _L_SLOPE * lh + _L_ZERO
@@ -181,17 +160,6 @@ def _continuum_cleared(lh):
 def _continuum(lh):
     """R_c at a scalar or on an array; 0/0 at the poles, where it is analytic."""
     return _continuum_cleared(lh) / ((lh - POLE_HIGH) * (lh - POLE_LOW))
-
-
-def _continuum_slope(lh):
-    """dR_c/dlh at one point, by the quotient rule on R_c q over q."""
-    q = (lh - POLE_HIGH) * (lh - POLE_LOW)
-    a = (1.0 + lh) ** 0.5
-    e = _trigamma_remainder(a)
-    e_slope = _trigamma_remainder_slope(a, e)  # dE(a)/dlh = E'(a) / (2a)
-    cleared = 9.0 / 16.0 * lh * lh * e + _L_SLOPE * lh + _L_ZERO
-    cleared_slope = 9.0 / 16.0 * lh * (2.0 * e + 0.5 * lh * e_slope / a) + _L_SLOPE
-    return (cleared_slope - cleared / q * (2.0 * lh - 0.5)) / q
 
 
 def _r_values(lh):
@@ -230,17 +198,21 @@ def essential_edges(control_slope: float):
 
 
 class _RootProblem:
-    """Root equation Phi(lh) = L(lh) - R(lh) with pole-cleared companion G.
+    """Root function G(lh) = (L(lh) - R(lh)) (lh - 5/4)(lh + 3/4), where
+    L(lh) = alpha + beta sqrt(1 + lh + l'(0)): the root equation cleared of
+    R's two simple poles, so it has the same roots and no poles.
 
-    ``phi`` and ``g`` take a scalar or an array of lh and evaluate all of it
-    in one pass; real lh gives real values.  ``n_eval`` counts points, and
-    the last winding search leaves its total and its retry count here.
+    ``g`` takes a scalar or an array of lh and evaluates all of it in one
+    pass; real lh, at or right of the branch point -1 - l'(0) and of R_c's
+    cut end -1, gives real values.  ``n_eval`` counts points, and the last
+    winding search leaves its total and its retry count here.
     """
 
     def __init__(self, coeffs: ReducedCoefficients, control_slope: float):
         self.alpha = coeffs.alpha
         self.beta = coeffs.beta
         self.gain = control_slope
+        self.branch = -1.0 - control_slope
         self.n_eval = 0
         self.winding_total = 0
         self.winding_retries = 0
@@ -248,7 +220,7 @@ class _RootProblem:
     def _points(self, lh):
         """Count the points; a scalar becomes a Python float or complex.
 
-        Single points (Brent, Newton, phase-step refinement) stay scalars
+        Single points (Brent, the secant, phase-step refinement) stay scalars
         because the array path costs about three times as much per call.
         """
         if isinstance(lh, (int, float, complex)):
@@ -259,29 +231,17 @@ class _RootProblem:
         return lh if lh.dtype.kind == "c" else lh.astype(float, copy=False)
 
     def _sqrt_term(self, lh):
-        z = lh + 1.0 + self.gain
-        # a scalar stays in cmath/math, where numpy would cost ten times the
-        # arithmetic; real z gives the real part of the principal root, also
-        # left of the branch point, and max(nan, 0.0) keeps NaN
+        # lh - branch is exactly 0 at the branch point and positive right of
+        # it; a scalar stays in cmath/math, where numpy would cost ten times
+        # the arithmetic
+        z = lh - self.branch
         if isinstance(z, complex):
             return cmath.sqrt(z)
         if isinstance(z, float):
-            return math.sqrt(max(z, 0.0))
-        if z.dtype.kind == "c":
-            return np.sqrt(z)
-        return np.sqrt(np.maximum(z, 0.0))
-
-    def phi(self, lh):
-        lh = self._points(lh)
-        return self.alpha + self.beta * self._sqrt_term(lh) - _r_values(lh)
-
-    def phi_prime(self, lh: complex) -> complex:
-        s = self._sqrt_term(lh)
-        r_d_prime = -WEIGHT_HIGH / (lh - POLE_HIGH) ** 2 + WEIGHT_LOW / (lh - POLE_LOW) ** 2
-        return self.beta / (2.0 * s) - r_d_prime - _continuum_slope(lh)
+            return math.sqrt(z)
+        return np.sqrt(z)
 
     def g(self, lh):
-        """Phi times (lh - 5/4)(lh + 3/4): analytic, same zeros, no poles."""
         lh = self._points(lh)
         # the continuum part first: its temporaries go before the rest's come
         r_c_cleared = _continuum_cleared(lh)
@@ -290,55 +250,39 @@ class _RootProblem:
         r_d_cleared = WEIGHT_HIGH * (lh - POLE_LOW) - WEIGHT_LOW * (lh - POLE_HIGH)
         return lhs_val * q - r_d_cleared - r_c_cleared
 
-    def newton(self, lh0: complex, reach: float, tol: float = 1e-10, maxit: int = 60):
-        """Newton refinement of Phi; returns the root, or None once an
-        iterate lies farther than ``reach`` from ``lh0`` or ``maxit`` runs out.
+    def secant(self, lh0: complex, lh1: complex, reach: float, maxit: int = 60):
+        """Secant iteration on G from ``lh0`` and ``lh1``; returns the root,
+        or None once an iterate lies farther than ``reach`` from ``lh0`` or
+        ``maxit`` steps run out.
 
-        Once |Phi| <= tol, one more step is kept unless it raises |Phi|, so
-        the root no longer depends on where Newton started.
+        It stops once a step falls within 4 ulps of the iterate.  Where
+        rounding stalls it first, as by a close pair of roots, it stops once
+        a step below sqrt(eps) relative no longer lowers |G|, and keeps the
+        iterate before that step.
         """
-        lh = complex(lh0)
-        # Phi has poles at 5/4 and -3/4, and Phi' is infinite at the branch
-        # points -1 - l'(0) and -1, where a scalar step divides by zero
-        stops = (POLE_HIGH, POLE_LOW, -1.0 - self.gain, -1.0)
+        x0, x1 = complex(lh0), complex(lh1)
+        f0, f1 = self.g(x0), self.g(x1)
         for _ in range(maxit):
-            if any(abs(lh - p) < 1e-12 for p in stops):
+            if f1 == f0:
                 return None
-            f = self.phi(lh)
-            converged = abs(f) <= tol
-            df = self.phi_prime(lh)
-            if df == 0:
-                return lh if converged else None
-            nxt = lh - f / df
-            if converged:
-                return nxt if abs(self.phi(nxt)) <= abs(f) else lh
-            lh = nxt
-            if not cmath.isfinite(lh) or abs(lh - lh0) > reach:
+            step = f1 * (x1 - x0) / (f1 - f0)
+            x0, f0, x1 = x1, f1, x1 - step
+            if not cmath.isfinite(x1) or abs(x1 - lh0) > reach:
                 return None
-        return lh if abs(self.phi(lh)) <= tol else None
-
-
-POLE_EXCLUSION = 1e-8
+            if abs(step) <= 4.0 * _EPS * abs(x1):
+                return x1
+            f1 = self.g(x1)
+            if abs(f1) >= abs(f0) and abs(step) <= _SQRT_EPS * abs(x1):
+                return x0
+        return None
 
 
 def _real_subintervals(lo: float, hi: float, control_slope: float):
-    """Split (lo, hi) at poles and the branch point, excluding punctured disks."""
-    cuts = [lo, hi]
-    branch = -1.0 - control_slope
-    for p in (POLE_LOW, POLE_HIGH, branch):
-        if lo < p < hi:
-            cuts.extend([p - POLE_EXCLUSION, p + POLE_EXCLUSION])
-    cuts = sorted(set(cuts))
-    out = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        if any(abs(mid - p) < POLE_EXCLUSION for p in (POLE_LOW, POLE_HIGH)):
-            continue
-        if mid < branch:
-            continue
-        if b - a > 0:
-            out.append((a, b))
-    return out
+    """(lo, hi) from where G is real, at or right of the branch point
+    -1 - l'(0) and of -1, split at the poles inside it."""
+    lo = max(lo, -1.0, -1.0 - control_slope)
+    cuts = [lo] + [p for p in (POLE_LOW, POLE_HIGH) if lo < p < hi] + [hi]
+    return [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
 
 
 def _geomspace(start: float, stop, num: int):
@@ -374,31 +318,25 @@ def _scan_points(a, b):
 
 def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
                     window, problem: _RootProblem | None = None):
-    """All real roots of Phi in ``window``, ascending: one scan samples every
+    """All real roots in ``window``, ascending: one scan samples G on every
     subinterval of ``_real_subintervals`` in one pass, and each sign change
-    between two samples of one subinterval is bracketed by Brent's method
-    to 4 ulps."""
-    lo, hi = float(window[0]), float(window[1])
+    between two neighbouring samples is bracketed by Brent's method to 4
+    ulps.  G is finite at the poles and keeps its sign across them."""
     prob = problem if problem is not None else _RootProblem(coeffs, control_slope)
-    intervals = _real_subintervals(lo, hi, control_slope)
+    intervals = _real_subintervals(float(window[0]), float(window[1]), control_slope)
     if not intervals:
         return []
     a, b = np.array(intervals).T
     xs = _scan_points(a, b)
-    vals = prob.phi(xs)
+    vals = prob.g(xs)
     sign = np.sign(vals)
-    # a pair counts only inside one subinterval, since Phi changes sign
-    # across a pole with no root there; an end two subintervals share (at
-    # the branch point's disk) belongs to both
-    inside = np.searchsorted(a, xs[:-1], side="right") - 1 == np.searchsorted(b, xs[1:])
     roots = [float(x) for x in xs[sign == 0]]
-    for i in np.flatnonzero(inside & (sign[:-1] * sign[1:] < 0)):
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
         # Brent starts from both ends; hand it the scanned values there
         ends = {xs[i]: vals[i], xs[i + 1]: vals[i + 1]}
         # 4 ulps is the least relative tolerance brentq accepts
-        roots.append(brentq(lambda x: ends[x] if x in ends else prob.phi(x),
-                            xs[i], xs[i + 1],
-                            xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
+        roots.append(brentq(lambda x: ends[x] if x in ends else prob.g(x),
+                            xs[i], xs[i + 1], xtol=1e-300, rtol=4.0 * _EPS))
     return sorted(roots)
 
 
@@ -412,6 +350,8 @@ class _WindingSearch:
     either side of each of ``real_roots``; on a left edge whose bottom corner
     lies that close to a branch point (of the square root at -1 - l'(0), or
     the end of R_c's cut at -1), at ``BRANCH_SAMPLES`` geometric heights up to 1.
+    A rectangle that holds one root polishes it by the secant on G, started
+    from the centre and from ``SECANT_START`` times the diameter beside it.
     """
 
     SPACING = 0.75
@@ -419,11 +359,12 @@ class _WindingSearch:
     ROOT_SAMPLES = 24
     BRANCH_SAMPLES = 12
     NEAR_AXIS = 1e-5
+    SECANT_START = 1e-3 * (1.0 + 1.0j)
 
     def __init__(self, problem: _RootProblem, real_roots=(), max_depth: int = 60):
         self.prob = problem
         self.real_roots = np.asarray(real_roots, dtype=float)
-        self.branch_points = (-1.0 - problem.gain, -1.0)
+        self.branch_points = (problem.branch, -1.0)
         self.max_depth = max_depth
         self.winding_total = 0
 
@@ -496,7 +437,7 @@ class _WindingSearch:
         if w == 1 or diam < 1e-3:
             # an iterate farther than the diameter from the centre has left
             # the rectangle; give up there and subdivide
-            root = self.prob.newton(center, diam)
+            root = self.prob.secant(center, center + self.SECANT_START * diam, diam)
             if root is not None and re0 - 1e-9 <= root.real <= re1 + 1e-9 \
                     and im0 - 1e-9 <= root.imag <= im1 + 1e-9:
                 if w == 1:
@@ -504,7 +445,7 @@ class _WindingSearch:
                 return [root] * w  # clustered/multiple root, report with multiplicity
             if diam < 1e-6:
                 raise RootIsolationFailure(
-                    f"winding {w} in cell of diameter {diam:.2e} but Newton failed")
+                    f"winding {w} in cell of diameter {diam:.2e} but the secant failed")
         if depth >= self.max_depth:
             raise RootIsolationFailure("max subdivision depth reached")
         # split slightly off-center so subdivision lines avoid roots
@@ -519,7 +460,7 @@ class _WindingSearch:
 
 
 def _complex_roots(prob: _RootProblem, rect, real_roots=()):
-    """All roots of Phi inside ``rect`` = (re_lo, re_hi, im_lo, im_hi); the
+    """All roots of G inside ``rect`` = (re_lo, re_hi, im_lo, im_hi); the
     winding search is told the real roots so that it samples around them.
 
     A search that fails is retried up to three times with the edges moved;
@@ -561,7 +502,7 @@ def _r_bound_terms():
 
 def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     """Radius about the branch point c = -1 - l'(0) outside which, on
-    Re lh >= -1, Phi has no root.
+    Re lh >= -1, the root equation has no root.
 
     There |R(lh)| <= sum_j W_j / |lh - p_j| (``_r_bound_terms``).  Take the
     circle |lh - c| = r, where |beta sqrt(1 + lh + l'(0))| = |beta| sqrt(r),

@@ -1,9 +1,11 @@
 """Spectral layer: the closed-form R, the reduced root equation, root
 finders, and verdict assembly."""
 
+import cmath
 import json
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,22 +119,6 @@ class TestContinuumClosedForm:
             assert abs(value - ref) <= 1e-13 * abs(ref), z
             # scalar and array arithmetic round apart by a few ulps
             assert abs(r_total(complex(z)).r_c - value) <= 1e-14 * abs(ref), z
-
-    def test_slope_matches_cauchy_integral(self):
-        # dR_c/dlh = mean of R_c(z + r e^(it)) e^(-it) / r over the circle:
-        # the trapezoid rule on it converges geometrically in the points.
-        # Newton divides by dR/dlh, so the error counts against all of it.
-        lh = np.concatenate([self.right_half_plane(20, 22),
-                             [-0.99 + 0.01j, -1.5 + 0.1j, 1.25 + 1e-3j, -0.75 + 0.3j]])
-        theta = 2.0 * np.pi * np.arange(64) / 64.0
-        for z in lh:
-            r = 0.25 * min(1.0, abs(z + 1.0), abs(z.imag) if z.real < -1.0 else 1.0)
-            ref = np.mean(spectral._continuum(z + r * np.exp(1j * theta))
-                          * np.exp(-1j * theta)) / r
-            r_d_slope = -spectral.WEIGHT_HIGH / (z - spectral.POLE_HIGH) ** 2 \
-                + spectral.WEIGHT_LOW / (z - spectral.POLE_LOW) ** 2
-            assert abs(spectral._continuum_slope(complex(z)) - ref) \
-                <= 1e-12 * max(1.0, abs(ref + r_d_slope)), z
 
     def test_weight_total_is_the_integral(self):
         total = quad(continuum_weight, 0.0, 40.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -319,18 +305,22 @@ class TestRootProblemBatch:
 
         prob = spectral._RootProblem(coeffs, gain)
         sizes = (1, 127, 128, 129, 389)
+        n_real = 0
         for n in sizes:
             lh = np.resize(self.POINTS, n)
-            for fn in (prob.phi, prob.g):
-                batch = fn(lh)
-                assert batch.shape == (n,)
-                assert_close(batch, [fn(z) for z in lh])
-                real = fn(lh.real)
-                assert real.dtype == float
-                assert_close(real, [fn(complex(x)).real for x in lh.real])
-                assert_close(real, fn(lh.real.astype(complex)).real)
-        # n_eval counts points: five evaluations of each point by each function
-        assert prob.n_eval == 2 * 5 * sum(sizes)
+            batch = prob.g(lh)
+            assert batch.shape == (n,)
+            assert_close(batch, [prob.g(z) for z in lh])
+            # G is real on the real axis from the branch point and from -1 on
+            x = lh.real[lh.real >= max(-1.0, -1.0 - gain)]
+            n_real += x.size
+            real = prob.g(x)
+            assert real.dtype == float
+            assert_close(real, [prob.g(complex(v)).real for v in x])
+            assert_close(real, prob.g(x.astype(complex)).real)
+        assert n_real > 0
+        # n_eval counts points: each complex point twice, each real one three times
+        assert prob.n_eval == 2 * sum(sizes) + 3 * n_real
 
 
 class TestFindRealRoots:
@@ -356,29 +346,71 @@ class TestFindRealRoots:
         # its own pair of geometric samples
         lo = -1.0 + 1e-6
         r1, r2 = lo + 0.5e-8, lo + 1.5e-8
-        stub = SimpleNamespace(phi=lambda x: 1e12 * (x - r1) * (x - r2))
+        stub = SimpleNamespace(g=lambda x: 1e12 * (x - r1) * (x - r2))
         roots = find_real_roots(None, 0.0, (lo, 3.0), problem=stub)
         assert len(roots) == 2
         for root, r in zip(roots, (r1, r2)):
             assert abs(root - r) <= 1e-15
 
-    def test_no_root_from_a_sign_change_across_a_pole(self):
-        # the scan's last sample below 5/4 and its first above it differ in
-        # sign, but they lie in two subintervals
-        stub = SimpleNamespace(phi=lambda x: x - 1.25)
-        assert find_real_roots(None, 0.0, (-0.5, 3.0), problem=stub) == []
+    @pytest.mark.parametrize("gain", [0.0, -0.2, 0.4])
+    def test_window_left_of_the_cut_is_clamped(self, gain):
+        # G is real only from the branch point -1 - l'(0) and from -1 on;
+        # the part of a window left of both holds no root and is not sampled
+        edge = max(-1.0, -1.0 - gain)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = find_real_roots(FIG4_COEFFS, gain, (-2.0, 0.0))
+        assert roots and roots == find_real_roots(FIG4_COEFFS, gain, (edge, 0.0))
 
-    def test_root_next_to_an_end_two_subintervals_share(self):
-        # the branch point's disk (-1 - 1e-8, -1 + 1e-8) and the subinterval
-        # right of it share their end; the root lies between that end and
-        # the next sample
-        intervals = spectral._real_subintervals(-2.0, 0.0, 0.0)
-        shared = intervals[0][1]
-        assert intervals[1][0] == shared
-        root = shared + 5e-9
-        stub = SimpleNamespace(phi=lambda x: x - root)
-        (found,) = find_real_roots(None, 0.0, (-2.0, 0.0), problem=stub)
-        assert abs(found - root) <= 1e-15
+
+@pytest.mark.parametrize("f_der, to_log_der", [(1e-9, -2.0), (1e-8, 0.5)])
+def test_spectrum_tends_to_the_unperturbed_one(f_der, to_log_der):
+    # as f' -> 0 the eigenvalues tend to those at f' = 0: 5/4 and -3/4,
+    # the translation eigenvalue 0, and (nu u*)^2 - 1 for nu u* = T'/T > 0.
+    # The unstable root lies within 1e-7 of the pole 5/4, where the scan
+    # must look on both sides of the pole
+    report = assemble_spectrum(ModelParams(1.0, 1.0, f_der, to_log_der))
+    limit = assemble_spectrum(ModelParams(1.0, 1.0, 0.0, to_log_der))
+    assert report.verdict == limit.verdict == "Unstable"
+    assert len(report.eigenvalues) == len(limit.eigenvalues)
+    for z, w in zip(report.eigenvalues, limit.eigenvalues):
+        assert abs(z - w) <= 1e-4, (z, w)
+    assert 0.0 < report.eigenvalues[0].real - 1.25 <= 1e-7
+
+
+def test_roots_by_the_poles_at_large_alpha():
+    # |alpha| / |beta| = 1.5e9 puts a root within 1e-8 of each pole
+    co = ReducedCoefficients(alpha=1.5e9, beta=1.0, nu=0.0)
+    re0, re1, _, _ = default_window(co, 0.0)
+    roots = find_real_roots(co, 0.0, (re0, re1))
+    assert len(roots) == 2
+    for root, ref in zip(roots, (-0.7500000000650584, 1.250000004879382)):
+        assert abs(root - ref) <= 1e-12
+
+
+def test_real_scan_finds_every_sign_change():
+    # the scan's roots are the sign changes of G on a dense grid of the same
+    # window: 40,001 uniform points, with 200 geometric offsets from 1e-13
+    # to 0.5 in from the left end and either side of each pole
+    rng = np.random.default_rng(17)
+    geo = np.geomspace(1e-13, 0.5, 200)
+    n_roots = 0
+    for k in range(400):
+        f_der, nu = rng.uniform(-3.0, 3.0, 2)
+        gain = rng.uniform(-6.0, 0.0) if k % 2 else 0.0
+        co = reduced_coefficients(ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der))
+        lo, hi, _, _ = default_window(co, gain)
+        x = [np.linspace(lo, hi, 40_001), lo + geo]
+        x += [p + s * geo for p in (spectral.POLE_LOW, spectral.POLE_HIGH) if lo < p < hi
+              for s in (-1.0, 1.0)]
+        x = np.unique(np.concatenate(x))
+        x = x[(x >= lo) & (x <= hi)]
+        sign = np.sign(spectral._RootProblem(co, gain).g(x))
+        dense = np.count_nonzero(sign == 0) + np.count_nonzero(sign[:-1] * sign[1:] < 0)
+        roots = find_real_roots(co, gain, (lo, hi))
+        assert len(roots) == dense, (f_der, nu, gain)
+        n_roots += len(roots)
+    assert n_roots >= 400
 
 
 class TestScanSamples:
@@ -443,30 +475,29 @@ class TestFindComplexRoots:
 
 
 class TestNewton:
+    """Root polishing: the secant iteration on G that the winding search runs
+    in a rectangle holding one root."""
+
     def test_gives_up_once_it_leaves_the_rectangle(self):
-        # from the centre of the off-axis window, Newton runs away from the
-        # one root near -0.75 + 0.34i and would wander for all 60 steps
-        co = ReducedCoefficients(alpha=-3.0, beta=-1.0, nu=0.0)
+        # from the centre of the off-axis window, the secant heads for the
+        # real root near -0.774, below the window, and not for the window's
+        # one root near -0.83 + 6.53i
+        co = ReducedCoefficients(alpha=0.7, beta=-0.56, nu=0.0)
         re0, re1, _, im1 = default_window(co, 0.0)
         rect = (re0, re1, 1e-6, im1)
         centre = complex(0.5 * (re0 + re1), 0.5 * (1e-6 + im1))
         diam = math.hypot(re1 - re0, im1 - 1e-6)
+        start = centre + spectral._WindingSearch.SECANT_START * diam
         unbounded = spectral._RootProblem(co, 0.0)
-        assert unbounded.newton(centre, math.inf) is None
-        assert unbounded.n_eval == 61
+        (real_root,) = [x for x in find_real_roots(co, 0.0, (re0, re1)) if x < 0.0]
+        assert abs(unbounded.secant(centre, start, math.inf) - real_root) <= 1e-12
+        assert unbounded.n_eval == 18
         prob = spectral._RootProblem(co, 0.0)
-        assert prob.newton(centre, diam) is None
-        assert prob.n_eval <= 3
+        assert prob.secant(centre, start, diam) is None
+        assert prob.n_eval == 4
         # subdividing still finds the root
         (root,) = spectral._complex_roots(prob, rect)
-        assert abs(root - (-0.7523620903272242 + 0.33614943901371314j)) <= 1e-10
-
-    @pytest.mark.parametrize("gain", [0.0, -0.5])
-    def test_gives_up_at_a_branch_point(self, gain):
-        # Phi' is infinite at lh = -1 - l'(0) and at -1
-        prob = spectral._RootProblem(FIG4_COEFFS, gain)
-        for start in {complex(-1.0 - gain), complex(-1.0)}:
-            assert prob.newton(start, 1.0) is None
+        assert abs(root - (-0.8339082856268758 + 6.529928369768017j)) <= 1e-10
 
 
 # Reference spectra at seeded points of the (f', nu) plane, u* = f(u*) = 1:
@@ -554,7 +585,7 @@ class TestAssembleSpectrum:
         assert report.verdict == "Unstable"
         assert report.max_real_part > 0.0
         # the work and the answer are pinned: batching saves overhead only
-        assert report.diagnostics == {"function_evaluations": 511,
+        assert report.diagnostics == {"function_evaluations": 510,
                                       "winding_total": 1, "winding_retries": 0}
         pair = sorted((z for z in report.eigenvalues if z.imag != 0.0),
                       key=lambda z: z.imag)
@@ -563,18 +594,24 @@ class TestAssembleSpectrum:
             assert abs(z - complex(1.2423052748579382, im)) <= 1e-12
 
     def test_fig4_scans_the_real_axis_in_one_call(self, monkeypatch):
-        # every real subinterval's samples go through one array call
-        array_calls = []
-        phi = spectral._RootProblem.phi
+        # every real subinterval's samples go through one array call of G
+        is_array, per_scan = [], []
+        g, scan = spectral._RootProblem.g, spectral.find_real_roots
 
         def counted(prob, lh):
-            if isinstance(lh, np.ndarray):
-                array_calls.append(lh)
-            return phi(prob, lh)
+            is_array.append(isinstance(lh, np.ndarray))
+            return g(prob, lh)
 
-        monkeypatch.setattr(spectral._RootProblem, "phi", counted)
+        def traced(*args, **kwargs):
+            start = len(is_array)
+            roots = scan(*args, **kwargs)
+            per_scan.append(sum(is_array[start:]))
+            return roots
+
+        monkeypatch.setattr(spectral._RootProblem, "g", counted)
+        monkeypatch.setattr(spectral, "find_real_roots", traced)
         assemble_spectrum(ModelParams(1.0, 1.0, -3.0, 8.0))
-        assert len(array_calls) == 1
+        assert per_scan == [1]
 
     def test_positive_beta_zone_holds_every_complex_root(self):
         # for beta > 0 the off-axis search covers only the zone
@@ -606,7 +643,7 @@ class TestAssembleSpectrum:
         params = ModelParams(1.0, 1.0, -300.0, 50.0)
         report = assemble_spectrum(params)
         assert 3.0e5 < report.search_window["re"][1] < 3.1e5
-        assert report.diagnostics["function_evaluations"] == 1_614_255
+        assert report.diagnostics["function_evaluations"] == 1_614_254
         # one call on a long side of that window: the closed form for R_c
         # holds a few arrays of the call's size at a time, 1 MB each here
         co = reduced_coefficients(params)
@@ -629,13 +666,14 @@ class TestAssembleSpectrum:
                 assert abs(z - complex(re, im)) <= 1e-10 * abs(complex(re, im)), \
                     (f_der, nu, gain, z)
             # every root satisfies the root equation to rounding
-            prob = spectral._RootProblem(reduced_coefficients(params), gain)
+            co = reduced_coefficients(params)
             for z in report.eigenvalues:
                 if z == report.translation_eigenvalue:
                     continue
                 lh = complex(z) - gain
                 r = spectral._r_values(lh)
-                assert abs(prob.phi(lh)) <= 1e-12 * max(1.0, abs(r)), (f_der, nu, gain, z)
+                phi = co.alpha + co.beta * cmath.sqrt(lh + 1.0 + gain) - r
+                assert abs(phi) <= 1e-12 * max(1.0, abs(r)), (f_der, nu, gain, z)
 
     @pytest.mark.parametrize("f_der, nu, pair", [
         (-2.29658178836911, -2.000028720091109,
