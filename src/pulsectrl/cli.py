@@ -155,7 +155,12 @@ def _cmd_simulate(args) -> int:
         seed=int(merged.get("seed", 0)),
     )
     trace = run_sim(config)
-    verdict = "Unstable" if trace.fitted_rate > 0 else "Stable"
+    # an early exit settles the verdict; its rate may come from too few
+    # samples to fit (then 0.0)
+    if trace.early_exit is not None:
+        verdict = trace.early_exit.capitalize()
+    else:
+        verdict = "Unstable" if trace.fitted_rate > 0 else "Stable"
     payload = {
         "manifest": _manifest("simulate", merged),
         "fitted_rate": float(trace.fitted_rate),

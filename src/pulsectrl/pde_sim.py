@@ -19,11 +19,12 @@ identically on the unperturbed pulse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NumericalBlowup
 from .model import ModelParams, PowerLawModel, pulse_profile
@@ -61,6 +62,8 @@ class SimConfig:
             raise ValueError("dx must satisfy dx <= eps/4")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not (math.isfinite(self.eta) and self.eta != 0):
+            raise ValueError("eta must be finite and nonzero")
         if self.perturbation_shape not in ("even_bump", "random"):
             raise ValueError("perturbation_shape must be even_bump or random")
         induced = self.model.induced_params(self.params.eps,
@@ -94,53 +97,74 @@ class SimTrace:
 
 
 def _neumann_laplacian(w, dx):
+    """Zero-flux second difference of ``w`` along its last axis, over dx**2.
+
+    At each end the mirror ghost point w[-1] = w[1] doubles the one
+    difference: 2 (w[1] - w[0]) / dx**2.
+    """
+    flux = np.subtract(w[..., 1:], w[..., :-1])
     out = np.empty_like(w)
-    out[1:-1] = w[:-2] - 2.0 * w[1:-1] + w[2:]
-    out[0] = 2.0 * (w[1] - w[0])
-    out[-1] = 2.0 * (w[-2] - w[-1])
-    return out / dx ** 2
+    np.subtract(flux[..., 1:], flux[..., :-1], out=out[..., 1:-1])
+    out[..., 0] = 2.0 * flux[..., 0]
+    out[..., -1] = -2.0 * flux[..., -1]
+    out /= dx ** 2
+    return out
 
 
 def _derivatives(u, v, config: SimConfig, v_ref):
     """Explicit part (reaction plus control) and full time derivative.
 
-    Returns (du, dv, u_t, v_t); u_t and v_t add the zero-flux Laplacian.
-    With v_ref = v the control term is exactly zero.
+    Returns one (4, n) array whose rows are du, dv, u_t and v_t: rows 0-1 the
+    explicit part, rows 2-3 that plus the zero-flux diffusion of the stacked
+    state.  With v_ref = v the control term is exactly zero.
     """
     m = config.model
-    eps = config.params.eps
+    params = config.params
+    rates = np.empty((4, u.size))
+    du, dv = rates[0], rates[1]
     fu = m.f(u)
-    du = -u + fu ** 2 * m.t_o(u) * v ** 2 / (3.0 * eps)
-    dv = -v + fu * v ** 2 + config.params.control_slope * (v - v_ref)
-    u_t = du + _neumann_laplacian(u, config.dx)
-    v_t = dv + eps ** 2 * _neumann_laplacian(v, config.dx)
-    return du, dv, u_t, v_t
-
-
-def _implicit_bands(n, dx, dt, diffusivity):
-    """Sub-, main and superdiagonal of I - dt*diffusivity*Laplacian.
-
-    The zero-flux rows 0 and n-1 carry -2r on their one off-diagonal.
-    """
-    r = dt * diffusivity / dx ** 2
-    lower = np.full(n - 1, -r)
-    upper = np.full(n - 1, -r)
-    upper[0] = -2.0 * r
-    lower[-1] = -2.0 * r
-    return lower, np.full(n, 1.0 + 2.0 * r), upper
+    np.multiply(fu, v * v, out=dv)
+    np.multiply(dv, fu, out=du)
+    du *= m.t_o(u)
+    du /= 3.0 * params.eps
+    du -= u
+    dv -= v
+    dv += params.control_slope * (v - v_ref)
+    # rows 2-3 hold the stacked state until its time derivative replaces it
+    rates[2] = u
+    rates[3] = v
+    diffusion = _neumann_laplacian(rates[2:], config.dx)
+    diffusion[1] *= params.eps ** 2
+    np.add(rates[:2], diffusion, out=rates[2:])
+    return rates
 
 
 def _factor(n, dx, dt, diffusivity):
-    """LU factors of I - dt*diffusivity*Laplacian, as ``dgttrs`` takes them."""
-    *factors, info = dgttrf(*_implicit_bands(n, dx, dt, diffusivity))
+    """LDL^T factors of I - dt*diffusivity*Laplacian, as ``dpttrs`` takes them.
+
+    The zero-flux rows 0 and n-1 carry -2r on their one off-diagonal.  Halved,
+    they carry -r like every other row, so the matrix is symmetric; it stays
+    strictly diagonally dominant with a positive diagonal, so it is positive
+    definite.
+    """
+    r = dt * diffusivity / dx ** 2
+    d = np.full(n, 1.0 + 2.0 * r)
+    d[::n - 1] *= 0.5
+    d, e, info = dpttrf(d, np.full(n - 1, -r))
     if info != 0:
         raise NumericalBlowup()
-    return factors
+    return d, e
 
 
 def _solve(factors, rhs):
-    """Solve with factors from ``_factor``; overwrites ``rhs``."""
-    return dgttrs(*factors, rhs, overwrite_b=1)[0]
+    """Solve (I - r Lap) x = rhs with factors from ``_factor``.
+
+    Halves both ends of ``rhs``, as ``_factor`` halved the end rows; x may
+    overwrite ``rhs``.
+    """
+    rhs[0] *= 0.5
+    rhs[-1] *= 0.5
+    return dpttrs(*factors, rhs, overwrite_b=1)[0]
 
 
 class _StepContext:
@@ -160,7 +184,8 @@ class _StepContext:
         self.factors = (_factor(n, config.dx, 2.0 * dt / 3.0, 1.0),
                         _factor(n, config.dx, 2.0 * dt / 3.0, eps2))
         self.v_ref = v_ref
-        # (u_out, v_out, u_in, v_in, du_in, dv_in) of the last step
+        # (u_out, v_out, state_out, state_in, explicit_in) of the last step,
+        # the states stacked (2, n) with u_out and v_out the rows of state_out
         self.history = None
 
 
@@ -175,36 +200,46 @@ def step(state, context: _StepContext):
     (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995).  The previous
     state and reaction come from ``context``; they are used only when
     ``state`` is the pair this context returned last, so a fresh context, or
-    any other state, takes one IMEX Euler step instead, which starts the
-    trajectory.
+    any other state, takes one IMEX Euler step instead,
+
+        (I - dt D Lap) w' = w + dt N,
+
+    which starts the trajectory.  u and v are worked on as the rows of one
+    (2, n) array, and the returned pair are the rows of the new one.  Raises
+    ``NumericalBlowup`` unless the new state is finite.
     """
     u, v = state
     config = context.config
     dt = config.dt
-    du, dv, u_t, v_t = _derivatives(u, v, config, context.v_ref)
-    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dv))):
-        raise NumericalBlowup()
+    history = context.history
+    continuing = history is not None and history[0] is u and history[1] is v
+    w = history[2] if continuing else np.array((u, v))
+    rates = _derivatives(u, v, config, context.v_ref)
     # solve for the increment w' - w, whose right-hand side carries the full
     # time derivative w_t = D Lap w + N: the tridiagonal solve then rounds
     # relative to the step, so a stationary state stays fixed (solving for
     # w' directly lets rounding move the relaxed pulse by a few 1e-12 over
     # t ~ 1)
-    history = context.history
-    if history is not None and history[0] is u and history[1] is v:
-        u_old, v_old, du_old, dv_old = history[2:]
-        lu_u, lu_v = context.factors
-        c = 2.0 * dt / 3.0
-        inc_u = (u - u_old) / 3.0 + c * (u_t + du - du_old)
-        inc_v = (v - v_old) / 3.0 + c * (v_t + dv - dv_old)
+    explicit, inc = rates[:2], rates[2:]
+    if continuing:
+        factors = context.factors
+        w_old, explicit_old = history[3:]
+        inc += explicit
+        inc -= explicit_old
+        inc *= 2.0 * dt / 3.0
+        inc += (w - w_old) / 3.0
     else:
-        lu_u, lu_v = context.start_factors
-        inc_u = dt * u_t
-        inc_v = dt * v_t
-    u_new = u + _solve(lu_u, inc_u)
-    v_new = v + _solve(lu_v, inc_v)
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        factors = context.start_factors
+        inc *= dt
+    for k, lu in enumerate(factors):
+        inc[k] = _solve(lu, inc[k])
+    inc += w
+    # no off-diagonal of the factors is zero, so a non-finite explicit part
+    # spreads through the whole solution: this one check also catches it
+    if not np.isfinite(inc).all():
         raise NumericalBlowup()
-    context.history = (u_new, v_new, u, v, du, dv)
+    u_new, v_new = inc
+    context.history = (u_new, v_new, inc, w, explicit)
     return u_new, v_new
 
 
@@ -330,32 +365,35 @@ def perturbation(config: SimConfig):
 
 def deviation_norm(u, v, u_ref, v_ref, config: SimConfig) -> float:
     """Discrete L2 norm of the deviation; v weighted by sqrt(eps)."""
-    eps = config.params.eps
     du = u - u_ref
     dv = v - v_ref
-    return float(np.sqrt(config.dx * (np.sum(du ** 2) + eps * np.sum(dv ** 2))))
-
-
-def _line_r2(t, y):
-    slope, intercept = np.polyfit(t, y, 1)
-    pred = slope * t + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), r2
+    return math.sqrt(config.dx * (du @ du + config.params.eps * (dv @ dv)))
 
 
 def _best_window_fit(times, lognorms, min_width=8, frac=0.4):
+    """Least-squares slope and r^2 of the most linear window of samples.
+
+    Windows of ``width`` samples start every ``stride`` samples; the first
+    with the largest r^2 wins.  Every window's sums are differences of
+    prefix sums of the centred data, so all windows are fitted in one pass.
+    """
     n = len(times)
     width = max(min_width, int(frac * n))
-    best = (0.0, -1.0)
     stride = max(1, (n - width) // 60)
-    for start in range(0, n - width + 1, stride):
-        cand = _line_r2(times[start:start + width],
-                        lognorms[start:start + width])
-        if cand[1] > best[1]:
-            best = cand
-    return best
+    t = times - np.mean(times)
+    y = lognorms - np.mean(lognorms)
+    prefix = np.zeros((5, n + 1))
+    np.cumsum((t, y, t * t, t * y, y * y), axis=1, out=prefix[:, 1:])
+    starts = np.arange(0, n - width + 1, stride)
+    s_t, s_y, s_tt, s_ty, s_yy = prefix[:, starts + width] - prefix[:, starts]
+    # centred second moments of each window
+    stt = s_tt - s_t * s_t / width
+    sty = s_ty - s_t * s_y / width
+    syy = s_yy - s_y * s_y / width
+    r2 = np.divide(sty * sty, stt * syy, out=np.zeros_like(syy),
+                   where=syy > 0)
+    best = int(np.argmax(r2))
+    return float(sty[best] / stt[best]), float(r2[best])
 
 
 def _fit_rate(times, lognorms):
@@ -385,7 +423,7 @@ def _fit_rate(times, lognorms):
 def run(config: SimConfig) -> SimTrace:
     """Relax, perturb, integrate, and fit the deviation growth rate.
 
-    Exits early once the deviation exceeds 1e6 * eta (growth has left the
+    Exits early once the deviation exceeds 1e6 * |eta| (growth has left the
     linear regime) or falls below 1e-12 (decayed to the relaxation floor).
     """
     u_ref, v_ref = relax_profile(config)
@@ -397,14 +435,15 @@ def run(config: SimConfig) -> SimTrace:
     dt = config.dt
     n_steps = int(np.ceil(config.t_end / dt))
     sample_every = max(1, int(round(config.sample_interval / dt)))
-    grow_limit = 1e6 * config.eta
+    grow_limit = 1e6 * abs(config.eta)
     times = [0.0]
     norms = [deviation_norm(u, v, u_ref, v_ref, config)]
     early_exit = None
     t = 0.0
-    # a blow-up overflows or goes NaN inside a step before step's finiteness
-    # checks turn it into NumericalBlowup; numpy need not warn on the way
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a blow-up overflows, divides by zero or goes NaN inside a step before
+    # step's finiteness check turns it into NumericalBlowup; numpy need not
+    # warn on the way
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             try:
                 u, v = step((u, v), context)

@@ -132,6 +132,17 @@ def test_simulate_quick_run(tmp_path, capsys):
     assert len(lines) > 5
 
 
+def test_simulate_verdict_follows_early_exit(capsys):
+    # --eta 5 leaves the linear regime within a few steps, too few samples
+    # to fit a rate (reported as 0.0); the run still grew
+    code, doc = run_json(capsys, ["simulate"] + FIG4_FLAGS +
+                         ["--eps", "0.1", "--t-end", "0.5", "--eta", "5"])
+    assert code == EXIT_OK
+    assert doc["early_exit"] == "unstable"
+    assert doc["fitted_rate"] == 0.0
+    assert doc["verdict"] == "Unstable"
+
+
 def test_tol_only_on_verify(capsys):
     # spectrum, region and simulate have no tolerance to set, and the
     # spectrum and the sweep no eps; the other flags keep each run short

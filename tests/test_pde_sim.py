@@ -6,11 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from pulsectrl import pde_sim
 from pulsectrl.errors import NumericalBlowup
 from pulsectrl.model import ModelParams, PowerLawModel, pulse_profile
 from pulsectrl.pde_sim import (
     SimConfig,
     _StepContext,
+    _best_window_fit,
     _derivatives,
     _fit_rate,
     _neumann_laplacian,
@@ -50,6 +52,9 @@ class TestSimConfig:
             fig4_config(dx=FIG4.eps)  # coarser than eps/4
         with pytest.raises(ValueError):
             fig4_config(perturbation_shape="spiral")
+        for eta in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                fig4_config(eta=eta)
         with pytest.raises(ValueError):
             fig4_config(half_length=3.0)  # u_p(L) too large
         other = ModelParams(1.0, 1.0, 2.0, 0.0)
@@ -73,12 +78,39 @@ def test_rhs_zero_state_forcing():
 
 
 def test_rhs_blowup_guard():
-    # a non-finite state trips the right-hand-side check in step
+    # a non-finite state gives a non-finite new state, which step's one
+    # finiteness check turns into NumericalBlowup
     config = fig4_config()
     v_ref = pulse_profile(FIG4, config.x)[1]
     bad = np.full(config.x.size, np.nan)
     with pytest.raises(NumericalBlowup):
         step((bad, bad), _StepContext(config, v_ref))
+
+
+def test_nonfinite_reaction_raises(monkeypatch):
+    # a finite state with u = 0 at one grid point has an infinite reaction,
+    # f(u) = u^-3; step checks only its new state, which the solve makes
+    # non-finite everywhere, since no off-diagonal is zero
+    config = fig4_config(t_end=0.02)
+    u_ref, v_ref = relax_profile(config)
+    centre = u_ref.size // 2
+    u = u_ref.copy()
+    u[centre] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericalBlowup):
+            step((u, v_ref.copy()), _StepContext(config, v_ref))
+
+    # run's own errstate must let the same state reach that check, not
+    # stop at numpy's division-by-zero warning
+    def zero_at_centre(cfg):
+        du, dv = perturbation(cfg)
+        du[centre] = -u_ref[centre]
+        return du, dv
+
+    monkeypatch.setattr(pde_sim, "perturbation", zero_at_centre)
+    with pytest.raises(NumericalBlowup) as blowup:
+        run(config)
+    assert blowup.value.time == 0.0
 
 
 def test_rhs_leading_order_profile_nearly_stationary():
@@ -180,6 +212,50 @@ def test_step_history_only_continues_its_own_trajectory():
     assert np.array_equal(restarted[1], euler[1])
 
 
+def test_step_is_the_documented_scheme():
+    # one Euler start step and one SBDF2 step against the formulas of step's
+    # docstring, solved densely with the unsymmetric zero-flux Laplacian:
+    # pins the symmetrised factors and the stacked arithmetic
+    params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0,
+                         eps=0.1, control_slope=-1.0)
+    model = PowerLawModel.from_params(params)
+    config = SimConfig(model=model, params=params, t_end=1.0)
+    u_ref, v_ref = relax_profile(config)
+    du, dv = perturbation(config)
+    # the perturbation vanishes at the ends; a ramp with nonzero end slope
+    # makes the zero-flux rows move as much as the core
+    ramp = (config.x / config.half_length) ** 2
+    context = _StepContext(config, v_ref)
+    states = [(u_ref + du + 1e-2 * ramp, v_ref + dv + 1e-3 * ramp)]
+    states.append(step(states[0], context))
+    states.append(step(states[1], context))
+
+    def explicit(u, v):
+        fu = model.f(u)
+        return (-u + fu ** 2 * model.t_o(u) * v ** 2 / (3.0 * params.eps),
+                -v + fu * v ** 2 + params.control_slope * (v - v_ref))
+
+    n = config.x.size
+    rows = np.arange(n)
+    lap = np.zeros((n, n))
+    lap[rows, rows] = -2.0
+    lap[rows[:-1], rows[1:]] = lap[rows[1:], rows[:-1]] = 1.0
+    lap[0, 1] = lap[-1, -2] = 2.0
+    lap /= config.dx ** 2
+    dt = config.dt
+    n0, n1 = explicit(*states[0]), explicit(*states[1])
+    for k, diffusivity in enumerate((1.0, params.eps ** 2)):
+        w0, w1, w2 = (state[k] for state in states)
+        euler = np.linalg.solve(np.eye(n) - dt * diffusivity * lap,
+                                w0 + dt * n0[k])
+        sbdf2 = np.linalg.solve(
+            np.eye(n) - 2.0 * dt / 3.0 * diffusivity * lap,
+            (4.0 * w1 - w0) / 3.0 + 2.0 * dt / 3.0 * (2.0 * n1[k] - n0[k]))
+        for got, expected in ((w1, euler), (w2, sbdf2)):
+            assert np.max(np.abs(got - expected)) <= (
+                1e-12 * np.max(np.abs(expected)))
+
+
 def test_perturbation_shapes():
     config = fig4_config(eta=1e-3)
     du, dv = perturbation(config)
@@ -220,6 +296,44 @@ class TestFitRate:
         rate, r2 = _fit_rate(t, 0.5 * t + 0.3 * np.sin(10.0 * t) - 2.0)
         assert rate == pytest.approx(0.5, abs=0.02)
         assert r2 > 0.99
+
+
+def _polyfit_window_fit(times, lognorms, min_width=8, frac=0.4):
+    # reference: every window fitted on its own by np.polyfit
+    n = len(times)
+    width = max(min_width, int(frac * n))
+    best = (0.0, -1.0)
+    for start in range(0, n - width + 1, max(1, (n - width) // 60)):
+        t = times[start:start + width]
+        y = lognorms[start:start + width]
+        slope, intercept = np.polyfit(t, y, 1)
+        r2 = 1.0 - (np.sum((y - slope * t - intercept) ** 2)
+                    / np.sum((y - np.mean(y)) ** 2))
+        if r2 > best[1]:
+            best = (slope, r2)
+    return best
+
+
+@pytest.mark.parametrize("n, min_width, frac", [(801, 8, 0.4), (120, 8, 0.4),
+                                                (23, 5, 0.6)])
+def test_window_fit_matches_polyfit_per_window(n, min_width, frac):
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, 4.0, n)
+    y = (1.26 * t + 0.3 * np.sin(5.4 * t) - 9.0
+         + 0.01 * rng.standard_normal(n))
+    got = _best_window_fit(t, y, min_width, frac)
+    expected = _polyfit_window_fit(t, y, min_width, frac)
+    assert got[0] == pytest.approx(expected[0], rel=1e-10)
+    assert got[1] == pytest.approx(expected[1], abs=1e-10)
+
+
+def test_negative_eta_runs_to_the_end():
+    # a negative amplitude flips the perturbation; the growth limit is on
+    # |eta|, so the run is not over at its first sample
+    config = fig4_config(t_end=0.02, eta=-1e-4)
+    trace = run(config)
+    assert trace.early_exit is None
+    assert trace.diagnostics["n_steps"] == round(0.02 / config.dt)
 
 
 def test_run_structure_and_determinism():
