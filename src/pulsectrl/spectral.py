@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     EssentialRay,
@@ -204,8 +204,7 @@ class _RootProblem:
 
     ``g`` takes a scalar or an array of lh and evaluates all of it in one
     pass; real lh, at or right of the branch point -1 - l'(0) and of R_c's
-    cut end -1, gives real values.  ``n_eval`` counts points, and the last
-    winding search leaves its total and its retry count here.
+    cut end -1, gives real values.  ``n_eval`` counts points.
     """
 
     def __init__(self, coeffs: ReducedCoefficients, control_slope: float):
@@ -214,8 +213,6 @@ class _RootProblem:
         self.gain = control_slope
         self.branch = -1.0 - control_slope
         self.n_eval = 0
-        self.winding_total = 0
-        self.winding_retries = 0
 
     def _points(self, lh):
         """Count the points; a scalar becomes a Python float or complex.
@@ -321,7 +318,12 @@ def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
     """All real roots in ``window``, ascending: one scan samples G on every
     subinterval of ``_real_subintervals`` in one pass, and each sign change
     between two neighbouring samples is bracketed by Brent's method to 4
-    ulps.  G is finite at the poles and keeps its sign across them."""
+    ulps.  G is finite at the poles and keeps its sign across them.
+
+    A close pair of roots between two samples changes no sign.  Where the
+    parabola through three samples turns back across zero at a vertex in a
+    gap without a sign change, Brent's minimizer seeks the least |G| there,
+    and a sign change at it brackets both roots."""
     prob = problem if problem is not None else _RootProblem(coeffs, control_slope)
     intervals = _real_subintervals(float(window[0]), float(window[1]), control_slope)
     if not intervals:
@@ -330,76 +332,84 @@ def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
     xs = _scan_points(a, b)
     vals = prob.g(xs)
     sign = np.sign(vals)
+
+    def brent(lo, f_lo, hi, f_hi):
+        # Brent starts from both ends; hand it the known values there
+        ends = {lo: f_lo, hi: f_hi}
+        # 4 ulps is the least relative tolerance brentq accepts
+        return brentq(lambda x: ends[x] if x in ends else prob.g(x),
+                      lo, hi, xtol=1e-300, rtol=4.0 * _EPS)
+
     roots = [float(x) for x in xs[sign == 0]]
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        # Brent starts from both ends; hand it the scanned values there
-        ends = {xs[i]: vals[i], xs[i + 1]: vals[i + 1]}
-        # 4 ulps is the least relative tolerance brentq accepts
-        roots.append(brentq(lambda x: ends[x] if x in ends else prob.g(x),
-                            xs[i], xs[i + 1], xtol=1e-300, rtol=4.0 * _EPS))
+        roots.append(brent(xs[i], vals[i], xs[i + 1], vals[i + 1]))
+    # the parabola y1 + c (x - x1) + q (x - x1)^2 through three samples
+    # turns back across zero where q y1 > 0 and c^2 >= 4 q y1, with its
+    # vertex at x1 - c / (2 q)
+    h = np.diff(xs)
+    slope = np.diff(vals) / h
+    q = np.diff(slope) / (h[:-1] + h[1:])
+    c = slope[:-1] + q * h[:-1]
+    qy = q * vals[1:-1]
+    i = np.flatnonzero((qy > 0.0) & (4.0 * qy <= c * c))
+    offset = -c[i] / (2.0 * q[i])
+    gap = i + (offset > 0.0)  # the vertex lies in (xs[gap], xs[gap + 1])
+    inside = (-h[i] < offset) & (offset < h[i + 1]) & (sign[gap] == sign[gap + 1])
+    for k in set(gap[inside].tolist()):
+        lo, hi, s = xs[k], xs[k + 1], sign[k]
+        x = minimize_scalar(lambda x: s * prob.g(x), bounds=(lo, hi), method="bounded",
+                            options={"xatol": 1e-12}).x
+        f = prob.g(x)
+        if s * f <= 0.0:
+            roots += [brent(lo, vals[k], x, f), brent(x, f, hi, vals[k + 1])]
     return sorted(roots)
 
 
 class _WindingSearch:
     """Argument-principle root isolation on a rectangle in the lh-plane.
 
-    Each side is sampled every ``SPACING`` (at least ``MIN_SIDE`` points).
-    Where the phase of G turns fast, samples are added in one batch instead
-    of bisecting phase steps one point at a time: on a bottom edge that lies
-    less than 1e-5 above the real axis, at ``ROOT_SAMPLES`` geometric offsets
-    either side of each of ``real_roots``; on a left edge whose bottom corner
-    lies that close to a branch point (of the square root at -1 - l'(0), or
-    the end of R_c's cut at -1), at ``BRANCH_SAMPLES`` geometric heights up to 1.
+    Windings are taken of G / prod_r (lh - r) over ``real_roots``, which
+    above the real axis counts the roots of G, but whose phase does not turn
+    by pi along an edge passing just above a real root.  Each side is sampled
+    every ``SPACING`` (at least ``MIN_SIDE`` points); a phase step of a
+    quarter turn or more is bisected.
     A rectangle that holds one root polishes it by the secant on G, started
     from the centre and from ``SECANT_START`` times the diameter beside it.
     """
 
     SPACING = 0.75
     MIN_SIDE = 8
-    ROOT_SAMPLES = 24
-    BRANCH_SAMPLES = 12
-    NEAR_AXIS = 1e-5
     SECANT_START = 1e-3 * (1.0 + 1.0j)
 
     def __init__(self, problem: _RootProblem, real_roots=(), max_depth: int = 60):
         self.prob = problem
-        self.real_roots = np.asarray(real_roots, dtype=float)
-        self.branch_points = (problem.branch, -1.0)
+        # Python floats, so that a scalar point stays a Python complex
+        self.real_roots = [float(r) for r in real_roots]
         self.max_depth = max_depth
-        self.winding_total = 0
 
-    def _side(self, a: complex, b: complex, extra):
-        """Samples from ``a`` toward ``b`` (``b`` left out), with the extra
-        samples given as fractions of the way along."""
+    def _deflated(self, lh):
+        """G(lh) / prod_r (lh - r) at a scalar or on an array."""
+        out = self.prob.g(lh)
+        for r in self.real_roots:
+            out /= lh - r
+        return out
+
+    def _side(self, a: complex, b: complex):
+        """Samples from ``a`` toward ``b``, ``b`` left out."""
         n = max(self.MIN_SIDE, int(abs(b - a) / self.SPACING) + 1)
         # np.linspace(0, 1, n, endpoint=False), bit for bit
-        t = np.arange(n) * (1.0 / n)
-        if len(extra):
-            extra = extra[(extra > 0.0) & (extra < 1.0)]
-            t = np.unique(np.concatenate([t, extra]))
-        return a + (b - a) * t
+        return a + (b - a) * (np.arange(n) * (1.0 / n))
 
     def _boundary_points(self, rect):
         re0, re1, im0, im1 = rect
         corners = [complex(re0, im0), complex(re1, im0),
                    complex(re1, im1), complex(re0, im1), complex(re0, im0)]
-        extras = [np.empty(0)] * 4
-        if 0.0 < im0 < self.NEAR_AXIS:
-            if self.real_roots.size:
-                offsets = _geomspace(im0, self.SPACING, self.ROOT_SAMPLES)
-                near = np.concatenate([-offsets[::-1], [0.0], offsets])
-                x = (self.real_roots[:, None] + near).ravel()
-                extras[0] = (x - re0) / (re1 - re0)
-            if any(abs(complex(re0, im0) - b) < self.NEAR_AXIS for b in self.branch_points):
-                y = _geomspace(im0, min(im1, 1.0), self.BRANCH_SAMPLES)
-                extras[3] = (im1 - y) / (im1 - im0)
-        sides = [self._side(a, b, extra)
-                 for a, b, extra in zip(corners[:-1], corners[1:], extras)]
+        sides = [self._side(a, b) for a, b in zip(corners[:-1], corners[1:])]
         return np.concatenate(sides + [[corners[0]]])
 
     def winding(self, rect) -> int:
         pts = self._boundary_points(rect)
-        vals = self.prob.g(pts)
+        vals = self._deflated(pts)
         if np.any(vals == 0):
             raise RootIsolationFailure("root on search boundary")
         steps = np.angle(vals[1:] / vals[:-1])
@@ -421,18 +431,16 @@ class _WindingSearch:
         if depth >= 48 or abs(b - a) < 1e-13:
             raise RootIsolationFailure("phase tracking stalled on boundary")
         m = 0.5 * (a + b)
-        fm = self.prob.g(m)
+        fm = self._deflated(m)
         return self._arg_step(a, fa, m, fm, depth + 1) \
             + self._arg_step(m, fm, b, fb, depth + 1)
 
-    def roots(self, rect, depth: int = 0):
-        re0, re1, im0, im1 = rect
-        diam = math.hypot(re1 - re0, im1 - im0)
-        w = self.winding(rect)
-        if depth == 0:
-            self.winding_total = w
+    def roots(self, rect, w: int, depth: int = 0):
+        """The roots in ``rect``, whose winding number is ``w``."""
         if w == 0:
             return []
+        re0, re1, im0, im1 = rect
+        diam = math.hypot(re1 - re0, im1 - im0)
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
         if w == 1 or diam < 1e-3:
             # an iterate farther than the diameter from the centre has left
@@ -440,9 +448,7 @@ class _WindingSearch:
             root = self.prob.secant(center, center + self.SECANT_START * diam, diam)
             if root is not None and re0 - 1e-9 <= root.real <= re1 + 1e-9 \
                     and im0 - 1e-9 <= root.imag <= im1 + 1e-9:
-                if w == 1:
-                    return [root]
-                return [root] * w  # clustered/multiple root, report with multiplicity
+                return [root] * w  # a cluster or multiple root counts w times
             if diam < 1e-6:
                 raise RootIsolationFailure(
                     f"winding {w} in cell of diameter {diam:.2e} but the secant failed")
@@ -455,40 +461,24 @@ class _WindingSearch:
         out = []
         for sub in ((re0, rm, im0, im_m), (rm, re1, im0, im_m),
                     (re0, rm, im_m, im1), (rm, re1, im_m, im1)):
-            out.extend(self.roots(sub, depth + 1))
+            out.extend(self.roots(sub, self.winding(sub), depth + 1))
         return out
 
 
 def _complex_roots(prob: _RootProblem, rect, real_roots=()):
-    """All roots of G inside ``rect`` = (re_lo, re_hi, im_lo, im_hi); the
-    winding search is told the real roots so that it samples around them.
-
-    A search that fails is retried up to three times with the edges moved;
-    the winding total and the number of retries are left on ``prob``.
-    """
-    re0, re1, im0, im1 = (float(v) for v in rect)
-    _, edge_hat = essential_edges(prob.gain)
-    re0 = max(re0, edge_hat + 1e-6)
+    """All roots of G inside ``rect`` = (re_lo, re_hi, im_lo, im_hi), sorted,
+    and its winding number, which the roots found must match in number, or
+    ``RootIsolationFailure`` is raised.  ``rect`` lies above ``real_roots``,
+    which ``_WindingSearch`` deflates out of the count."""
+    rect = tuple(float(v) for v in rect)
     search = _WindingSearch(prob, real_roots)
-    for attempt in range(4):
-        try:
-            found = search.roots((re0, re1, im0, im1))
-            break
-        except RootIsolationFailure:
-            if attempt == 3:
-                raise
-            # move the edges off whatever root sat on them; a rectangle that
-            # starts above the real axis keeps its bottom edge above it
-            bump = 1e-6 * (attempt + 1) * 3.1
-            re0 += bump
-            re1 += bump
-            if im0 <= 0.0:
-                im0 -= bump
-            im1 += bump
-    prob.winding_total = search.winding_total
-    prob.winding_retries = attempt
+    total = search.winding(rect)
+    found = search.roots(rect, total)
+    if len(found) != total:
+        raise RootIsolationFailure(
+            f"found {len(found)} roots where the winding number is {total} on {rect}")
     found.sort(key=lambda z: (z.real, z.imag))
-    return found
+    return found, total
 
 
 def _r_bound_terms():
@@ -626,7 +616,7 @@ def assemble_spectrum(params: ModelParams) -> SpectrumReport:
     gain = params.control_slope
     edge_lambda, edge_hat = essential_edges(gain)
     translation = complex(gain, 0.0)
-    diagnostics = {"function_evaluations": 0, "winding_total": 0, "winding_retries": 0}
+    diagnostics = {"function_evaluations": 0, "winding_total": 0}
 
     if params.f_der == 0.0:
         root_eigs = [complex(POLE_HIGH + gain), complex(POLE_LOW + gain)]
@@ -647,16 +637,22 @@ def assemble_spectrum(params: ModelParams) -> SpectrumReport:
             # complex roots possible anywhere: search the upper half plane
             off_axis = (re0, re1, 1e-6, im1)
         else:
-            # beta > 0 keeps roots real except possibly in a small zone by the
-            # low pole, where the sign identity Im R = -sgn(Im lh)|Im R| fails
+            # beta > 0: for Im lh > 0, beta Im sqrt(1 + lh + l'(0)) > 0, so a root
+            # needs Im R > 0.  On Re lh >= -1, where |lh + k^2 + 1| >= |lh + 1|,
+            # Im R <= Im lh (W_L/|lh+3/4|^2 + W_c/|lh+1|^2 - W_H/|lh-5/4|^2).
+            # Where Re lh >= -0.36 or Im lh >= 0.6, d = |lh + 3/4| >= 0.39,
+            # |lh - 5/4| <= d + 2 and |lh + 1| >= max(0.6, d - 1/4), so (d + 2)^2
+            # times the bracket is at most W_L (1 + 2/d)^2 + W_c ((d + 2) /
+            # max(0.6, d - 1/4))^2 - W_H <= 3.67 + 0.49 - 7.32 < 0: the first
+            # term falls with d, the second peaks at d = 0.85.  So only this
+            # zone can hold a complex root
             off_axis = (re0, -0.35, 1e-6, 0.6) if re0 < -0.36 else None
         if off_axis is not None:
-            for z in _complex_roots(prob, off_axis, real_roots):
+            upper, diagnostics["winding_total"] = _complex_roots(prob, off_axis, real_roots)
+            for z in upper:
                 roots.append(z)
                 roots.append(z.conjugate())
-        diagnostics.update(function_evaluations=prob.n_eval,
-                           winding_total=prob.winding_total,
-                           winding_retries=prob.winding_retries)
+        diagnostics["function_evaluations"] = prob.n_eval
         root_eigs = [z + gain for z in roots]
         eigs = root_eigs + [translation]
         win = {"re": [re0, re1], "im": [im0, im1]}

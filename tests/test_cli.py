@@ -38,12 +38,13 @@ def test_domain_error_exit(capsys):
 
 
 def test_numerical_error_exit(capsys):
-    # an absurd perturbation amplitude drives the state non-finite; the
+    # an absurd perturbation amplitude drives the state non-finite within the
+    # first step, before the first sample can end the run as growth; the
     # step's finiteness checks report it, so numpy must not warn on the way
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = dispatch(["simulate"] + FIG4_FLAGS +
-                        ["--eta", "1e8", "--t-end", "0.01"])
+                        ["--eta", "1e50", "--t-end", "0.01"])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure" in err

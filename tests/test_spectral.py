@@ -16,6 +16,7 @@ from pulsectrl import spectral
 from pulsectrl.errors import (
     EssentialRay,
     PoleAtInput,
+    RootIsolationFailure,
     UnstableEssential,
 )
 from pulsectrl.model import ModelParams, ReducedCoefficients, reduced_coefficients
@@ -258,7 +259,7 @@ class TestCertifiedWindow:
             big = (re0, c + 3.0 * (re1 - c), 1e-6, 3.0 * im1)
             prob = spectral._RootProblem(co, gain)
             real = find_real_roots(co, gain, big[:2], problem=prob)
-            roots = real + spectral._complex_roots(prob, big, real)
+            roots = real + spectral._complex_roots(prob, big, real)[0]
             for z in roots:
                 assert re0 <= z.real <= re1 and abs(z.imag) <= im1, (alpha, beta, gain, z)
 
@@ -413,6 +414,25 @@ def test_real_scan_finds_every_sign_change():
     assert n_roots >= 400
 
 
+def test_real_scan_finds_a_pair_between_two_samples():
+    # G < 0 at every scan sample by -0.61, where a pair of roots 0.016 apart
+    # lies between two samples 0.032 apart; the off-axis zone's bottom edge,
+    # 1e-6 above them, then winds once more than it holds complex roots
+    f_der, nu = 0.8211499522042232, 1.9004557726182156
+    params = ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der)
+    co = reduced_coefficients(params)
+    lo, hi, _, _ = default_window(co, 0.0)
+    roots = find_real_roots(co, 0.0, (lo, hi))
+    x = np.linspace(-0.7, -0.5, 20_001)
+    sign = np.sign(spectral._RootProblem(co, 0.0).g(x))
+    (i, j) = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    assert len(roots) == 3
+    assert x[i] <= roots[0] <= x[i + 1] and x[j] <= roots[1] <= x[j + 1]
+    report = assemble_spectrum(params)
+    assert report.diagnostics["winding_total"] == 0
+    assert sorted(z.real for z in report.eigenvalues) == [roots[0], roots[1], 0.0, roots[2]]
+
+
 class TestScanSamples:
     @pytest.mark.parametrize("window, gain", [
         ((-1.0 + 1e-6, 9.3), 0.0), ((-0.5, 3.0), 0.0), ((2.0, 14520.25), -3.0),
@@ -442,14 +462,15 @@ class TestScanSamples:
         search = spectral._WindingSearch(spectral._RootProblem(FIG4_COEFFS, 0.0))
         for n in (8, 9, 100, 1999):
             a, b = complex(-0.5, 1e-6), complex(-0.5 + 0.75 * (n - 1), 1e-6)
-            assert np.array_equal(search._side(a, b, np.empty(0)),
+            assert np.array_equal(search._side(a, b),
                                   a + (b - a) * np.linspace(0.0, 1.0, n, endpoint=False))
 
 
 class TestFindComplexRoots:
     def test_fig4_roots_and_conjugate_closure(self):
-        roots = spectral._complex_roots(spectral._RootProblem(FIG4_COEFFS, 0.0),
-                                        (-0.9, 10.0, -8.0, 8.0))
+        roots, total = spectral._complex_roots(spectral._RootProblem(FIG4_COEFFS, 0.0),
+                                               (-0.9, 10.0, -8.0, 8.0))
+        assert total == len(roots)
         assert roots
         assert max(z.real for z in roots) < 1.28
         for z in roots:
@@ -457,21 +478,56 @@ class TestFindComplexRoots:
 
     def test_positive_beta_roots_real(self):
         co = ReducedCoefficients(alpha=-1.0, beta=1.0, nu=1.0)
-        roots = spectral._complex_roots(spectral._RootProblem(co, 0.0),
-                                        (-0.7, 30.0, -5.0, 5.0))
+        roots, _ = spectral._complex_roots(spectral._RootProblem(co, 0.0),
+                                           (-0.7, 30.0, -5.0, 5.0))
         assert roots
         assert max(abs(z.imag) for z in roots) <= 1e-8
 
-    def test_real_root_on_bottom_edge_retried_below_axis(self):
-        # the bottom edge im = 0 runs through the real root 5.769; the first
-        # search stalls there, and the retry lowers that edge below the axis
+    def test_edge_through_a_root_raises(self):
+        # the bottom edge im = 0 runs through the real root 5.769, where the
+        # phase of G jumps by pi; the search fails rather than moving the edge
         co = ReducedCoefficients(alpha=-1.0, beta=1.0, nu=1.0)
         (real_root,) = find_real_roots(co, 0.0, (4.5, 7.0))
-        prob = spectral._RootProblem(co, 0.0)
-        roots = spectral._complex_roots(prob, (4.5, 7.0, 0.0, 1.0))
-        assert len(roots) == 1
-        assert abs(roots[0] - real_root) <= 1e-10
-        assert prob.winding_retries == 1
+        assert 4.5 < real_root < 7.0
+        with pytest.raises(RootIsolationFailure):
+            spectral._complex_roots(spectral._RootProblem(co, 0.0), (4.5, 7.0, 0.0, 1.0))
+        # with the edge below the axis the same search finds that root
+        roots, total = spectral._complex_roots(spectral._RootProblem(co, 0.0),
+                                               (4.5, 7.0, -1.0, 1.0))
+        assert total == 1 and abs(roots[0] - real_root) <= 1e-10
+
+    def test_deflated_real_roots_leave_the_count_unchanged(self):
+        # the Fig. 4 window above the axis holds one root either way, and
+        # deflating the real roots saves the phase bisections next to them
+        re0, re1, _, im1 = default_window(FIG4_COEFFS, 0.0)
+        rect = (re0, re1, 1e-6, im1)
+        real_roots = find_real_roots(FIG4_COEFFS, 0.0, (re0, re1))
+        assert real_roots
+        plain, deflated = (spectral._RootProblem(FIG4_COEFFS, 0.0) for _ in range(2))
+        assert spectral._WindingSearch(plain).winding(rect) == 1
+        assert spectral._WindingSearch(deflated, real_roots).winding(rect) == 1
+        assert deflated.n_eval < plain.n_eval
+
+    def test_lost_root_trips_the_certificate(self, monkeypatch):
+        # a winding count on a subrectangle that misses a root leaves the
+        # roots found one short of the top rectangle's winding number
+        winding = spectral._WindingSearch.winding
+        top = (-0.9, 10.0, -8.0, 8.0)
+        lost = []
+
+        def losing(search, rect):
+            w = winding(search, rect)
+            if rect != top and w > 0 and not lost:
+                lost.append(rect)
+                return w - 1
+            return w
+
+        roots, total = spectral._complex_roots(spectral._RootProblem(FIG4_COEFFS, 0.0), top)
+        assert total == len(roots) >= 2
+        monkeypatch.setattr(spectral._WindingSearch, "winding", losing)
+        with pytest.raises(RootIsolationFailure, match="winding number"):
+            spectral._complex_roots(spectral._RootProblem(FIG4_COEFFS, 0.0), top)
+        assert lost
 
 
 class TestNewton:
@@ -496,7 +552,7 @@ class TestNewton:
         assert prob.secant(centre, start, diam) is None
         assert prob.n_eval == 4
         # subdividing still finds the root
-        (root,) = spectral._complex_roots(prob, rect)
+        (root,), _ = spectral._complex_roots(prob, rect)
         assert abs(root - (-0.8339082856268758 + 6.529928369768017j)) <= 1e-10
 
 
@@ -585,8 +641,7 @@ class TestAssembleSpectrum:
         assert report.verdict == "Unstable"
         assert report.max_real_part > 0.0
         # the work and the answer are pinned: batching saves overhead only
-        assert report.diagnostics == {"function_evaluations": 510,
-                                      "winding_total": 1, "winding_retries": 0}
+        assert report.diagnostics == {"function_evaluations": 453, "winding_total": 1}
         pair = sorted((z for z in report.eigenvalues if z.imag != 0.0),
                       key=lambda z: z.imag)
         assert len(pair) == 2
@@ -628,7 +683,7 @@ class TestAssembleSpectrum:
             re0, re1, _, im1 = default_window(co, 0.0)
             prob = spectral._RootProblem(co, 0.0)
             real_roots = find_real_roots(co, 0.0, (re0, re1), problem=prob)
-            full = spectral._complex_roots(prob, (re0, re1, 1e-6, im1), real_roots)
+            full, _ = spectral._complex_roots(prob, (re0, re1, 1e-6, im1), real_roots)
             upper = sorted((z for z in report.eigenvalues if z.imag > 0.0),
                            key=lambda z: (z.real, z.imag))
             assert len(full) == len(upper), (f_der, nu)
@@ -638,12 +693,31 @@ class TestAssembleSpectrum:
             n_complex += len(full)
         assert n_complex >= 20
 
+    def test_positive_beta_zone_bound(self):
+        # the proof in assemble_spectrum: where Re lh >= -0.36 or Im lh >= 0.6,
+        # (d + 2)^2 times the bracket of the Im R bound is at most the one-
+        # variable function below, d = |lh + 3/4| >= 0.39, and W_H exceeds it
+        w_h, w_l, w_c = spectral.WEIGHT_HIGH, spectral.WEIGHT_LOW, spectral.WEIGHT_CONTINUUM
+        d = np.concatenate([np.linspace(0.39, 10.0, 100_001), np.geomspace(10.0, 1e8, 1_001)])
+        scaled = w_l * (1.0 + 2.0 / d) ** 2 + w_c * ((d + 2.0) / np.maximum(0.6, d - 0.25)) ** 2
+        assert scaled.max() <= 3.67 + 0.49 < 7.31 <= w_h
+        # on a grid of the upper half plane right of -1, Im R stays under
+        # Im lh times the bracket, which is positive only inside the zone
+        x, y = np.meshgrid(np.linspace(-1.0, 3.0, 801), np.linspace(1e-3, 3.0, 601))
+        lh = x + 1j * y
+        bracket = w_l / abs(lh + 0.75) ** 2 + w_c / abs(lh + 1.0) ** 2 \
+            - w_h / abs(lh - 1.25) ** 2
+        r = spectral._r_values(lh)
+        assert np.all(r.imag <= y * bracket + 1e-13 * np.maximum(1.0, abs(r)))
+        positive = bracket > 0.0
+        assert x[positive].max() <= -0.539 and y[positive].max() <= 0.25
+
     def test_large_window_memory_bounded(self):
         # the window reaches Re 3.0e5, and the work is pinned
         params = ModelParams(1.0, 1.0, -300.0, 50.0)
         report = assemble_spectrum(params)
         assert 3.0e5 < report.search_window["re"][1] < 3.1e5
-        assert report.diagnostics["function_evaluations"] == 1_614_254
+        assert report.diagnostics["function_evaluations"] == 1_614_147
         # one call on a long side of that window: the closed form for R_c
         # holds a few arrays of the call's size at a time, 1 MB each here
         co = reduced_coefficients(params)
@@ -715,8 +789,6 @@ class TestAssembleSpectrum:
         search = spectral._WindingSearch
         monkeypatch.setattr(search, "SPACING", search.SPACING / 8.0)
         monkeypatch.setattr(search, "MIN_SIDE", search.MIN_SIDE * 8)
-        monkeypatch.setattr(search, "ROOT_SAMPLES", search.ROOT_SAMPLES * 8)
-        monkeypatch.setattr(search, "BRANCH_SAMPLES", search.BRANCH_SAMPLES * 8)
         assert counts == off_axis_counts()
         assert sum(counts) > 0
 
