@@ -115,7 +115,8 @@ def _derivatives(u, v, config: SimConfig, v_ref):
 
     Returns one (4, n) array whose rows are du, dv, u_t and v_t: rows 0-1 the
     explicit part, rows 2-3 that plus the zero-flux diffusion of the stacked
-    state.  With v_ref = v the control term is exactly zero.
+    state.  With v_ref = v the control term is exactly zero; at zero gain it
+    is skipped.
     """
     m = config.model
     params = config.params
@@ -128,7 +129,8 @@ def _derivatives(u, v, config: SimConfig, v_ref):
     du /= 3.0 * params.eps
     du -= u
     dv -= v
-    dv += params.control_slope * (v - v_ref)
+    if params.control_slope != 0.0:
+        dv += params.control_slope * (v - v_ref)
     # rows 2-3 hold the stacked state until its time derivative replaces it
     rates[2] = u
     rates[3] = v

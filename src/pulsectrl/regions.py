@@ -58,9 +58,10 @@ DEEPEST_FLOOR = -4096.0
 _EDGE = 0.25
 
 
-@dataclass
+@dataclass(slots=True)
 class RegionCell:
-    """Classification record for one point of the (f', nu) plane."""
+    """Classification record for one point of the (f', nu) plane; slotted,
+    since a sweep holds one per grid point."""
 
     f_der: float
     nu: float
@@ -300,7 +301,9 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
     f_values = np.linspace(f_der_range[0], f_der_range[1], n_f)
     nu_values = np.linspace(nu_range[0], nu_range[1], n_nu)
 
-    jobs = [(nu, f_values, u_star, f_val, include_min_gain) for nu in nu_values]
+    # Python floats, which the cells of a row then share
+    f_list = f_values.tolist()
+    jobs = [(nu, f_list, u_star, f_val, include_min_gain) for nu in nu_values.tolist()]
     # the pool starts all its workers at the first task, so it gets no more
     # than there are rows and cores, whatever ``threads`` asks for
     workers = min(threads or 1, n_nu, os.cpu_count() or 1)

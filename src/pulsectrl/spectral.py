@@ -27,7 +27,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -55,6 +57,9 @@ _SHIFT = 8
 # W_c = Int_0^inf w = (9/16)(333 pi^2 / 256 - 64/5), where w > 0 and
 # R_c(lh) = -Int_0^inf w(kappa) / (lh + kappa^2 + 1) dkappa
 WEIGHT_CONTINUUM = 0.021485446793165962
+
+# the spacing of ``_certified_radius``'s ladder, half that of the winding samples
+_RUNG = 0.375
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
@@ -197,14 +202,116 @@ def essential_edges(control_slope: float):
     return edge_lambda, edge_lambda_hat
 
 
+def _factors(lh, branch):
+    """(s, q, p) at a scalar or on an array: s = sqrt(lh - branch), q =
+    (lh - 5/4)(lh + 3/4) and p = (R_d + R_c) q, the factors of
+    G = (alpha + beta s) q - p that alpha and beta leave alone."""
+    # the continuum part first: its temporaries go before the rest's come
+    p = _continuum_cleared(lh)
+    p += WEIGHT_HIGH * (lh - POLE_LOW) - WEIGHT_LOW * (lh - POLE_HIGH)
+    # lh - branch is exactly 0 at the branch point and positive right of
+    # it; a scalar stays in cmath/math, where numpy would cost ten times
+    # the arithmetic
+    z = lh - branch
+    if isinstance(z, complex):
+        s = cmath.sqrt(z)
+    elif isinstance(z, float):
+        s = math.sqrt(z)
+    else:
+        s = np.sqrt(z)
+    return s, (lh - POLE_HIGH) * (lh - POLE_LOW), p
+
+
+class _Kept(NamedTuple):
+    """A sample set and its ``_factors``, as read-only arrays."""
+
+    points: np.ndarray
+    s: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+    branch: float
+    nbytes: int
+
+
+class _FactorMemo:
+    """A bounded memo of sample sets, each with its ``_factors``.
+
+    The real-axis scan and each winding rectangle sample points that depend
+    on the window's geometry and the gain only, and ``default_window``'s
+    radius lies on a ladder, so one set of samples recurs across spectra;
+    only alpha and beta differ.  An entry keeps the points and their
+    (s, q, p), keyed by that geometry and the branch point -1 - l'(0).  A
+    set of more than ``CAP`` bytes is not kept, and the least recently used
+    entries go once the kept ones pass ``BUDGET`` bytes.  An entry counts
+    its arrays and ``ENTRY_BYTES`` for its Python objects (array headers,
+    key, tuples and dict slots), which weigh as much as 30 points.
+
+    It is module state, shared by every spectrum in the process, and a
+    lock keeps its books whole across threads; it changes no result, since
+    a kept set gives the same factors as one made afresh.
+    """
+
+    BUDGET = 1 << 20
+    CAP = BUDGET // 8
+    ENTRY_BYTES = 1024
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.entries = {}  # key -> _Kept, least recently used first
+        self.by_points = {}  # id(points) -> the same _Kept
+        self.nbytes = 0
+
+    def clear(self):
+        with self.lock:
+            self.entries.clear()
+            self.by_points.clear()
+            self.nbytes = 0
+
+    def points(self, key, build, branch: float):
+        """The samples of ``key``, made by ``build()`` on a miss."""
+        with self.lock:
+            kept = self.entries.pop(key, None)
+            if kept is None:
+                points = build()
+                if 4 * points.nbytes > self.CAP:
+                    return points
+                factors = _factors(points, branch)
+                for a in (points, *factors):
+                    a.flags.writeable = False
+                size = points.nbytes + sum(a.nbytes for a in factors) + self.ENTRY_BYTES
+                kept = _Kept(points, *factors, branch, size)
+                self.by_points[id(points)] = kept
+                self.nbytes += size
+                while self.nbytes > self.BUDGET:
+                    old = self.entries.pop(next(iter(self.entries)))
+                    del self.by_points[id(old.points)]
+                    self.nbytes -= old.nbytes
+            self.entries[key] = kept  # now the most recently used
+            return kept.points
+
+    def factors(self, points, branch: float):
+        """(s, q, p) of a kept sample set, or None."""
+        kept = self.by_points.get(id(points))
+        if kept is not None and kept.points is points and kept.branch == branch:
+            return kept.s, kept.q, kept.p
+        return None
+
+
+_MEMO = _FactorMemo()
+
+
 class _RootProblem:
     """Root function G(lh) = (L(lh) - R(lh)) (lh - 5/4)(lh + 3/4), where
     L(lh) = alpha + beta sqrt(1 + lh + l'(0)): the root equation cleared of
     R's two simple poles, so it has the same roots and no poles.
 
-    ``g`` takes a scalar or an array of lh and evaluates all of it in one
-    pass; real lh, at or right of the branch point -1 - l'(0) and of R_c's
-    cut end -1, gives real values.  ``n_eval`` counts points.
+    G is linear in (alpha, beta): G = (alpha + beta s) q - p over the
+    factors s, q and p of ``_factors``, which depend on lh and the gain
+    only.  ``g`` takes a scalar or an array of lh and evaluates all of it in
+    one pass, by that one formula; on a sample set kept by ``_MEMO`` it
+    takes the factors from there.  Real lh, at or right of the branch point
+    -1 - l'(0) and of R_c's cut end -1, gives real values.  ``n_eval``
+    counts points, kept or not.
     """
 
     def __init__(self, coeffs: ReducedCoefficients, control_slope: float):
@@ -227,25 +334,11 @@ class _RootProblem:
         self.n_eval += lh.size
         return lh if lh.dtype.kind == "c" else lh.astype(float, copy=False)
 
-    def _sqrt_term(self, lh):
-        # lh - branch is exactly 0 at the branch point and positive right of
-        # it; a scalar stays in cmath/math, where numpy would cost ten times
-        # the arithmetic
-        z = lh - self.branch
-        if isinstance(z, complex):
-            return cmath.sqrt(z)
-        if isinstance(z, float):
-            return math.sqrt(z)
-        return np.sqrt(z)
-
     def g(self, lh):
         lh = self._points(lh)
-        # the continuum part first: its temporaries go before the rest's come
-        r_c_cleared = _continuum_cleared(lh)
-        q = (lh - POLE_HIGH) * (lh - POLE_LOW)
-        lhs_val = self.alpha + self.beta * self._sqrt_term(lh)
-        r_d_cleared = WEIGHT_HIGH * (lh - POLE_LOW) - WEIGHT_LOW * (lh - POLE_HIGH)
-        return lhs_val * q - r_d_cleared - r_c_cleared
+        kept = _MEMO.factors(lh, self.branch) if isinstance(lh, np.ndarray) else None
+        s, q, p = kept or _factors(lh, self.branch)
+        return (self.alpha + self.beta * s) * q - p
 
     def secant(self, lh0: complex, lh1: complex, reach: float, maxit: int = 60):
         """Secant iteration on G from ``lh0`` and ``lh1``; returns the root,
@@ -328,8 +421,9 @@ def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
     intervals = _real_subintervals(float(window[0]), float(window[1]), control_slope)
     if not intervals:
         return []
-    a, b = np.array(intervals).T
-    xs = _scan_points(a, b)
+    branch = -1.0 - control_slope
+    xs = _MEMO.points(("scan", branch, *intervals),
+                      lambda: _scan_points(*np.array(intervals).T), branch)
     vals = prob.g(xs)
     sign = np.sign(vals)
 
@@ -408,7 +502,9 @@ class _WindingSearch:
         return np.concatenate(sides + [[corners[0]]])
 
     def winding(self, rect) -> int:
-        pts = self._boundary_points(rect)
+        branch = self.prob.branch
+        pts = _MEMO.points(("rect", branch, self.SPACING, self.MIN_SIDE, *rect),
+                           lambda: self._boundary_points(rect), branch)
         vals = self._deflated(pts)
         if np.any(vals == 0):
             raise RootIsolationFailure("root on search boundary")
@@ -492,7 +588,8 @@ def _r_bound_terms():
 
 def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     """Radius about the branch point c = -1 - l'(0) outside which, on
-    Re lh >= -1, the root equation has no root.
+    Re lh >= -1, the root equation has no root: the least rung of the ladder
+    ``_RUNG`` k, k = 1, 2, ..., that the bound below certifies.
 
     There |R(lh)| <= sum_j W_j / |lh - p_j| (``_r_bound_terms``).  Take the
     circle |lh - c| = r, where |beta sqrt(1 + lh + l'(0))| = |beta| sqrt(r),
@@ -500,9 +597,10 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     There |lh - p| >= r - (p - c) for p > c, and |lh - p| >= hypot(r, p - c)
     for p <= c.  So no root lies on the arc once
         |beta| sqrt(r) - |alpha| - sum_j W_j / dist_j(r) > 0,
-    and this excess increases with r past max(0, max_j p_j - c).  Its zero
-    is bracketed by halving and doubling and found by Brent, then rounded up
-    by Brent's tolerance.
+    and this excess increases with r past max(0, max_j p_j - c).  Doubling
+    k and then bisecting finds the least rung where it is positive.  On the
+    ladder, windows recur from one spectrum to the next, and so do their
+    samples (``_FactorMemo``).
     """
     no_window = ValueError(f"no finite search window for alpha = {alpha}, "
                            f"beta = {beta}, l'(0) = {control_slope}")
@@ -512,28 +610,33 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     terms = [(w, p - c) for w, p in _r_bound_terms()]
     d = max(0.0, max(offset for _, offset in terms))
 
-    def excess(t):
-        # at r = d + t; r - offset is t + (d - offset) >= t > 0
-        r = d + t
+    def excess(r):
+        # r - offset >= r - d > 0
         return abs(beta) * math.sqrt(r) - abs(alpha) \
-            - sum(w / (t + (d - offset) if offset > 0.0 else math.hypot(r, offset))
+            - sum(w / (r - offset if offset > 0.0 else math.hypot(r, offset))
                   for w, offset in terms)
 
-    # excess < 0 as t -> 0 and -> +inf as t -> inf, so both loops end; they
-    # run out of floats only where |beta| sqrt(r) or the radius overflows
-    hi = 1.0
-    while excess(hi) <= 0.0:
-        hi *= 2.0
-        if hi == math.inf:
+    def certified(k):
+        r = _RUNG * k
+        return r > d and excess(r) > 0.0
+
+    k = 1
+    while not certified(k):
+        k *= 2
+        if k.bit_length() > 1023:  # _RUNG k would overflow
             raise no_window
-    lo = 0.5 * hi
-    while excess(lo) > 0.0:
-        hi, lo = lo, 0.5 * lo
-        if lo == 0.0:
-            raise no_window
-    xtol = rtol = 1e-12
-    t = brentq(excess, lo, hi, xtol=xtol, rtol=rtol)
-    return d + t + xtol + rtol * t
+    lo = k // 2  # 0, or a rung that is not certified
+    while k - lo > 1:
+        mid = (lo + k) // 2
+        if certified(mid):
+            k = mid
+        else:
+            lo = mid
+    # with the excess positive at the least positive float, every root
+    # rounds onto the branch point, and no window separates them from it
+    if lo == 0 and d == 0.0 and excess(math.ulp(0.0)) > 0.0:
+        raise no_window
+    return _RUNG * k
 
 
 def _gain_floor(alpha: float, beta: float) -> float:
@@ -580,11 +683,12 @@ def _gain_floor(alpha: float, beta: float) -> float:
 def default_window(coeffs: ReducedCoefficients, control_slope: float):
     """Search rectangle in the lh-plane that contains every root: the
     square around the disk of radius ``_certified_radius`` about the branch
-    point -1 - l'(0), cut at the essential edge."""
+    point -1 - l'(0), cut at the essential edge.  The radius is a rung of
+    the ladder ``_RUNG`` k, at least ``_RUNG``, so the box clears its 1e-6
+    offsets from the edge and from the axis, and the window is a function of
+    the rung and the gain."""
     _, edge_hat = essential_edges(control_slope)
-    # at least 1e-3, so that the box clears its 1e-6 offsets from the edge
-    # and from the axis; deep gains with alpha near 0 give far smaller radii
-    rho = max(_certified_radius(coeffs.alpha, coeffs.beta, control_slope), 1e-3)
+    rho = _certified_radius(coeffs.alpha, coeffs.beta, control_slope)
     return edge_hat + 1e-6, -1.0 - control_slope + rho, -rho, rho
 
 

@@ -1,10 +1,12 @@
 """Region layer: the closed-form trichotomy, minimal-gain search, and the
 parameter-plane sweep with boundary tracing."""
 
+import json
+
 import numpy as np
 import pytest
 
-from pulsectrl import regions
+from pulsectrl import regions, spectral
 from pulsectrl.errors import NotControllable
 from pulsectrl.model import ModelParams, reduced_coefficients
 from pulsectrl.regions import (
@@ -183,6 +185,15 @@ class TestSweep:
         assert small_sweep.hopf and small_sweep.fold
         points = [tuple(p) for p in small_sweep.hopf + small_sweep.fold]
         assert len(set(points)) == len(points)
+
+
+def test_sweep_bytes_do_not_depend_on_workers():
+    # one process from a cleared memo of sampled factors, then two worker
+    # processes, each with its own memo
+    spectral._MEMO.clear()
+    serial = json.dumps(sweep_to_dict(sweep_plane(n_f=9, n_nu=9, threads=1)))
+    pooled = json.dumps(sweep_to_dict(sweep_plane(n_f=9, n_nu=9, threads=2)))
+    assert serial.encode() == pooled.encode()
 
 
 def test_worker_pool_capped_by_rows_and_cores(monkeypatch):

@@ -4,6 +4,8 @@ finders, and verdict assembly."""
 import cmath
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -273,6 +275,45 @@ class TestCertifiedWindow:
                                   (0.0, 1e300, -1e300), (math.nan, 1.0, 0.0)):
             with pytest.raises(ValueError):
                 spectral._certified_radius(alpha, beta, gain)
+
+    @staticmethod
+    def certified(alpha, beta, gain, r):
+        # the bound of _certified_radius, written out: no root on the arc of
+        # radius r about the branch point c
+        c = -1.0 - gain
+        terms = [(w, p - c) for w, p in spectral._r_bound_terms()]
+        if any(r <= offset for _, offset in terms):
+            return False
+        return abs(beta) * math.sqrt(r) - abs(alpha) \
+            - sum(w / (r - offset if offset > 0.0 else math.hypot(r, offset))
+                  for w, offset in terms) > 0.0
+
+    def test_radius_is_the_least_certified_rung(self):
+        rng = np.random.default_rng(15)
+        cases = [(rng.uniform(-10.0, 10.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0),
+                  rng.uniform(-8.0, 0.9) if k % 2 else -(10.0 ** rng.uniform(0.0, 3.0)))
+                 for k in range(200)]
+        cases += [(co.alpha, co.beta, gain) for co, gain in
+                  ((FIG4_COEFFS, 0.0), (FIG4_COEFFS, -3.0),
+                   (reduced_coefficients(ModelParams(1.0, 1.0, -300.0, 50.0)), 0.0))]
+        extreme = [(0.0, 1e-150, 0.0), (-1e6, -1e-6, 0.99), (5.0, 1e150, -1e100),
+                   (1e100, -1.0, 0.0)]
+        n_above_first = 0
+        for alpha, beta, gain in cases + extreme:
+            rho = spectral._certified_radius(alpha, beta, gain)
+            assert self.certified(alpha, beta, gain, rho), (alpha, beta, gain)
+            k = rho / spectral._RUNG
+            if k < 2.0 ** 50:
+                # a rung, exactly, and the one below it is not certified
+                assert k == int(k) >= 1, (alpha, beta, gain)
+                assert k == 1 or not self.certified(alpha, beta, gain, rho - spectral._RUNG)
+                n_above_first += k > 1
+            else:
+                # the rungs are denser than the floats there
+                assert not self.certified(alpha, beta, gain, rho * (1.0 - 2.0 ** -40))
+            window = default_window(ReducedCoefficients(alpha, beta, 0.0), gain)
+            assert window[1:] == (-1.0 - gain + rho, -rho, rho)
+        assert n_above_first > 150
 
 
 def test_essential_edges():
@@ -547,7 +588,7 @@ class TestNewton:
         unbounded = spectral._RootProblem(co, 0.0)
         (real_root,) = [x for x in find_real_roots(co, 0.0, (re0, re1)) if x < 0.0]
         assert abs(unbounded.secant(centre, start, math.inf) - real_root) <= 1e-12
-        assert unbounded.n_eval == 18
+        assert unbounded.n_eval == 21
         prob = spectral._RootProblem(co, 0.0)
         assert prob.secant(centre, start, diam) is None
         assert prob.n_eval == 4
@@ -641,7 +682,7 @@ class TestAssembleSpectrum:
         assert report.verdict == "Unstable"
         assert report.max_real_part > 0.0
         # the work and the answer are pinned: batching saves overhead only
-        assert report.diagnostics == {"function_evaluations": 453, "winding_total": 1}
+        assert report.diagnostics == {"function_evaluations": 455, "winding_total": 1}
         pair = sorted((z for z in report.eigenvalues if z.imag != 0.0),
                       key=lambda z: z.imag)
         assert len(pair) == 2
@@ -717,7 +758,7 @@ class TestAssembleSpectrum:
         params = ModelParams(1.0, 1.0, -300.0, 50.0)
         report = assemble_spectrum(params)
         assert 3.0e5 < report.search_window["re"][1] < 3.1e5
-        assert report.diagnostics["function_evaluations"] == 1_614_147
+        assert report.diagnostics["function_evaluations"] == 1_614_144
         # one call on a long side of that window: the closed form for R_c
         # holds a few arrays of the call's size at a time, 1 MB each here
         co = reduced_coefficients(params)
@@ -807,3 +848,117 @@ class TestAssembleSpectrum:
         assert eigs == sorted(eigs, key=lambda z: (-z.real, z.imag))
         assert doc["verdict"] == "Unstable"
         assert report.diagnostics["function_evaluations"] > 0
+
+
+class TestFactorMemo:
+    """The memo of sample sets and G's parameter-free factors on them."""
+
+    @staticmethod
+    def seeded_params(n, seed, gains):
+        rng = np.random.default_rng(seed)
+        out = []
+        for k in range(n):
+            f_der, nu = rng.uniform(-3.0, 3.0, 2)
+            out.append(ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der,
+                                   control_slope=gains(k, rng)))
+        return out
+
+    def test_reports_do_not_depend_on_the_memo(self, monkeypatch):
+        # gains from the gain search's shared scan and arbitrary ones
+        scan = np.linspace(0.0, -64.0, 33)
+        params = self.seeded_params(120, 16, lambda k, rng: 0.0) \
+            + self.seeded_params(120, 17, lambda k, rng: float(
+                scan[k % 33] if k % 2 else rng.uniform(-20.0, 0.5)))
+        built = []
+        scan_points, boundary_points = spectral._scan_points, spectral._WindingSearch._boundary_points
+        monkeypatch.setattr(spectral, "_scan_points",
+                            lambda *a: built.append(a) or scan_points(*a))
+        monkeypatch.setattr(spectral._WindingSearch, "_boundary_points",
+                            lambda search, rect: built.append(rect) or boundary_points(search, rect))
+        cold, again = [], []
+        for p in params:
+            spectral._MEMO.clear()
+            cold.append(assemble_spectrum(p).to_json().encode())
+            # straight after itself, a spectrum takes every sample set from the memo
+            n_built = len(built)
+            again.append(assemble_spectrum(p).to_json().encode())
+            assert len(built) == n_built
+        # one pass that carries the memo from point to point, where spectra
+        # with other alpha and beta share sample sets
+        spectral._MEMO.clear()
+        carried = [assemble_spectrum(p).to_json().encode() for p in params]
+        assert cold == again == carried
+
+    def test_memo_arrays_refuse_writes(self):
+        spectral._MEMO.clear()
+        assemble_spectrum(ModelParams(1.0, 1.0, -3.0, 8.0))
+        # the real-axis scan and the top rectangle, at least
+        assert len(spectral._MEMO.entries) >= 2
+        for entry in spectral._MEMO.entries.values():
+            for a in entry[:4]:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    a += 1.0
+
+    def test_memo_stays_within_its_budget(self):
+        memo = spectral._MEMO
+        memo.clear()
+        tracemalloc.start()
+        try:
+            # its 1.6M-point rectangles go through g directly
+            assemble_spectrum(ModelParams(1.0, 1.0, -300.0, 50.0))
+            assert memo.nbytes <= memo.CAP
+            # the gain search's scan gains, and arbitrary gains as its
+            # bisection takes them
+            scan = np.linspace(0.0, -64.0, 33)
+            for p in self.seeded_params(2000, 18, lambda k, rng: float(
+                    scan[k % 33] if k % 3 else rng.uniform(-64.0, 0.5))):
+                assemble_spectrum(p)
+                assert memo.nbytes <= memo.BUDGET
+            arrays = [sum(a.nbytes for a in entry[:4]) for entry in memo.entries.values()]
+            assert max(arrays) <= memo.CAP
+            assert sum(arrays) + memo.ENTRY_BYTES * len(arrays) == memo.nbytes
+            assert len(memo.by_points) == len(memo.entries)
+            assert memo.nbytes > memo.BUDGET - memo.CAP  # full
+            # what clearing frees: the arrays with their Python objects
+            full = tracemalloc.get_traced_memory()[0]
+            memo.clear()
+            footprint = full - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert footprint < 1.05 * memo.BUDGET
+
+    def test_threads_share_the_memo(self, monkeypatch):
+        # a memo small enough to evict all the time, more threads than
+        # cores, and thread switches as often as the interpreter allows
+        memo = spectral._MEMO
+        memo.clear()
+        monkeypatch.setattr(type(memo), "BUDGET", 64 << 10)
+        monkeypatch.setattr(type(memo), "CAP", 8 << 10)
+        params = self.seeded_params(40, 19, lambda k, rng: float(rng.uniform(-8.0, 0.5)))
+        serial = [assemble_spectrum(p).to_json() for p in params]
+        results, errors = {}, []
+
+        def work(k):
+            try:
+                results[k] = [assemble_spectrum(p).to_json() for p in params[k:] + params[:k]]
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads) and len(results) == 6
+        for k, reports in results.items():
+            assert reports == serial[k:] + serial[:k]
+        # the books balance
+        assert memo.nbytes == sum(kept.nbytes for kept in memo.entries.values()) <= memo.BUDGET
+        assert set(memo.by_points) == {id(kept.points) for kept in memo.entries.values()}
