@@ -31,7 +31,7 @@ for ev, ref in zip(eigs, (1.25, 0.0, -0.75)):
 # closed-form R versus the brute-force resolvent solve
 print("\nclosed form vs resolvent oracle:")
 for lh in (2.0, 3.0 + 1.0j, 0.5 + 4.0j):
-    closed = r_total(lh).total
+    closed = r_total(lh)
     brute = r_oracle(complex(lh))
     print(f"  lh = {lh}: closed {closed:+.6f}, "
           f"oracle {brute:+.6f}, diff {abs(closed - brute):.2e}")

@@ -24,9 +24,7 @@ print(f"alpha = {coeffs.alpha:+.4f}  beta = {coeffs.beta:+.4f}  "
 # where g is the control slope and R collects the discrete-mode poles plus
 # a small continuum correction
 for lh in (0.0, 2.0, 0.5 + 4.0j):
-    val = r_total(lh)
-    print(f"R({lh}) = {val.total:+.6f}  "
-          f"(poles {val.r_d:+.6f}, continuum {val.r_c:+.6f})")
+    print(f"R({lh}) = {r_total(lh):+.6f}")
 print()
 
 # uncontrolled spectrum: a complex conjugate pair in the right half plane

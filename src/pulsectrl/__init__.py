@@ -2,7 +2,7 @@
 reaction-diffusion pulse under proportional feedback control.
 
 Submodules:
-    model     -- pulse data, existence condition, (alpha, beta, nu) reduction
+    model     -- pulse data and the (alpha, beta, nu) reduction
     spectral  -- explicit spectral function R, root equation, verdict
     oracle    -- brute-force Sturm-Liouville cross-checks
     regions   -- parameter-plane classification and sweep
@@ -29,17 +29,14 @@ from .model import (
     ModelParams,
     PowerLawModel,
     ReducedCoefficients,
-    existence_residual,
     pulse_profile,
     reduced_coefficients,
 )
 from .spectral import (
-    RValue,
     SpectrumReport,
     assemble_spectrum,
     essential_edges,
     find_real_roots,
-    r_discrete,
     r_total,
 )
 from .oracle import (
@@ -79,16 +76,13 @@ __all__ = [
     "ModelParams",
     "PowerLawModel",
     "ReducedCoefficients",
-    "existence_residual",
     "pulse_profile",
     "reduced_coefficients",
     # spectral
-    "RValue",
     "SpectrumReport",
     "assemble_spectrum",
     "essential_edges",
     "find_real_roots",
-    "r_discrete",
     "r_total",
     # oracle
     "FastGrid",

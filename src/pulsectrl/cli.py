@@ -64,13 +64,26 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+# the type of each config value whose flag does not take a number
+_CONFIG_TYPES = {"grid": int, "threads": int, "seed": int, "min-gain": bool, "shape": str}
+
+
 def _merged(args: argparse.Namespace, keys) -> dict:
-    """Config-file values overridden by explicitly set flags."""
+    """Config-file values, each of its flag's JSON type, overridden by
+    explicitly set flags."""
     merged = dict(_load_config(getattr(args, "config", None)))
     unread = sorted(set(merged) - set(keys))
     if unread:
         raise argparse.ArgumentError(
             None, f"{args.subcommand} does not read config keys {unread}")
+    # a JSON number loads as an int or a float, a boolean as a bool, which
+    # is also an int
+    mistyped = sorted(key for key, value in merged.items()
+                      if not isinstance(value, _CONFIG_TYPES.get(key, (int, float)))
+                      or isinstance(value, bool) != (_CONFIG_TYPES.get(key) is bool))
+    if mistyped:
+        raise argparse.ArgumentError(
+            None, f"config keys {mistyped} do not have their flags' types")
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
@@ -112,14 +125,16 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_region(args) -> int:
     merged = _merged(args, ("u-star", "f-val", "grid", "threads", "min-gain"))
-    grid = int(merged.get("grid", 121))
-    threads = int(merged.get("threads", 1))
+    grid = merged.get("grid", 121)
+    threads = merged.get("threads", 1)
+    if threads < 1:
+        raise argparse.ArgumentError(None, f"threads must be at least 1, not {threads}")
     result = sweep_plane(
         n_f=grid, n_nu=grid,
         u_star=float(merged.get("u-star", 1.0)),
         f_val=float(merged.get("f-val", 1.0)),
         threads=threads,
-        include_min_gain=bool(merged.get("min-gain", False)),
+        include_min_gain=merged.get("min-gain", False),
     )
     payload = _manifest("region", merged)
     if args.out:
@@ -151,8 +166,8 @@ def _cmd_simulate(args) -> int:
         params=params,
         t_end=float(merged.get("t-end", 5.0)),
         eta=float(merged.get("eta", 1e-4)),
-        perturbation_shape=str(merged.get("shape", "even_bump")),
-        seed=int(merged.get("seed", 0)),
+        perturbation_shape=merged.get("shape", "even_bump"),
+        seed=merged.get("seed", 0),
     )
     trace = run_sim(config)
     # an early exit settles the verdict; its rate may come from too few
@@ -210,7 +225,7 @@ def _cmd_verify(args) -> int:
         record(f"theta_mu_{mu}", theta_inner_product(mu, grid),
                theta_reference(mu), 1e-6)
     for lh in (2.0, 3.0, 10.0, 1.5 + 1j, 0.5 + 4j, 3 + 1j):
-        record(f"oracle_equivalence_{lh}", r_total(lh).total,
+        record(f"oracle_equivalence_{lh}", r_total(lh),
                r_oracle(lh, grid), tol)
 
     payload = {

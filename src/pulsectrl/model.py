@@ -1,4 +1,4 @@
-"""Toy-model data: pulse profile, existence condition, and the (alpha, beta, nu) reduction.
+"""Toy-model data: pulse profile and the (alpha, beta, nu) reduction.
 
 The two-component system is
 
@@ -13,22 +13,11 @@ by the PDE simulator) that realize any admissible point data.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateControl
-
-
-def _check_json_fields(cls, data: dict) -> None:
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
-    if unknown:
-        raise ValueError(f"unknown fields for {cls.__name__}: {sorted(unknown)}")
-    missing = names - set(data)
-    if missing:
-        raise ValueError(f"missing fields for {cls.__name__}: {sorted(missing)}")
 
 
 @dataclass(frozen=True)
@@ -65,15 +54,6 @@ class ModelParams:
     def with_control_slope(self, gain: float) -> "ModelParams":
         return ModelParams(self.u_star, self.f_val, self.f_der,
                            self.to_log_der, self.eps, gain)
-
-    def to_json(self) -> str:
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        data = json.loads(text)
-        _check_json_fields(cls, data)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -123,15 +103,6 @@ class PowerLawModel:
         delta = params.u_star * params.to_log_der
         return cls(phi=phi, gamma=gamma, delta=delta, u_star=params.u_star)
 
-    def to_json(self) -> str:
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PowerLawModel":
-        data = json.loads(text)
-        _check_json_fields(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class ReducedCoefficients:
@@ -140,17 +111,6 @@ class ReducedCoefficients:
     alpha: float
     beta: float
     nu: float
-
-
-def existence_residual(u: float, model: PowerLawModel) -> float:
-    """Residual u^2 - T_o(u)^2 of the pulse existence condition.
-
-    A root with nonzero derivative certifies existence of the pulse at
-    amplitude u.
-    """
-    if not u > 0:
-        raise ValueError("u must be positive")
-    return float(u ** 2 - model.t_o(u) ** 2)
 
 
 def pulse_profile(params: ModelParams, x):

@@ -57,17 +57,6 @@ class FastOperator:
         self.diag = -2.0 / h ** 2 - 1.0 + 3.0 / np.cosh(0.5 * xi) ** 2
         self.offdiag = np.full(grid.n - 1, 1.0 / h ** 2)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
-        return out
-
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        m += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        return m
-
 
 @lru_cache(maxsize=8)
 def _top_eigs_cached(xi_min: float, xi_max: float, n: int, k: int):

@@ -65,15 +65,6 @@ _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
 
 
-@dataclass(frozen=True)
-class RValue:
-    """Value of R split into discrete-pole and continuum parts."""
-
-    r_d: complex
-    r_c: complex
-    total: complex
-
-
 @dataclass
 class SpectrumReport:
     """Located point spectrum (in unshifted lambda) and the stability verdict."""
@@ -102,17 +93,6 @@ class SpectrumReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-
-def r_discrete(lambda_hat):
-    """Two-pole part of R at a scalar or on an array: simple poles at 5/4 and
-    -3/4.  Real input gives real output."""
-    for pole in (POLE_HIGH, POLE_LOW):
-        hit = lambda_hat == pole
-        # np.any on a scalar would cost more than the rest of a scalar call
-        if hit.any() if isinstance(hit, np.ndarray) else hit:
-            raise PoleAtInput(pole)
-    return WEIGHT_HIGH / (lambda_hat - POLE_HIGH) - WEIGHT_LOW / (lambda_hat - POLE_LOW)
 
 
 def _trigamma_remainder(b):
@@ -162,37 +142,6 @@ def _continuum_cleared(lh):
     return out
 
 
-def _continuum(lh):
-    """R_c at a scalar or on an array; 0/0 at the poles, where it is analytic."""
-    return _continuum_cleared(lh) / ((lh - POLE_HIGH) * (lh - POLE_LOW))
-
-
-def _r_values(lh):
-    """R at a scalar or on an array."""
-    return r_discrete(lh) + _continuum(lh)
-
-
-def _imaginary_axis_coefficients(omega):
-    """(alpha, beta) for which lh = i*omega, omega > 0, is a root at zero gain.
-
-    There alpha + beta*sqrt(1 + lh) = R(lh) is linear in (alpha, beta): its
-    imaginary part gives beta, its real part then alpha.
-    """
-    lh = 1j * np.asarray(omega, dtype=float)
-    r, s = _r_values(lh), np.sqrt(1.0 + lh)
-    beta = r.imag / s.imag
-    return r.real - beta * s.real, beta
-
-
-def r_total(lambda_hat: complex) -> RValue:
-    """R(lh) = R_d(lh) + R_c(lh) at one point, as ``_r_values`` gives it."""
-    lh = complex(lambda_hat)
-    if lh.imag == 0.0 and lh.real <= -1.0:
-        raise EssentialRay(f"lambda_hat = {lambda_hat} lies on (-inf, -1]")
-    r_d, r_c = r_discrete(lambda_hat), _continuum(lambda_hat)
-    return RValue(r_d=complex(r_d), r_c=complex(r_c), total=complex(r_d + r_c))
-
-
 def essential_edges(control_slope: float):
     """Essential-spectrum edges (in lambda, in lambda_hat)."""
     if not control_slope < 1:
@@ -222,14 +171,37 @@ def _factors(lh, branch):
     return s, (lh - POLE_HIGH) * (lh - POLE_LOW), p
 
 
+def r_total(lambda_hat: complex) -> complex:
+    """R(lh) at one point: G's p / q (``_factors``), in real arithmetic for
+    real lh."""
+    lh = complex(lambda_hat)
+    if lh.imag == 0.0:
+        if lh.real <= -1.0:
+            raise EssentialRay(f"lambda_hat = {lambda_hat} lies on (-inf, -1]")
+        if lh.real in (POLE_HIGH, POLE_LOW):
+            raise PoleAtInput(lh.real)
+        lh = lh.real
+    _, q, p = _factors(lh, -1.0)
+    return complex(p / q)
+
+
+def _imaginary_axis_coefficients(omega):
+    """(alpha, beta) for which lh = i*omega, omega > 0, is a root at zero gain.
+
+    There alpha + beta*s = R(lh), s = sqrt(1 + lh), is linear in (alpha,
+    beta): its imaginary part gives beta, its real part then alpha.
+    """
+    s, q, p = _factors(1j * np.asarray(omega, dtype=float), -1.0)
+    r = p / q
+    beta = r.imag / s.imag
+    return r.real - beta * s.real, beta
+
+
 class _Kept(NamedTuple):
-    """A sample set and its ``_factors``, as read-only arrays."""
+    """A sample set and its ``_factors`` (s, q, p), as read-only arrays."""
 
     points: np.ndarray
-    s: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    branch: float
+    factors: tuple
     nbytes: int
 
 
@@ -240,8 +212,9 @@ class _FactorMemo:
     on the window's geometry and the gain only, and ``default_window``'s
     radius lies on a ladder, so one set of samples recurs across spectra;
     only alpha and beta differ.  An entry keeps the points and their
-    (s, q, p), keyed by that geometry and the branch point -1 - l'(0).  A
-    set of more than ``CAP`` bytes is not kept, and the least recently used
+    (s, q, p), keyed by that geometry and the branch point -1 - l'(0), and
+    ``get`` hands both to G.  A set whose arrays pass ``CAP`` bytes is
+    handed over the same way but not kept, and the least recently used
     entries go once the kept ones pass ``BUDGET`` bytes.  An entry counts
     its arrays and ``ENTRY_BYTES`` for its Python objects (array headers,
     key, tuples and dict slots), which weigh as much as 30 points.
@@ -258,43 +231,32 @@ class _FactorMemo:
     def __init__(self):
         self.lock = threading.Lock()
         self.entries = {}  # key -> _Kept, least recently used first
-        self.by_points = {}  # id(points) -> the same _Kept
         self.nbytes = 0
 
     def clear(self):
         with self.lock:
             self.entries.clear()
-            self.by_points.clear()
             self.nbytes = 0
 
-    def points(self, key, build, branch: float):
-        """The samples of ``key``, made by ``build()`` on a miss."""
+    def get(self, key, build, branch: float) -> _Kept:
+        """The samples of ``key`` and their ``_factors`` about ``branch``,
+        made from ``build()`` on a miss."""
         with self.lock:
             kept = self.entries.pop(key, None)
             if kept is None:
                 points = build()
-                if 4 * points.nbytes > self.CAP:
-                    return points
                 factors = _factors(points, branch)
                 for a in (points, *factors):
                     a.flags.writeable = False
-                size = points.nbytes + sum(a.nbytes for a in factors) + self.ENTRY_BYTES
-                kept = _Kept(points, *factors, branch, size)
-                self.by_points[id(points)] = kept
-                self.nbytes += size
+                arrays = points.nbytes + sum(a.nbytes for a in factors)
+                kept = _Kept(points, factors, arrays + self.ENTRY_BYTES)
+                if arrays > self.CAP:
+                    return kept
+                self.nbytes += kept.nbytes
                 while self.nbytes > self.BUDGET:
-                    old = self.entries.pop(next(iter(self.entries)))
-                    del self.by_points[id(old.points)]
-                    self.nbytes -= old.nbytes
+                    self.nbytes -= self.entries.pop(next(iter(self.entries))).nbytes
             self.entries[key] = kept  # now the most recently used
-            return kept.points
-
-    def factors(self, points, branch: float):
-        """(s, q, p) of a kept sample set, or None."""
-        kept = self.by_points.get(id(points))
-        if kept is not None and kept.points is points and kept.branch == branch:
-            return kept.s, kept.q, kept.p
-        return None
+            return kept
 
 
 _MEMO = _FactorMemo()
@@ -308,10 +270,10 @@ class _RootProblem:
     G is linear in (alpha, beta): G = (alpha + beta s) q - p over the
     factors s, q and p of ``_factors``, which depend on lh and the gain
     only.  ``g`` takes a scalar or an array of lh and evaluates all of it in
-    one pass, by that one formula; on a sample set kept by ``_MEMO`` it
-    takes the factors from there.  Real lh, at or right of the branch point
-    -1 - l'(0) and of R_c's cut end -1, gives real values.  ``n_eval``
-    counts points, kept or not.
+    one pass, by that one formula, on the factors it is handed (those of a
+    ``_MEMO`` sample set) or else on its own.  Real lh, at or right of the
+    branch point -1 - l'(0) and of R_c's cut end -1, gives real values.
+    ``n_eval`` counts points, with factors handed over or not.
     """
 
     def __init__(self, coeffs: ReducedCoefficients, control_slope: float):
@@ -334,10 +296,9 @@ class _RootProblem:
         self.n_eval += lh.size
         return lh if lh.dtype.kind == "c" else lh.astype(float, copy=False)
 
-    def g(self, lh):
+    def g(self, lh, factors=None):
         lh = self._points(lh)
-        kept = _MEMO.factors(lh, self.branch) if isinstance(lh, np.ndarray) else None
-        s, q, p = kept or _factors(lh, self.branch)
+        s, q, p = factors or _factors(lh, self.branch)
         return (self.alpha + self.beta * s) * q - p
 
     def secant(self, lh0: complex, lh1: complex, reach: float, maxit: int = 60):
@@ -422,9 +383,9 @@ def find_real_roots(coeffs: ReducedCoefficients, control_slope: float,
     if not intervals:
         return []
     branch = -1.0 - control_slope
-    xs = _MEMO.points(("scan", branch, *intervals),
-                      lambda: _scan_points(*np.array(intervals).T), branch)
-    vals = prob.g(xs)
+    xs, factors, _ = _MEMO.get(("scan", branch, *intervals),
+                               lambda: _scan_points(*np.array(intervals).T), branch)
+    vals = prob.g(xs, factors)
     sign = np.sign(vals)
 
     def brent(lo, f_lo, hi, f_hi):
@@ -481,9 +442,9 @@ class _WindingSearch:
         self.real_roots = [float(r) for r in real_roots]
         self.max_depth = max_depth
 
-    def _deflated(self, lh):
+    def _deflated(self, lh, factors=None):
         """G(lh) / prod_r (lh - r) at a scalar or on an array."""
-        out = self.prob.g(lh)
+        out = self.prob.g(lh, factors)
         for r in self.real_roots:
             out /= lh - r
         return out
@@ -503,9 +464,9 @@ class _WindingSearch:
 
     def winding(self, rect) -> int:
         branch = self.prob.branch
-        pts = _MEMO.points(("rect", branch, self.SPACING, self.MIN_SIDE, *rect),
-                           lambda: self._boundary_points(rect), branch)
-        vals = self._deflated(pts)
+        pts, factors, _ = _MEMO.get(("rect", branch, self.SPACING, self.MIN_SIDE, *rect),
+                                    lambda: self._boundary_points(rect), branch)
+        vals = self._deflated(pts, factors)
         if np.any(vals == 0):
             raise RootIsolationFailure("root on search boundary")
         steps = np.angle(vals[1:] / vals[:-1])
@@ -562,8 +523,8 @@ class _WindingSearch:
 
 
 def _complex_roots(prob: _RootProblem, rect, real_roots=()):
-    """All roots of G inside ``rect`` = (re_lo, re_hi, im_lo, im_hi), sorted,
-    and its winding number, which the roots found must match in number, or
+    """All roots of G inside ``rect`` = (re_lo, re_hi, im_lo, im_hi), sorted.
+    They must match its winding number in number, or
     ``RootIsolationFailure`` is raised.  ``rect`` lies above ``real_roots``,
     which ``_WindingSearch`` deflates out of the count."""
     rect = tuple(float(v) for v in rect)
@@ -574,7 +535,7 @@ def _complex_roots(prob: _RootProblem, rect, real_roots=()):
         raise RootIsolationFailure(
             f"found {len(found)} roots where the winding number is {total} on {rect}")
     found.sort(key=lambda z: (z.real, z.imag))
-    return found, total
+    return found
 
 
 def _r_bound_terms():
@@ -720,7 +681,7 @@ def assemble_spectrum(params: ModelParams) -> SpectrumReport:
     gain = params.control_slope
     edge_lambda, edge_hat = essential_edges(gain)
     translation = complex(gain, 0.0)
-    diagnostics = {"function_evaluations": 0, "winding_total": 0}
+    diagnostics = {"function_evaluations": 0}
 
     if params.f_der == 0.0:
         root_eigs = [complex(POLE_HIGH + gain), complex(POLE_LOW + gain)]
@@ -752,8 +713,7 @@ def assemble_spectrum(params: ModelParams) -> SpectrumReport:
             # zone can hold a complex root
             off_axis = (re0, -0.35, 1e-6, 0.6) if re0 < -0.36 else None
         if off_axis is not None:
-            upper, diagnostics["winding_total"] = _complex_roots(prob, off_axis, real_roots)
-            for z in upper:
+            for z in _complex_roots(prob, off_axis, real_roots):
                 roots.append(z)
                 roots.append(z.conjugate())
         diagnostics["function_evaluations"] = prob.n_eval

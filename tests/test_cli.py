@@ -171,3 +171,36 @@ def test_verify_all_pass(capsys):
     assert len(doc["checks"]) >= 20
     for check in doc["checks"]:
         assert check["pass"], check["name"]
+
+
+def test_config_values_have_their_flags_types(tmp_path, capsys):
+    # a number for a float flag, an integer for grid, threads and seed, a
+    # boolean for min-gain and a string for shape; nothing is coerced
+    config = tmp_path / "run.json"
+    for argv, data in ((["region"], {"min-gain": "false", "grid": 2}),
+                       (["region"], {"grid": 3.9}),
+                       (["region"], {"grid": True}),
+                       (["region"], {"grid": 2, "threads": 1.0}),
+                       (["region"], {"grid": 2, "min-gain": 1}),
+                       (["region"], {"grid": 2, "u-star": "1"}),
+                       (["spectrum"], {"f-der": "-3"}),
+                       (["spectrum"], {"gain": False}),
+                       (["spectrum"], {"gain": None}),
+                       (["simulate", "--t-end", "0.01"], {"seed": 1.5}),
+                       (["simulate", "--t-end", "0.01"], {"shape": 1}),
+                       (["verify"], {"tol": [1e-4]})):
+        config.write_text(json.dumps(data))
+        assert dispatch(argv + ["--config", str(config)]) == EXIT_USAGE, data
+        assert "types" in capsys.readouterr().err, data
+    # JSON integers are numbers, so they serve float flags
+    config.write_text(json.dumps({"f-der": -3, "to-log-der": 8, "gain": -3}))
+    code, doc = run_json(capsys, ["spectrum", "--config", str(config)])
+    assert code == EXIT_OK and doc["verdict"] == "Stable"
+
+
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"grid": 2, "threads": 0}))
+    assert dispatch(["region", "--config", str(config)]) == EXIT_USAGE
+    assert dispatch(["region", "--grid", "2", "--threads", "-1"]) == EXIT_USAGE
+    assert "threads" in capsys.readouterr().err

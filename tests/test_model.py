@@ -1,8 +1,6 @@
 """Model layer: point-data validation, the power-law family, the pulse
 profile, and the (alpha, beta, nu) reduction."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from pulsectrl.errors import DegenerateControl
 from pulsectrl.model import (
     ModelParams,
     PowerLawModel,
-    existence_residual,
     pulse_profile,
     reduced_coefficients,
 )
@@ -40,17 +37,6 @@ def test_nu_accessor_and_gain_update():
     assert (p.u_star, p.f_val, p.f_der, p.to_log_der) == (1.0, 1.0, -3.0, 8.0)
 
 
-def test_params_json_round_trip():
-    text = FIG4.to_json()
-    assert ModelParams.from_json(text) == FIG4
-    with pytest.raises(ValueError):
-        ModelParams.from_json(json.dumps({"u_star": 1.0, "bogus": 2.0}))
-    data = json.loads(text)
-    data.pop("eps")
-    with pytest.raises(ValueError):
-        ModelParams.from_json(json.dumps(data))
-
-
 def test_power_law_validation():
     with pytest.raises(ValueError):
         PowerLawModel(phi=0.0, gamma=1.0, delta=0.0)
@@ -68,19 +54,6 @@ def test_power_law_round_trip():
         for name in ("u_star", "f_val", "f_der", "to_log_der"):
             assert getattr(induced, name) == pytest.approx(
                 getattr(params, name), abs=1e-12)
-        assert PowerLawModel.from_json(model.to_json()) == model
-
-
-def test_existence_residual():
-    # constant T_o = 2 forces the amplitude u* = 2
-    const = PowerLawModel(phi=1.0, gamma=0.0, delta=0.0, u_star=2.0)
-    assert existence_residual(2.0, const) == pytest.approx(0.0)
-    assert existence_residual(3.0, const) == pytest.approx(5.0)
-    # any family member vanishes at its own u_star by construction
-    model = PowerLawModel.from_params(FIG4)
-    assert existence_residual(model.u_star, model) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        existence_residual(0.0, const)
 
 
 def test_pulse_profile_values_symmetry_decay():

@@ -24,12 +24,14 @@ from pulsectrl.errors import (
 from pulsectrl.model import ModelParams, ReducedCoefficients, reduced_coefficients
 from pulsectrl.oracle import FastGrid, r_oracle
 from pulsectrl.spectral import (
+    POLE_HIGH,
+    POLE_LOW,
+    WEIGHT_HIGH,
     WEIGHT_LOW,
     assemble_spectrum,
     default_window,
     essential_edges,
     find_real_roots,
-    r_discrete,
     r_total,
 )
 
@@ -43,50 +45,75 @@ def oracle_extrapolated(lh: complex) -> complex:
     return (4.0 * fine - coarse) / 3.0
 
 
+def r_array(lh):
+    """R on an array of lh, as G's p / q."""
+    _, q, p = spectral._factors(lh, -1.0)
+    return p / q
+
+
+def continuum(lh):
+    """The continuum part R_c at a scalar or on an array: R_c q over q."""
+    return spectral._continuum_cleared(lh) / ((lh - POLE_HIGH) * (lh - POLE_LOW))
+
+
 class TestRDiscrete:
+    """The two-pole part R_d of R: R less the continuum part."""
+
+    @staticmethod
+    def r_d(lh):
+        return r_total(lh) - continuum(lh)
+
     def test_decay_at_infinity(self):
-        assert abs(r_discrete(1e6)) < 1e-5
+        assert abs(self.r_d(1e6)) < 1e-5
 
     def test_closed_form_value(self):
+        # W_H / (lh - 5/4) - W_L / (lh + 3/4), with W_H = 75 W_L
         expected = WEIGHT_LOW * (75.0 / 0.75 - 1.0 / 2.75)
-        assert r_discrete(2.0) == pytest.approx(expected, rel=1e-12)
-        assert r_discrete(2.0) == pytest.approx(9.7233, abs=5e-5)
+        assert self.r_d(2.0) == pytest.approx(expected, rel=1e-12)
+        assert self.r_d(2.0) == pytest.approx(9.7233, abs=5e-5)
 
     def test_pole_inputs(self):
-        for pole in (1.25, -0.75):
-            with pytest.raises(PoleAtInput) as exc:
-                r_discrete(pole)
-            assert exc.value.pole == pole
+        for pole in (POLE_HIGH, POLE_LOW):
+            for lh in (pole, complex(pole)):
+                with pytest.raises(PoleAtInput) as exc:
+                    r_total(lh)
+                assert exc.value.pole == pole
+        # and the essential ray (-inf, -1], up to its end
+        for lh in (-1.0, -1.0 - 1e-15, -1e300, complex(-2.0)):
+            with pytest.raises(EssentialRay):
+                r_total(lh)
 
     def test_conjugate_symmetry(self):
         z = 0.4 + 2.3j
-        assert r_discrete(np.conj(z)) == pytest.approx(np.conj(r_discrete(z)))
+        assert self.r_d(np.conj(z)) == pytest.approx(np.conj(self.r_d(z)))
 
 
 class TestRContinuous:
-    """The continuum part R_c, as ``r_total`` evaluates it."""
+    """The continuum part R_c of the closed form."""
 
     def test_essential_ray_rejected(self):
         for lh in (-1.0, -1.5, -40.0, -1.5 + 0.0j):
             with pytest.raises(EssentialRay):
                 r_total(lh)
         # just off the ray is fine; the reference is 40-digit mpmath
-        val = r_total(-1.5 + 0.1j).r_c
+        val = continuum(-1.5 + 0.1j)
         assert abs(val - complex(0.016050955699934026584, 0.04705480502988777923)) <= 1e-16
 
     def test_real_input_real_output(self):
-        assert r_total(3.0).r_c.imag == 0.0
+        assert continuum(3.0).imag == 0.0
+        assert r_total(3.0).imag == 0.0
 
     def test_small_negative_real_part_on_right_half_plane(self):
         # the continuum part is a small negative correction on Re lh >= 0;
         # its magnitude peaks at lh = 0 (about 1.47e-2)
         for lh in (0.0, 0.5, 1.0, 5.0, 50.0):
-            val = r_total(lh).r_c
+            val = continuum(lh)
             assert -1.5e-2 <= val.real < 0.0
 
     def test_matches_oracle_decomposition(self):
-        val = r_total(2.0).r_c
-        reference = oracle_extrapolated(2.0) - r_discrete(2.0)
+        val = continuum(2.0)
+        # less the two-pole part W_H / (lh - 5/4) - W_L / (lh + 3/4)
+        reference = oracle_extrapolated(2.0) - (WEIGHT_HIGH / 0.75 - WEIGHT_LOW / 2.75)
         assert abs(val - reference) <= 1e-6
 
 
@@ -116,12 +143,12 @@ class TestContinuumClosedForm:
 
     def test_matches_quad_on_right_half_plane(self):
         lh = self.right_half_plane(60, 21)
-        batch = spectral._continuum(lh)
+        batch = continuum(lh)
         for z, value in zip(lh, batch):
             ref = continuum_quad(z)
             assert abs(value - ref) <= 1e-13 * abs(ref), z
             # scalar and array arithmetic round apart by a few ulps
-            assert abs(r_total(complex(z)).r_c - value) <= 1e-14 * abs(ref), z
+            assert abs(continuum(complex(z)) - value) <= 1e-14 * abs(ref), z
 
     def test_weight_total_is_the_integral(self):
         total = quad(continuum_weight, 0.0, 40.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -153,34 +180,49 @@ class TestRTotal:
 
     def test_reference_values(self):
         for lh, ref in self.REFERENCE:
-            value = r_total(lh).total
+            value = r_total(lh)
             assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), lh
 
     def test_value_at_zero(self):
         # lambda = 0 solves the root equation on the fold line alpha + beta = R(0)
-        assert abs(r_total(0.0).total + 6.0) <= 1e-15 * 6.0
-
-    def test_parts_sum_exactly(self):
-        val = r_total(1.0 + 2.0j)
-        assert val.total == val.r_d + val.r_c
+        assert abs(r_total(0.0) + 6.0) <= 1e-15 * 6.0
 
     def test_imaginary_sign_flip(self):
-        assert np.sign(r_total(1.0 + 2.0j).total.imag) == -1.0
+        assert np.sign(r_total(1.0 + 2.0j).imag) == -1.0
 
     def test_real_axis_decrease(self):
-        a, b = r_total(2.0).total, r_total(3.0).total
+        a, b = r_total(2.0), r_total(3.0)
         assert a.real > b.real > 0.0
         assert a.imag == b.imag == 0.0
 
     def test_oracle_agreement(self):
         for lh in (2.0, 3.0 + 1.0j, 0.5 + 4.0j):
-            assert abs(r_total(lh).total - r_oracle(complex(lh))) <= 1e-4
+            assert abs(r_total(lh) - r_oracle(complex(lh))) <= 1e-4
 
     def test_conjugate_symmetry(self):
         for lh in (0.5 + 3.0j, 2.0 + 0.7j, -0.2 + 5.0j):
-            a = r_total(lh).total
-            b = r_total(np.conj(lh)).total
+            a = r_total(lh)
+            b = r_total(np.conj(lh))
             assert abs(b - np.conj(a)) <= 1e-14 * abs(a)
+
+    def test_scalar_matches_array(self):
+        # by the cut's end -1 and by both poles, from 1e-9 to 1e-1 away, in
+        # every direction and on the real axis: scalar and array arithmetic
+        # round apart by a few ulps
+        rng = np.random.default_rng(23)
+        offsets = 10.0 ** rng.uniform(-9.0, -1.0, (3, 500))
+        centres = np.array([[-1.0], [POLE_LOW], [POLE_HIGH]])
+        turns = np.exp(1j * rng.uniform(-np.pi, np.pi, (3, 500)))
+        complex_points = (centres + offsets * turns).ravel()
+        real_points = np.concatenate([-1.0 + offsets[0, :250],
+                                      (centres[1:] + offsets[1:, :250]).ravel(),
+                                      (centres[1:] - offsets[1:, 250:]).ravel()])
+        for lh in (complex_points, real_points):
+            batch = r_array(lh)
+            assert batch.dtype == lh.dtype
+            scalar = np.array([r_total(z) for z in lh.tolist()])
+            assert np.all(np.abs(scalar - batch)
+                          <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(batch)))
 
 
 class TestCertifiedWindow:
@@ -204,9 +246,9 @@ class TestCertifiedWindow:
             * np.exp(0.5j * np.pi * rng.uniform(0.0, 1.0, 400))
         lh = np.concatenate([by_poles, by_branch, upper])
         assert np.all(lh.real >= -1.0) and np.max(np.abs(lh)) > 5e3
-        assert np.all(np.abs(spectral._r_values(lh)) <= self.bound(lh))
+        assert np.all(np.abs(r_array(lh)) <= self.bound(lh))
         # the continuum part alone
-        cont = np.abs(spectral._continuum(lh))
+        cont = np.abs(continuum(lh))
         assert np.all(cont <= spectral.WEIGHT_CONTINUUM / np.abs(lh + 1.0))
 
     def test_no_root_outside_the_certified_radius(self):
@@ -223,7 +265,7 @@ class TestCertifiedWindow:
             # every point of a window has Re lh >= c and Re lh >= -1
             lh = lh[(lh.real >= c) & (lh.real >= -1.0)]
             lhs = np.abs(alpha + beta * np.sqrt(lh - c))
-            assert np.all(lhs > np.abs(spectral._r_values(lh))), (alpha, beta, gain)
+            assert np.all(lhs > np.abs(r_array(lh))), (alpha, beta, gain)
 
     def test_no_crossing_below_the_gain_floor(self):
         # at gains below g*, no lambda = i omega solves the root equation
@@ -246,7 +288,7 @@ class TestCertifiedWindow:
             bound = self.bound(np.array([-g_star]))[0]
             assert bound <= lhs.min() <= (1.0 + 1e-3) * bound, (alpha, beta)
             for gain in np.append(g_star - 10.0 ** rng.uniform(-6.0, 3.0, 3), g_star):
-                rhs = np.abs(spectral._r_values(1j * omega - gain))
+                rhs = np.abs(r_array(1j * omega - gain))
                 assert np.all(lhs > rhs), (alpha, beta, gain)
 
     def test_search_on_a_box_three_times_larger_finds_nothing_outside(self):
@@ -261,7 +303,7 @@ class TestCertifiedWindow:
             big = (re0, c + 3.0 * (re1 - c), 1e-6, 3.0 * im1)
             prob = spectral._RootProblem(co, gain)
             real = find_real_roots(co, gain, big[:2], problem=prob)
-            roots = real + spectral._complex_roots(prob, big, real)[0]
+            roots = real + spectral._complex_roots(prob, big, real)
             for z in roots:
                 assert re0 <= z.real <= re1 and abs(z.imag) <= im1, (alpha, beta, gain, z)
 
@@ -388,7 +430,7 @@ class TestFindRealRoots:
         # its own pair of geometric samples
         lo = -1.0 + 1e-6
         r1, r2 = lo + 0.5e-8, lo + 1.5e-8
-        stub = SimpleNamespace(g=lambda x: 1e12 * (x - r1) * (x - r2))
+        stub = SimpleNamespace(g=lambda x, factors=None: 1e12 * (x - r1) * (x - r2))
         roots = find_real_roots(None, 0.0, (lo, 3.0), problem=stub)
         assert len(roots) == 2
         for root, r in zip(roots, (r1, r2)):
@@ -470,7 +512,7 @@ def test_real_scan_finds_a_pair_between_two_samples():
     assert len(roots) == 3
     assert x[i] <= roots[0] <= x[i + 1] and x[j] <= roots[1] <= x[j + 1]
     report = assemble_spectrum(params)
-    assert report.diagnostics["winding_total"] == 0
+    assert all(z.imag == 0.0 for z in report.eigenvalues)
     assert sorted(z.real for z in report.eigenvalues) == [roots[0], roots[1], 0.0, roots[2]]
 
 
@@ -509,9 +551,9 @@ class TestScanSamples:
 
 class TestFindComplexRoots:
     def test_fig4_roots_and_conjugate_closure(self):
-        roots, total = spectral._complex_roots(spectral._RootProblem(FIG4_COEFFS, 0.0),
-                                               (-0.9, 10.0, -8.0, 8.0))
-        assert total == len(roots)
+        prob, rect = spectral._RootProblem(FIG4_COEFFS, 0.0), (-0.9, 10.0, -8.0, 8.0)
+        roots = spectral._complex_roots(prob, rect)
+        assert spectral._WindingSearch(prob).winding(rect) == len(roots)
         assert roots
         assert max(z.real for z in roots) < 1.28
         for z in roots:
@@ -519,8 +561,8 @@ class TestFindComplexRoots:
 
     def test_positive_beta_roots_real(self):
         co = ReducedCoefficients(alpha=-1.0, beta=1.0, nu=1.0)
-        roots, _ = spectral._complex_roots(spectral._RootProblem(co, 0.0),
-                                           (-0.7, 30.0, -5.0, 5.0))
+        roots = spectral._complex_roots(spectral._RootProblem(co, 0.0),
+                                        (-0.7, 30.0, -5.0, 5.0))
         assert roots
         assert max(abs(z.imag) for z in roots) <= 1e-8
 
@@ -533,9 +575,8 @@ class TestFindComplexRoots:
         with pytest.raises(RootIsolationFailure):
             spectral._complex_roots(spectral._RootProblem(co, 0.0), (4.5, 7.0, 0.0, 1.0))
         # with the edge below the axis the same search finds that root
-        roots, total = spectral._complex_roots(spectral._RootProblem(co, 0.0),
-                                               (4.5, 7.0, -1.0, 1.0))
-        assert total == 1 and abs(roots[0] - real_root) <= 1e-10
+        roots = spectral._complex_roots(spectral._RootProblem(co, 0.0), (4.5, 7.0, -1.0, 1.0))
+        assert len(roots) == 1 and abs(roots[0] - real_root) <= 1e-10
 
     def test_deflated_real_roots_leave_the_count_unchanged(self):
         # the Fig. 4 window above the axis holds one root either way, and
@@ -563,8 +604,9 @@ class TestFindComplexRoots:
                 return w - 1
             return w
 
-        roots, total = spectral._complex_roots(spectral._RootProblem(FIG4_COEFFS, 0.0), top)
-        assert total == len(roots) >= 2
+        prob = spectral._RootProblem(FIG4_COEFFS, 0.0)
+        roots = spectral._complex_roots(prob, top)
+        assert winding(spectral._WindingSearch(prob), top) == len(roots) >= 2
         monkeypatch.setattr(spectral._WindingSearch, "winding", losing)
         with pytest.raises(RootIsolationFailure, match="winding number"):
             spectral._complex_roots(spectral._RootProblem(FIG4_COEFFS, 0.0), top)
@@ -593,7 +635,7 @@ class TestNewton:
         assert prob.secant(centre, start, diam) is None
         assert prob.n_eval == 4
         # subdividing still finds the root
-        (root,), _ = spectral._complex_roots(prob, rect)
+        (root,) = spectral._complex_roots(prob, rect)
         assert abs(root - (-0.8339082856268758 + 6.529928369768017j)) <= 1e-10
 
 
@@ -682,7 +724,7 @@ class TestAssembleSpectrum:
         assert report.verdict == "Unstable"
         assert report.max_real_part > 0.0
         # the work and the answer are pinned: batching saves overhead only
-        assert report.diagnostics == {"function_evaluations": 455, "winding_total": 1}
+        assert report.diagnostics == {"function_evaluations": 455}
         pair = sorted((z for z in report.eigenvalues if z.imag != 0.0),
                       key=lambda z: z.imag)
         assert len(pair) == 2
@@ -694,9 +736,9 @@ class TestAssembleSpectrum:
         is_array, per_scan = [], []
         g, scan = spectral._RootProblem.g, spectral.find_real_roots
 
-        def counted(prob, lh):
+        def counted(prob, lh, factors=None):
             is_array.append(isinstance(lh, np.ndarray))
-            return g(prob, lh)
+            return g(prob, lh, factors)
 
         def traced(*args, **kwargs):
             start = len(is_array)
@@ -724,7 +766,7 @@ class TestAssembleSpectrum:
             re0, re1, _, im1 = default_window(co, 0.0)
             prob = spectral._RootProblem(co, 0.0)
             real_roots = find_real_roots(co, 0.0, (re0, re1), problem=prob)
-            full, _ = spectral._complex_roots(prob, (re0, re1, 1e-6, im1), real_roots)
+            full = spectral._complex_roots(prob, (re0, re1, 1e-6, im1), real_roots)
             upper = sorted((z for z in report.eigenvalues if z.imag > 0.0),
                            key=lambda z: (z.real, z.imag))
             assert len(full) == len(upper), (f_der, nu)
@@ -748,7 +790,7 @@ class TestAssembleSpectrum:
         lh = x + 1j * y
         bracket = w_l / abs(lh + 0.75) ** 2 + w_c / abs(lh + 1.0) ** 2 \
             - w_h / abs(lh - 1.25) ** 2
-        r = spectral._r_values(lh)
+        r = r_array(lh)
         assert np.all(r.imag <= y * bracket + 1e-13 * np.maximum(1.0, abs(r)))
         positive = bracket > 0.0
         assert x[positive].max() <= -0.539 and y[positive].max() <= 0.25
@@ -786,7 +828,7 @@ class TestAssembleSpectrum:
                 if z == report.translation_eigenvalue:
                     continue
                 lh = complex(z) - gain
-                r = spectral._r_values(lh)
+                r = r_total(lh)
                 phi = co.alpha + co.beta * cmath.sqrt(lh + 1.0 + gain) - r
                 assert abs(phi) <= 1e-12 * max(1.0, abs(r)), (f_der, nu, gain, z)
 
@@ -807,7 +849,7 @@ class TestAssembleSpectrum:
         assert len(off_axis) == 2
         for z, sign in zip(off_axis, (-1.0, 1.0)):
             assert abs(z - complex(pair[0], sign * pair[1])) <= 1e-10
-            assert abs(spectral._r_values(complex(z)) - r_oracle(complex(z))) <= 1e-4
+            assert abs(r_total(z) - r_oracle(complex(z))) <= 1e-4
 
     def test_root_count_holds_under_denser_samples(self, monkeypatch):
         # beta < 0 (f' < 0) spectra, most of them in the corner by the branch
@@ -823,7 +865,12 @@ class TestAssembleSpectrum:
                 report = assemble_spectrum(params)
                 counts.append(sum(z.imag != 0.0 for z in report.eigenvalues))
                 # the top rectangle's winding number is the roots found in it
-                assert 2 * report.diagnostics["winding_total"] == counts[-1], (f_der, nu)
+                co = reduced_coefficients(params)
+                re0, re1, _, im1 = default_window(co, 0.0)
+                prob = spectral._RootProblem(co, 0.0)
+                real_roots = find_real_roots(co, 0.0, (re0, re1), problem=prob)
+                search = spectral._WindingSearch(prob, real_roots)
+                assert 2 * search.winding((re0, re1, 1e-6, im1)) == counts[-1], (f_der, nu)
             return counts
 
         counts = off_axis_counts()
@@ -895,7 +942,7 @@ class TestFactorMemo:
         # the real-axis scan and the top rectangle, at least
         assert len(spectral._MEMO.entries) >= 2
         for entry in spectral._MEMO.entries.values():
-            for a in entry[:4]:
+            for a in (entry.points, *entry.factors):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
                 with pytest.raises(ValueError, match="read-only"):
@@ -916,10 +963,10 @@ class TestFactorMemo:
                     scan[k % 33] if k % 3 else rng.uniform(-64.0, 0.5))):
                 assemble_spectrum(p)
                 assert memo.nbytes <= memo.BUDGET
-            arrays = [sum(a.nbytes for a in entry[:4]) for entry in memo.entries.values()]
+            arrays = [sum(a.nbytes for a in (entry.points, *entry.factors))
+                      for entry in memo.entries.values()]
             assert max(arrays) <= memo.CAP
             assert sum(arrays) + memo.ENTRY_BYTES * len(arrays) == memo.nbytes
-            assert len(memo.by_points) == len(memo.entries)
             assert memo.nbytes > memo.BUDGET - memo.CAP  # full
             # what clearing frees: the arrays with their Python objects
             full = tracemalloc.get_traced_memory()[0]
@@ -961,4 +1008,3 @@ class TestFactorMemo:
             assert reports == serial[k:] + serial[:k]
         # the books balance
         assert memo.nbytes == sum(kept.nbytes for kept in memo.entries.values()) <= memo.BUDGET
-        assert set(memo.by_points) == {id(kept.points) for kept in memo.entries.values()}
