@@ -36,7 +36,6 @@ from .spectral import (
     SpectrumReport,
     assemble_spectrum,
     essential_edges,
-    find_real_roots,
     r_total,
 )
 from .oracle import (
@@ -82,7 +81,6 @@ __all__ = [
     "SpectrumReport",
     "assemble_spectrum",
     "essential_edges",
-    "find_real_roots",
     "r_total",
     # oracle
     "FastGrid",

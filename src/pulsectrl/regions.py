@@ -31,6 +31,7 @@ from .spectral import (
     VERDICT_UNSTABLE,
     _gain_floor,
     _imaginary_axis_coefficients,
+    assemble_spectra,
     assemble_spectrum,
 )
 
@@ -198,24 +199,39 @@ def min_control_gain(params: ModelParams, tol: float = 1e-3,
     return float(lo)
 
 
-def _sweep_row(args):
-    nu, f_values, u_star, f_val, include_min_gain = args
-    row = []
-    for f_der in f_values:
-        cls = classify_point(f_der, nu, u_star)
-        cell = RegionCell(f_der=float(f_der), nu=float(nu), theorem_class=cls)
-        try:
-            params = ModelParams(u_star=u_star, f_val=f_val, f_der=f_der,
-                                 to_log_der=nu - 2.0 * f_der / f_val)
-            report = uncontrolled_report(params)
-            cell.uncontrolled_verdict = report.verdict
-            cell.max_real_part = _root_max_real(report)
-            if include_min_gain and cls in CONTROLLABLE_CLASSES:
-                cell.min_gain = min_control_gain(params)
-        except (PulseControlError, ValueError) as exc:
-            cell.error = f"{type(exc).__name__}: {exc}"
-        row.append(cell)
-    return row
+# at most this many cells' spectra are evaluated together, which bounds the
+# reports held at once; a 16x16 sweep's fit in one batch
+_BATCH_CELLS = 1024
+
+
+def _sweep_rows(args):
+    """The cells of a run of grid rows, their spectra at zero gain (the
+    ModelParams default) evaluated together by ``assemble_spectra``, in
+    batches of ``_BATCH_CELLS``."""
+    nus, f_values, u_star, f_val, include_min_gain = args
+    cells = [RegionCell(f_der=float(f_der), nu=float(nu),
+                        theorem_class=classify_point(f_der, nu, u_star))
+             for nu in nus for f_der in f_values]
+    for start in range(0, len(cells), _BATCH_CELLS):
+        posed = []
+        for cell in cells[start:start + _BATCH_CELLS]:
+            try:
+                posed.append((cell, ModelParams(u_star=u_star, f_val=f_val, f_der=cell.f_der,
+                                                to_log_der=cell.nu - 2.0 * cell.f_der / f_val)))
+            except ValueError as exc:
+                cell.error = f"{type(exc).__name__}: {exc}"
+        reports = assemble_spectra([params for _, params in posed])
+        for (cell, params), report in zip(posed, reports):
+            try:
+                if isinstance(report, Exception):
+                    raise report
+                cell.uncontrolled_verdict = report.verdict
+                cell.max_real_part = _root_max_real(report)
+                if include_min_gain and cell.theorem_class in CONTROLLABLE_CLASSES:
+                    cell.min_gain = min_control_gain(params)
+            except (PulseControlError, ValueError) as exc:
+                cell.error = f"{type(exc).__name__}: {exc}"
+    return cells
 
 
 def _fold_line(lo, hi, u_star: float, f_val: float, spacing: float):
@@ -288,11 +304,16 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
                 include_min_gain: bool = False) -> SweepResult:
     """Classify a (f', nu) grid and trace the uncontrolled stability boundary.
 
-    Cells are independent and evaluated concurrently, by at most
-    ``threads`` worker processes and no more than one per row or per core;
-    rows merge in grid order, so the output is deterministic for a fixed
-    grid.  Per-cell solver failures are recorded on the cell and in
-    ``failures`` rather than raised.
+    The rows are split into runs, evaluated concurrently by at most
+    ``threads`` worker processes and no more than one per row or per core,
+    or as one run of every row by one process.  Within a run the cells'
+    spectra are evaluated per group that shares a search window
+    (``spectral.assemble_spectra``): G on the window's samples is one array
+    for the group, and the scans and winding counts on it run once.  Runs
+    merge in grid order, and a cell's result does not depend on its group,
+    so the output is deterministic for a fixed grid, however the rows are
+    split.  Per-cell solver failures are recorded on the cell and in
+    ``failures`` rather than raised, and leave the rest of the group alone.
     The Hopf arc and the fold line come from the root equation on the
     imaginary axis, kept where the grid around them changes verdict.
     """
@@ -301,18 +322,22 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
     f_values = np.linspace(f_der_range[0], f_der_range[1], n_f)
     nu_values = np.linspace(nu_range[0], nu_range[1], n_nu)
 
-    # Python floats, which the cells of a row then share
+    # Python floats, which the cells then share
     f_list = f_values.tolist()
-    jobs = [(nu, f_list, u_star, f_val, include_min_gain) for nu in nu_values.tolist()]
     # the pool starts all its workers at the first task, so it gets no more
     # than there are rows and cores, whatever ``threads`` asks for
     workers = min(threads or 1, n_nu, os.cpu_count() or 1)
+    # a job's spectra that share a window are evaluated together, so one
+    # process takes every row as one job, and a pool four runs of rows a worker
+    n_jobs = min(n_nu, 4 * workers) if workers > 1 else 1
+    jobs = [(run.tolist(), f_list, u_star, f_val, include_min_gain)
+            for run in np.array_split(nu_values, n_jobs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, jobs, chunksize=4))
+            done = list(pool.map(_sweep_rows, jobs))
     else:
-        rows = list(map(_sweep_row, jobs))
-    cells = [cell for row in rows for cell in row]
+        done = list(map(_sweep_rows, jobs))
+    cells = [cell for job in done for cell in job]
 
     result = SweepResult(
         f_der_values=[float(v) for v in f_values],

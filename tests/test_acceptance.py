@@ -23,6 +23,7 @@ from pulsectrl.oracle import (
 from pulsectrl.pde_sim import SimConfig, run
 from pulsectrl.regions import sweep_plane, sweep_to_dict
 from pulsectrl.spectral import (
+    _RootProblem,
     _continuum_cleared,
     assemble_spectrum,
     default_window,
@@ -33,6 +34,14 @@ from pulsectrl.spectral import (
 FIG4 = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0)
 POLE_HIGH = 1.25
 POLE_LOW = -0.75
+
+
+def real_roots(coeffs, gain, window):
+    """The real roots in ``window`` of one root problem."""
+    (roots,) = find_real_roots([_RootProblem(coeffs, gain)], window)
+    if isinstance(roots, Exception):
+        raise roots
+    return roots
 
 
 def non_translation_eigs(report):
@@ -143,7 +152,7 @@ def test_criterion_5_root_behaviors():
         gain = rng.uniform(-10.0, 0.5)
         coeffs = ReducedCoefficients(alpha, beta, -alpha / beta)
         window = default_window(coeffs, gain)
-        roots = find_real_roots(coeffs, gain, (window[0], window[1]))
+        roots = real_roots(coeffs, gain, (window[0], window[1]))
         assert roots and max(roots) > POLE_HIGH, (alpha, beta, gain)
 
     # (3) -alpha >= beta > 0: the largest root beats -gain
@@ -154,7 +163,7 @@ def test_criterion_5_root_behaviors():
         coeffs = ReducedCoefficients(alpha, beta, -alpha / beta)
         for gain in (0.0, -10.0):
             window = default_window(coeffs, gain)
-            roots = find_real_roots(coeffs, gain, (window[0], window[1]))
+            roots = real_roots(coeffs, gain, (window[0], window[1]))
             assert roots and max(roots) > -gain, (alpha, beta, gain)
 
     # (5) alpha, beta > 0: some gain empties the root set
@@ -166,7 +175,7 @@ def test_criterion_5_root_behaviors():
         emptied = False
         for gain in (-2.0, -5.0, -10.0, -20.0, -50.0, -100.0, -200.0, -400.0):
             window = default_window(coeffs, gain)
-            if not find_real_roots(coeffs, gain, (window[0], window[1])):
+            if not real_roots(coeffs, gain, (window[0], window[1])):
                 emptied = True
                 break
         assert emptied, (alpha, beta)

@@ -2,12 +2,13 @@
 parameter-plane sweep with boundary tracing."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from pulsectrl import regions, spectral
-from pulsectrl.errors import NotControllable
+from pulsectrl.errors import NotControllable, RootIsolationFailure
 from pulsectrl.model import ModelParams, reduced_coefficients
 from pulsectrl.regions import (
     CLASS_F_PRIME_NEG,
@@ -194,6 +195,83 @@ def test_sweep_bytes_do_not_depend_on_workers():
     serial = json.dumps(sweep_to_dict(sweep_plane(n_f=9, n_nu=9, threads=1)))
     pooled = json.dumps(sweep_to_dict(sweep_plane(n_f=9, n_nu=9, threads=2)))
     assert serial.encode() == pooled.encode()
+
+
+def one_at_a_time(params_list):
+    """``assemble_spectra`` as single ``assemble_spectrum`` calls."""
+    out = []
+    for params in params_list:
+        try:
+            out.append(assemble_spectrum(params))
+        except Exception as exc:  # handed back as assemble_spectra does
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 61])
+def test_batched_sweep_bytes_equal_single_spectra(monkeypatch, n):
+    batched = json.dumps(sweep_to_dict(sweep_plane(n_f=n, n_nu=n, threads=1)))
+    monkeypatch.setattr(regions, "assemble_spectra", one_at_a_time)
+    single = json.dumps(sweep_to_dict(sweep_plane(n_f=n, n_nu=n, threads=1)))
+    assert batched.encode() == single.encode()
+
+
+def test_a_failing_spectrum_leaves_its_group_alone(monkeypatch):
+    # the groups a 16x16 sweep evaluates together, by the (alpha, beta) of
+    # their members
+    groups = {"find_real_roots": [], "_complex_roots": []}
+
+    def spy(name, stage):
+        def recorded(problems, *args):
+            groups[name].append([(p.alpha, p.beta) for p in problems])
+            return stage(problems, *args)
+        return recorded
+
+    for name in groups:
+        monkeypatch.setattr(spectral, name, spy(name, getattr(spectral, name)))
+    before = sweep_plane(n_f=16, n_nu=16, threads=1)
+    scan, rect = (max(groups[name], key=len) for name in groups)
+    assert len(scan) > 1 and len(rect) > 1
+    lose_window = scan[0]
+    lose_winding = next(ab for ab in rect if ab != lose_window)
+
+    window, count = spectral.default_window, spectral._WindingSearch.count
+
+    def failing_window(coeffs, gain):
+        if (coeffs.alpha, coeffs.beta) == lose_window:
+            raise ValueError("no window here")
+        return window(coeffs, gain)
+
+    def failing_count(search, *args):
+        if (search.prob.alpha, search.prob.beta) == lose_winding:
+            raise RootIsolationFailure("no winding here")
+        return count(search, *args)
+
+    monkeypatch.setattr(spectral, "default_window", failing_window)
+    monkeypatch.setattr(spectral._WindingSearch, "count", failing_count)
+    after = sweep_plane(n_f=16, n_nu=16, threads=1)
+
+    def coefficients(cell):
+        co = reduced_coefficients(grid_params(cell.f_der, cell.nu))
+        return co.alpha, co.beta
+
+    failed = []
+    for old, new in zip(before.cells, after.cells):
+        if old.error is None and old.f_der != 0.0 \
+                and coefficients(old) in (lose_window, lose_winding):
+            # the error a single spectrum raises under the same faults
+            with pytest.raises((ValueError, RootIsolationFailure)) as raised:
+                uncontrolled_report(grid_params(old.f_der, old.nu))
+            assert new.error == f"{type(raised.value).__name__}: {raised.value}"
+            assert new.uncontrolled_verdict is None
+            failed.append(new.error)
+        else:
+            # a failed cell may move the boundary tags next to it, but no
+            # other cell's spectrum changes
+            assert {**asdict(new), "boundary_tag": None} \
+                == {**asdict(old), "boundary_tag": None}
+    assert sorted(failed) == ["RootIsolationFailure: no winding here",
+                              "ValueError: no window here"]
 
 
 def test_worker_pool_capped_by_rows_and_cores(monkeypatch):

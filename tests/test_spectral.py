@@ -8,7 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from types import SimpleNamespace
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,6 +36,22 @@ from pulsectrl.spectral import (
 )
 
 FIG4_COEFFS = ReducedCoefficients(alpha=2.0, beta=-1.0, nu=2.0)
+
+
+def real_roots_of(coeffs, gain, window, prob=None):
+    """``find_real_roots`` of one root problem, ``prob`` if given."""
+    (roots,) = find_real_roots([prob or spectral._RootProblem(coeffs, gain)], window)
+    if isinstance(roots, Exception):
+        raise roots
+    return roots
+
+
+def complex_roots_of(prob, rect, real=()):
+    """``_complex_roots`` of one root problem, with its real roots ``real``."""
+    (roots,) = spectral._complex_roots([prob], rect, [real])
+    if isinstance(roots, Exception):
+        raise roots
+    return roots
 
 
 def oracle_extrapolated(lh: complex) -> complex:
@@ -302,8 +318,8 @@ class TestCertifiedWindow:
             c = -1.0 - gain
             big = (re0, c + 3.0 * (re1 - c), 1e-6, 3.0 * im1)
             prob = spectral._RootProblem(co, gain)
-            real = find_real_roots(co, gain, big[:2], problem=prob)
-            roots = real + spectral._complex_roots(prob, big, real)
+            real = real_roots_of(co, gain, big[:2], prob)
+            roots = real + complex_roots_of(prob, big, real)
             for z in roots:
                 assert re0 <= z.real <= re1 and abs(z.imag) <= im1, (alpha, beta, gain, z)
 
@@ -411,27 +427,32 @@ class TestFindRealRoots:
     def test_root_right_of_high_pole(self):
         co = ReducedCoefficients(alpha=0.0, beta=1.0, nu=0.0)
         win = default_window(co, 0.0)
-        roots = find_real_roots(co, 0.0, (win[0], win[1]))
+        roots = real_roots_of(co, 0.0, (win[0], win[1]))
         assert any(r > 1.25 for r in roots)
 
     def test_large_root_for_negative_alpha(self):
         co = ReducedCoefficients(alpha=-5.0, beta=1.0, nu=5.0)
         win = default_window(co, 0.0)
-        roots = find_real_roots(co, 0.0, (win[0], win[1]))
+        roots = real_roots_of(co, 0.0, (win[0], win[1]))
         assert roots and max(roots) > 24.0
 
     def test_deep_gain_empties_roots(self):
         co = ReducedCoefficients(alpha=2.0, beta=1.0, nu=-2.0)
         win = default_window(co, -20.0)
-        assert find_real_roots(co, -20.0, (win[0], win[1])) == []
+        assert real_roots_of(co, -20.0, (win[0], win[1])) == []
 
-    def test_close_pair_keeps_both_roots(self):
+    def test_close_pair_keeps_both_roots(self, monkeypatch):
         # two roots 1e-8 apart by the window's left end, each bracketed by
         # its own pair of geometric samples
         lo = -1.0 + 1e-6
         r1, r2 = lo + 0.5e-8, lo + 1.5e-8
-        stub = SimpleNamespace(g=lambda x, factors=None: 1e12 * (x - r1) * (x - r2))
-        roots = find_real_roots(None, 0.0, (lo, 3.0), problem=stub)
+        # with alpha = beta = 0, G = -p, here 1e12 (x - r1)(x - r2), on
+        # samples kept in a memo of this test's own
+        monkeypatch.setattr(spectral, "_factors", lambda x, branch: (
+            0.0 * x, 1.0 + 0.0 * x, -1e12 * (x - r1) * (x - r2)))
+        monkeypatch.setattr(spectral, "_MEMO", spectral._FactorMemo())
+        stub = spectral._RootProblem(ReducedCoefficients(0.0, 0.0, 0.0), 0.0)
+        roots = real_roots_of(None, 0.0, (lo, 3.0), stub)
         assert len(roots) == 2
         for root, r in zip(roots, (r1, r2)):
             assert abs(root - r) <= 1e-15
@@ -443,8 +464,8 @@ class TestFindRealRoots:
         edge = max(-1.0, -1.0 - gain)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            roots = find_real_roots(FIG4_COEFFS, gain, (-2.0, 0.0))
-        assert roots and roots == find_real_roots(FIG4_COEFFS, gain, (edge, 0.0))
+            roots = real_roots_of(FIG4_COEFFS, gain, (-2.0, 0.0))
+        assert roots and roots == real_roots_of(FIG4_COEFFS, gain, (edge, 0.0))
 
 
 @pytest.mark.parametrize("f_der, to_log_der", [(1e-9, -2.0), (1e-8, 0.5)])
@@ -466,7 +487,7 @@ def test_roots_by_the_poles_at_large_alpha():
     # |alpha| / |beta| = 1.5e9 puts a root within 1e-8 of each pole
     co = ReducedCoefficients(alpha=1.5e9, beta=1.0, nu=0.0)
     re0, re1, _, _ = default_window(co, 0.0)
-    roots = find_real_roots(co, 0.0, (re0, re1))
+    roots = real_roots_of(co, 0.0, (re0, re1))
     assert len(roots) == 2
     for root, ref in zip(roots, (-0.7500000000650584, 1.250000004879382)):
         assert abs(root - ref) <= 1e-12
@@ -491,7 +512,7 @@ def test_real_scan_finds_every_sign_change():
         x = x[(x >= lo) & (x <= hi)]
         sign = np.sign(spectral._RootProblem(co, gain).g(x))
         dense = np.count_nonzero(sign == 0) + np.count_nonzero(sign[:-1] * sign[1:] < 0)
-        roots = find_real_roots(co, gain, (lo, hi))
+        roots = real_roots_of(co, gain, (lo, hi))
         assert len(roots) == dense, (f_der, nu, gain)
         n_roots += len(roots)
     assert n_roots >= 400
@@ -505,7 +526,7 @@ def test_real_scan_finds_a_pair_between_two_samples():
     params = ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der)
     co = reduced_coefficients(params)
     lo, hi, _, _ = default_window(co, 0.0)
-    roots = find_real_roots(co, 0.0, (lo, hi))
+    roots = real_roots_of(co, 0.0, (lo, hi))
     x = np.linspace(-0.7, -0.5, 20_001)
     sign = np.sign(spectral._RootProblem(co, 0.0).g(x))
     (i, j) = np.flatnonzero(sign[:-1] * sign[1:] < 0)
@@ -552,7 +573,7 @@ class TestScanSamples:
 class TestFindComplexRoots:
     def test_fig4_roots_and_conjugate_closure(self):
         prob, rect = spectral._RootProblem(FIG4_COEFFS, 0.0), (-0.9, 10.0, -8.0, 8.0)
-        roots = spectral._complex_roots(prob, rect)
+        roots = complex_roots_of(prob, rect)
         assert spectral._WindingSearch(prob).winding(rect) == len(roots)
         assert roots
         assert max(z.real for z in roots) < 1.28
@@ -561,7 +582,7 @@ class TestFindComplexRoots:
 
     def test_positive_beta_roots_real(self):
         co = ReducedCoefficients(alpha=-1.0, beta=1.0, nu=1.0)
-        roots = spectral._complex_roots(spectral._RootProblem(co, 0.0),
+        roots = complex_roots_of(spectral._RootProblem(co, 0.0),
                                         (-0.7, 30.0, -5.0, 5.0))
         assert roots
         assert max(abs(z.imag) for z in roots) <= 1e-8
@@ -570,20 +591,40 @@ class TestFindComplexRoots:
         # the bottom edge im = 0 runs through the real root 5.769, where the
         # phase of G jumps by pi; the search fails rather than moving the edge
         co = ReducedCoefficients(alpha=-1.0, beta=1.0, nu=1.0)
-        (real_root,) = find_real_roots(co, 0.0, (4.5, 7.0))
+        (real_root,) = real_roots_of(co, 0.0, (4.5, 7.0))
         assert 4.5 < real_root < 7.0
         with pytest.raises(RootIsolationFailure):
-            spectral._complex_roots(spectral._RootProblem(co, 0.0), (4.5, 7.0, 0.0, 1.0))
+            complex_roots_of(spectral._RootProblem(co, 0.0), (4.5, 7.0, 0.0, 1.0))
         # with the edge below the axis the same search finds that root
-        roots = spectral._complex_roots(spectral._RootProblem(co, 0.0), (4.5, 7.0, -1.0, 1.0))
+        roots = complex_roots_of(spectral._RootProblem(co, 0.0), (4.5, 7.0, -1.0, 1.0))
         assert len(roots) == 1 and abs(roots[0] - real_root) <= 1e-10
+
+    def test_zero_sample_fails_only_its_own_count(self, monkeypatch):
+        # a group's G with an exact zero in the first row's samples: that
+        # row raises, without a warning from its phase steps, and the second
+        # row counts as it does alone
+        rect = (-0.9, 10.0, -8.0, 8.0)
+        g_rows = spectral._g_rows
+
+        def zero_in_first_row(problems, factors):
+            vals = g_rows(problems, factors)
+            vals[0, 5] = 0.0
+            return vals
+
+        alone = spectral._WindingSearch(spectral._RootProblem(FIG4_COEFFS, 0.0)).winding(rect)
+        monkeypatch.setattr(spectral, "_g_rows", zero_in_first_row)
+        searches = [spectral._WindingSearch(spectral._RootProblem(FIG4_COEFFS, 0.0))
+                    for _ in range(2)]
+        failed, counted = spectral._windings(searches, rect)
+        assert isinstance(failed, RootIsolationFailure) and "boundary" in str(failed)
+        assert counted == alone >= 2
 
     def test_deflated_real_roots_leave_the_count_unchanged(self):
         # the Fig. 4 window above the axis holds one root either way, and
         # deflating the real roots saves the phase bisections next to them
         re0, re1, _, im1 = default_window(FIG4_COEFFS, 0.0)
         rect = (re0, re1, 1e-6, im1)
-        real_roots = find_real_roots(FIG4_COEFFS, 0.0, (re0, re1))
+        real_roots = real_roots_of(FIG4_COEFFS, 0.0, (re0, re1))
         assert real_roots
         plain, deflated = (spectral._RootProblem(FIG4_COEFFS, 0.0) for _ in range(2))
         assert spectral._WindingSearch(plain).winding(rect) == 1
@@ -605,11 +646,11 @@ class TestFindComplexRoots:
             return w
 
         prob = spectral._RootProblem(FIG4_COEFFS, 0.0)
-        roots = spectral._complex_roots(prob, top)
+        roots = complex_roots_of(prob, top)
         assert winding(spectral._WindingSearch(prob), top) == len(roots) >= 2
         monkeypatch.setattr(spectral._WindingSearch, "winding", losing)
         with pytest.raises(RootIsolationFailure, match="winding number"):
-            spectral._complex_roots(spectral._RootProblem(FIG4_COEFFS, 0.0), top)
+            complex_roots_of(spectral._RootProblem(FIG4_COEFFS, 0.0), top)
         assert lost
 
 
@@ -628,14 +669,14 @@ class TestNewton:
         diam = math.hypot(re1 - re0, im1 - 1e-6)
         start = centre + spectral._WindingSearch.SECANT_START * diam
         unbounded = spectral._RootProblem(co, 0.0)
-        (real_root,) = [x for x in find_real_roots(co, 0.0, (re0, re1)) if x < 0.0]
+        (real_root,) = [x for x in real_roots_of(co, 0.0, (re0, re1)) if x < 0.0]
         assert abs(unbounded.secant(centre, start, math.inf) - real_root) <= 1e-12
         assert unbounded.n_eval == 21
         prob = spectral._RootProblem(co, 0.0)
         assert prob.secant(centre, start, diam) is None
         assert prob.n_eval == 4
         # subdividing still finds the root
-        (root,) = spectral._complex_roots(prob, rect)
+        (root,) = complex_roots_of(prob, rect)
         assert abs(root - (-0.8339082856268758 + 6.529928369768017j)) <= 1e-10
 
 
@@ -734,11 +775,15 @@ class TestAssembleSpectrum:
     def test_fig4_scans_the_real_axis_in_one_call(self, monkeypatch):
         # every real subinterval's samples go through one array call of G
         is_array, per_scan = [], []
-        g, scan = spectral._RootProblem.g, spectral.find_real_roots
+        g, g_rows, scan = spectral._RootProblem.g, spectral._g_rows, spectral.find_real_roots
 
-        def counted(prob, lh, factors=None):
+        def counted(prob, lh):
             is_array.append(isinstance(lh, np.ndarray))
-            return g(prob, lh, factors)
+            return g(prob, lh)
+
+        def counted_rows(problems, factors):
+            is_array.append(True)
+            return g_rows(problems, factors)
 
         def traced(*args, **kwargs):
             start = len(is_array)
@@ -747,6 +792,7 @@ class TestAssembleSpectrum:
             return roots
 
         monkeypatch.setattr(spectral._RootProblem, "g", counted)
+        monkeypatch.setattr(spectral, "_g_rows", counted_rows)
         monkeypatch.setattr(spectral, "find_real_roots", traced)
         assemble_spectrum(ModelParams(1.0, 1.0, -3.0, 8.0))
         assert per_scan == [1]
@@ -765,8 +811,8 @@ class TestAssembleSpectrum:
             assert co.beta > 0.0
             re0, re1, _, im1 = default_window(co, 0.0)
             prob = spectral._RootProblem(co, 0.0)
-            real_roots = find_real_roots(co, 0.0, (re0, re1), problem=prob)
-            full = spectral._complex_roots(prob, (re0, re1, 1e-6, im1), real_roots)
+            real_roots = real_roots_of(co, 0.0, (re0, re1), prob)
+            full = complex_roots_of(prob, (re0, re1, 1e-6, im1), real_roots)
             upper = sorted((z for z in report.eigenvalues if z.imag > 0.0),
                            key=lambda z: (z.real, z.imag))
             assert len(full) == len(upper), (f_der, nu)
@@ -868,7 +914,7 @@ class TestAssembleSpectrum:
                 co = reduced_coefficients(params)
                 re0, re1, _, im1 = default_window(co, 0.0)
                 prob = spectral._RootProblem(co, 0.0)
-                real_roots = find_real_roots(co, 0.0, (re0, re1), problem=prob)
+                real_roots = real_roots_of(co, 0.0, (re0, re1), prob)
                 search = spectral._WindingSearch(prob, real_roots)
                 assert 2 * search.winding((re0, re1, 1e-6, im1)) == counts[-1], (f_der, nu)
             return counts
@@ -895,6 +941,39 @@ class TestAssembleSpectrum:
         assert eigs == sorted(eigs, key=lambda z: (-z.real, z.imag))
         assert doc["verdict"] == "Unstable"
         assert report.diagnostics["function_evaluations"] > 0
+
+
+class TestAssembleSpectra:
+    def test_batched_reports_equal_single_ones(self):
+        # both signs of f', |f'| up to 8, f' = 0, and gains from the gain
+        # search's scan (so that windows coincide) and arbitrary ones
+        rng = np.random.default_rng(21)
+        scan = np.linspace(0.0, -64.0, 33)
+        params = []
+        for k in range(400):
+            f_der = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 8.0 if k % 4 else 3.0)
+            f_der = 0.0 if k % 25 == 0 else f_der
+            nu = rng.uniform(-3.0, 3.0)
+            gain = (0.0, float(scan[k % 33]), rng.uniform(-20.0, 0.5))[k % 3]
+            params.append(ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der, control_slope=gain))
+
+        def answer(report):
+            if isinstance(report, Exception):
+                return f"{type(report).__name__}: {report}"
+            return report.to_json()
+
+        single = []
+        for p in params:
+            try:
+                single.append(answer(assemble_spectrum(p)))
+            except Exception as exc:  # compared with the batch's below
+                single.append(answer(exc))
+        batched = [answer(r) for r in spectral.assemble_spectra(params)]
+        assert batched == single
+        # most of the batch shares a window with another spectrum
+        windows = Counter(default_window(reduced_coefficients(p), p.control_slope)
+                          for p in params if p.f_der != 0.0)
+        assert sum(n for n in windows.values() if n > 1) > len(params) // 4
 
 
 class TestFactorMemo:
