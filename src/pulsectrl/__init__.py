@@ -8,9 +8,16 @@ Submodules:
     regions   -- parameter-plane classification and sweep
     pde_sim   -- direct time integration of the controlled system
     cli       -- command-line front end
+
+The exports of ``oracle``, ``regions`` and ``pde_sim`` resolve on first use
+(PEP 562), so that ``import pulsectrl`` and a CLI ``spectrum`` or ``region``
+load numpy and the standard library only: ``oracle`` and ``pde_sim`` load
+SciPy.  Those of ``errors``, ``model`` and ``spectral`` are bound on import.
 """
 
 __version__ = "1.0.0"
+
+import importlib
 
 from .errors import (
     DegenerateControl,
@@ -38,25 +45,29 @@ from .spectral import (
     essential_edges,
     r_total,
 )
-from .oracle import (
-    FastGrid,
-    FastOperator,
-    eigenfunction_identities,
-    r_oracle,
-    solve_vin,
-    theta_inner_product,
-    theta_reference,
-    top_eigenvalues,
-)
-from .regions import (
-    RegionCell,
-    SweepResult,
-    classify_theorem,
-    min_control_gain,
-    sweep_plane,
-    uncontrolled_verdict,
-)
-from .pde_sim import SimConfig, SimTrace, relax_profile, run, step
+
+# the module of each export resolved on first use, by ``__getattr__``
+_MODULE_OF = {name: module for module, names in (
+    ("oracle", ("FastGrid", "FastOperator", "eigenfunction_identities", "r_oracle",
+                "solve_vin", "theta_inner_product", "theta_reference", "top_eigenvalues")),
+    ("regions", ("RegionCell", "SweepResult", "classify_theorem", "min_control_gain",
+                 "sweep_plane", "uncontrolled_verdict")),
+    ("pde_sim", ("SimConfig", "SimTrace", "relax_profile", "run", "step")),
+) for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __all__ = [
     # errors

@@ -24,16 +24,6 @@ from .errors import (
     RootIsolationFailure,
 )
 from .model import ModelParams, PowerLawModel
-from .oracle import (
-    FastGrid,
-    FastOperator,
-    eigenfunction_identities,
-    r_oracle,
-    theta_inner_product,
-    theta_reference,
-    top_eigenvalues,
-)
-from .pde_sim import SimConfig, run as run_sim
 from .regions import cells_to_csv, sweep_plane, sweep_to_dict
 from .spectral import assemble_spectrum, r_total
 
@@ -158,6 +148,9 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # pde_sim loads SciPy, which the other subcommands but verify do without
+    from .pde_sim import SimConfig, run as run_sim
+
     merged = _merged(args, PARAM_KEYS + ("eps", "t-end", "eta", "seed", "shape"))
     params = _params_from(merged)
     model = PowerLawModel.from_params(params)
@@ -197,6 +190,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # oracle loads SciPy, which the other subcommands but simulate do without
+    from .oracle import (
+        FastGrid,
+        FastOperator,
+        eigenfunction_identities,
+        r_oracle,
+        theta_inner_product,
+        theta_reference,
+        top_eigenvalues,
+    )
+
     merged = _merged(args, ("tol",))
     tol = float(merged.get("tol", 1e-4))
     grid = FastGrid()

@@ -18,7 +18,6 @@ solved in closed form from the root equation on the imaginary axis.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -333,6 +332,10 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
     jobs = [(run.tolist(), f_list, u_star, f_val, include_min_gain)
             for run in np.array_split(nu_values, n_jobs)]
     if workers > 1:
+        # imported here, not with the module: the import takes 12-20 ms,
+        # which a one-process sweep and a spectrum do not need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_rows, jobs))
     else:

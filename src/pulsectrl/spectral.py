@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     EssentialRay,
@@ -364,7 +363,11 @@ def _scan_points(a, b):
         pts.append(grid)
     geo = _geomspace(1e-8, 0.5 * (b - a), 25)
     pts += [(a[:, None] + geo).ravel(), (b[:, None] - geo).ravel()]
-    return np.unique(np.concatenate(pts))
+    # np.unique's sort and mask, without its argument handling, which on
+    # numpy 2.4 imports numpy.ma
+    pts = np.concatenate(pts)
+    pts.sort()
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 # a block of a group's problems holds at most this many samples in all, which
@@ -417,6 +420,61 @@ def _raised(result):
     return result
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, fa: float, fb: float) -> float:
+    """A zero of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4), from
+    the values ``fa`` and ``fb`` of f at the ends.  It is scipy's
+    ``brentq.c`` ported step for step, so it returns what
+    ``scipy.optimize.brentq(f, a, b, xtol, rtol)`` returns, after the same
+    calls of f but the two at the ends: the last iterate once the bracket
+    is within xtol + rtol |x|, or an end where f is 0.  Ends of one sign and
+    a NaN value of f raise ValueError, as scipy does, and 100 steps without
+    convergence RuntimeError."""
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError(f"the function value at x={xcur} is NaN; solver cannot continue")
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def find_real_roots(problems, window):
     """The real roots in ``window`` of each of ``problems``, which share one
     gain: per problem its roots ascending, or the exception it raised.
@@ -464,11 +522,10 @@ def _polish_real(prob: _RootProblem, xs, h, vals, sign, change, turn, c, q):
     where it ``change``s, and the parabolas (coefficients ``c``, ``q``)
     that ``turn`` back across zero."""
     def brent(lo, f_lo, hi, f_hi):
-        # Brent starts from both ends; hand it the known values there
-        ends = {lo: f_lo, hi: f_hi}
-        # 4 ulps is the least relative tolerance brentq accepts
-        return brentq(lambda x: ends[x] if x in ends else prob.g(x),
-                      lo, hi, xtol=1e-300, rtol=4.0 * _EPS)
+        # Python floats, as scipy's brentq takes them; 4 ulps is the least
+        # relative tolerance it accepts
+        return _brentq(prob.g, float(lo), float(hi), 1e-300, 4.0 * _EPS,
+                       float(f_lo), float(f_hi))
 
     roots = xs[sign == 0].tolist()
     for i in change.nonzero()[0]:
@@ -480,6 +537,10 @@ def _polish_real(prob: _RootProblem, xs, h, vals, sign, change, turn, c, q):
     gap = i + (offset > 0.0)  # the vertex lies in (xs[gap], xs[gap + 1])
     inside = (-h[i] < offset) & (offset < h[i + 1]) & (sign[gap] == sign[gap + 1])
     for k in set(gap[inside].tolist()):
+        # rare (about one gap in 15,000 spectra), and the one use of scipy
+        # on the spectrum path, which a CLI spectrum then loads only here
+        from scipy.optimize import minimize_scalar
+
         lo, hi, s = xs[k], xs[k + 1], sign[k]
         x = minimize_scalar(lambda x: s * prob.g(x), bounds=(lo, hi), method="bounded",
                             options={"xatol": 1e-12}).x
@@ -664,35 +725,51 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     There |lh - p| >= r - (p - c) for p > c, and |lh - p| >= hypot(r, p - c)
     for p <= c.  So no root lies on the arc once
         |beta| sqrt(r) - |alpha| - sum_j W_j / dist_j(r) > 0,
-    and this excess increases with r past max(0, max_j p_j - c).  Doubling
-    k and then bisecting finds the least rung where it is positive.  On the
-    ladder, windows recur from one spectrum to the next, and so do their
-    samples (``_FactorMemo``).
+    and this excess increases with r past d = max(0, max_j p_j - c).  It
+    is below |beta| sqrt(r) - |alpha|, so no rung at or below
+    max(d, (alpha / beta)^2) is certified; doubling k from twice the last
+    of those and then bisecting finds the least rung where it is positive.
+    Rounded, the excess still never falls as r grows, so that is the rung
+    a search from k = 1 finds.  On the ladder, windows recur from one
+    spectrum to the next, and so do their samples (``_FactorMemo``).
     """
-    no_window = ValueError(f"no finite search window for alpha = {alpha}, "
-                           f"beta = {beta}, l'(0) = {control_slope}")
+    def no_window():
+        # made only when raised: formatting it costs a spectrum about 1 us
+        return ValueError(f"no finite search window for alpha = {alpha}, "
+                          f"beta = {beta}, l'(0) = {control_slope}")
+
     if beta == 0.0 or not all(map(math.isfinite, (alpha, beta, control_slope))):
-        raise no_window
+        raise no_window()
     c = -1.0 - control_slope
-    terms = [(w, p - c) for w, p in _r_bound_terms()]
-    d = max(0.0, max(offset for _, offset in terms))
+    (w_h, o_h), (w_l, o_l), (w_c, o_c) = [(w, p - c) for w, p in _r_bound_terms()]
+    d = max(0.0, o_h, o_l, o_c)
+    abs_alpha, abs_beta = abs(alpha), abs(beta)
 
     def excess(r):
         # r - offset >= r - d > 0
-        return abs(beta) * math.sqrt(r) - abs(alpha) \
-            - sum(w / (r - offset if offset > 0.0 else math.hypot(r, offset))
-                  for w, offset in terms)
+        return abs_beta * math.sqrt(r) - abs_alpha \
+            - (w_h / (r - o_h if o_h > 0.0 else math.hypot(r, o_h))
+               + w_l / (r - o_l if o_l > 0.0 else math.hypot(r, o_l))
+               + w_c / (r - o_c if o_c > 0.0 else math.hypot(r, o_c)))
 
     def certified(k):
         r = _RUNG * k
         return r > d and excess(r) > 0.0
 
-    k = 1
+    # the last rung searched: past it, doubling would overflow _RUNG k
+    top = 1 << 1022
+    # a relative margin of 1e-12, far above the rounding of the bound,
+    # keeps lo at or below it
+    ratio = alpha / beta
+    bound = max(d, ratio * ratio) * (1.0 - 1e-12) / _RUNG  # inf, not OverflowError
+    if not bound < top:
+        raise no_window()
+    lo = int(bound)  # 0, or a rung that is not certified
+    k = max(1, min(2 * lo, top))
     while not certified(k):
-        k *= 2
-        if k.bit_length() > 1023:  # _RUNG k would overflow
-            raise no_window
-    lo = k // 2  # 0, or a rung that is not certified
+        if k == top:
+            raise no_window()
+        lo, k = k, min(2 * k, top)
     while k - lo > 1:
         mid = (lo + k) // 2
         if certified(mid):
@@ -702,7 +779,7 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     # with the excess positive at the least positive float, every root
     # rounds onto the branch point, and no window separates them from it
     if lo == 0 and d == 0.0 and excess(math.ulp(0.0)) > 0.0:
-        raise no_window
+        raise no_window()
     return _RUNG * k
 
 
@@ -740,9 +817,10 @@ def _gain_floor(alpha: float, beta: float) -> float:
     lo, hi = WEIGHT_HIGH / gap, sum(w for w, _ in terms) / gap
     # rounding closes the bracket only at extreme gaps, where hi, an upper
     # bound on the crossing, stands in for it
-    if excess(lo) > 0.0 > excess(hi):
+    f_lo, f_hi = excess(lo), excess(hi)
+    if f_lo > 0.0 > f_hi:
         xtol = rtol = 1e-12
-        s = brentq(excess, lo, hi, xtol=xtol, rtol=rtol)
+        s = _brentq(excess, lo, hi, xtol, rtol, f_lo, f_hi)
         hi = min(hi, s + xtol + rtol * s)
     return -(POLE_HIGH + hi)
 

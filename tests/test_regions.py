@@ -1,6 +1,7 @@
 """Region layer: the closed-form trichotomy, minimal-gain search, and the
 parameter-plane sweep with boundary tracing."""
 
+import concurrent.futures
 import json
 from dataclasses import asdict
 
@@ -293,7 +294,8 @@ def test_worker_pool_capped_by_rows_and_cores(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(regions, "ProcessPoolExecutor", RecordingPool)
+    # sweep_plane imports the pool class when it uses one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = sweep_to_dict(sweep_plane(n_f=2, n_nu=3))
     for cores, size in ((64, 3), (2, 2), (None, None)):
         monkeypatch.setattr(regions.os, "cpu_count", lambda cores=cores: cores)

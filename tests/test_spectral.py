@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from pulsectrl import spectral
 from pulsectrl.errors import (
@@ -466,6 +467,99 @@ class TestFindRealRoots:
             warnings.simplefilter("error")
             roots = real_roots_of(FIG4_COEFFS, gain, (-2.0, 0.0))
         assert roots and roots == real_roots_of(FIG4_COEFFS, gain, (edge, 0.0))
+
+
+class TestBrentq:
+    """``spectral._brentq`` is scipy's ``brentq``, bit for bit: the same
+    root after the same calls of f, counted by one wrapper on both."""
+
+    @staticmethod
+    def counted(f):
+        def wrapped(x):
+            wrapped.calls += 1
+            return f(x)
+
+        wrapped.calls = 0
+        return wrapped
+
+    @staticmethod
+    def outcome(solve):
+        try:
+            return solve().hex()
+        except RuntimeError:  # no convergence in 100 steps
+            return "RuntimeError"
+
+    def agree(self, f, a, b, xtol, rtol):
+        ref = self.counted(f)
+        root = self.outcome(lambda: brentq(ref, a, b, xtol=xtol, rtol=rtol))
+        # the end values taken through the wrapper, as scipy takes them, or
+        # known, which saves those two calls and changes nothing else
+        for known in (False, True):
+            ported = self.counted(f)
+            ends = (f(a), f(b)) if known else (ported(a), ported(b))
+            assert self.outcome(lambda: spectral._brentq(ported, a, b, xtol, rtol, *ends)) == root
+            assert ported.calls == ref.calls - 2 * known
+
+    def test_scan_brackets_of_g(self):
+        rng = np.random.default_rng(23)
+        n = 0
+        while n < 200:
+            f_der, nu = rng.uniform(-3.0, 3.0, 2)
+            gain = rng.choice([0.0, rng.uniform(-6.0, 0.0)])
+            co = reduced_coefficients(ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der))
+            lo, hi, _, _ = default_window(co, gain)
+            xs = spectral._scan_points(*np.array(spectral._real_subintervals(lo, hi, gain)).T)
+            prob = spectral._RootProblem(co, gain)
+            sign = np.sign(prob.g(xs))
+            for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+                # the tolerances of the real-root polish
+                self.agree(prob.g, float(xs[i]), float(xs[i + 1]), 1e-300, 4.0 * spectral._EPS)
+                n += 1
+
+    def test_gain_floor_excess(self, monkeypatch):
+        calls = []
+
+        def spy(f, a, b, xtol, rtol, fa, fb):
+            calls.append((f, a, b, xtol, rtol))
+            return ported(f, a, b, xtol, rtol, fa, fb)
+
+        ported = spectral._brentq
+        monkeypatch.setattr(spectral, "_brentq", spy)
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            beta = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+            spectral._gain_floor(-rng.uniform(-4.0, 6.0) * beta, beta)
+        assert len(calls) == 60
+        monkeypatch.setattr(spectral, "_brentq", ported)
+        for f, a, b, xtol, rtol in calls:
+            self.agree(f, a, b, xtol, rtol)
+
+    def test_steep_flat_and_wiggly_functions(self):
+        # brackets where Brent refuses interpolation steps and bisects
+        rng = np.random.default_rng(25)
+        n = 0
+        for make in (lambda r, s: lambda x: math.tanh(s * (x - r)),
+                     lambda r, s: lambda x: (x - r) ** 9,
+                     lambda r, s: lambda x: math.copysign(abs(x - r) ** 0.1, x - r),
+                     lambda r, s: lambda x: math.atan(s * (x - r)) + 0.1 * math.sin(s * x)):
+            for _ in range(50):
+                f = make(rng.uniform(-0.9, 0.9), 10.0 ** rng.uniform(0.0, 3.0))
+                if (f(-1.0) < 0.0) != (f(1.0) < 0.0):
+                    self.agree(f, -1.0, 1.0, 1e-12, 1e-12)
+                    n += 1
+        assert n >= 150
+
+    def test_zero_at_an_end(self):
+        for f, a, b in ((lambda x: x, 0.0, 1.0), (lambda x: x, -1.0, 0.0),
+                        (lambda x: x * (x - 1.0), 0.0, 1.0)):
+            self.agree(f, a, b, 1e-12, 1e-12)
+            assert spectral._brentq(f, a, b, 1e-12, 1e-12, f(a), f(b)) == (a if f(a) == 0.0 else b)
+
+    def test_ends_of_one_sign(self):
+        with pytest.raises(ValueError):
+            brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+        with pytest.raises(ValueError):
+            spectral._brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 1e-12, 2.0, 5.0)
 
 
 @pytest.mark.parametrize("f_der, to_log_der", [(1e-9, -2.0), (1e-8, 0.5)])
