@@ -55,12 +55,12 @@ class SimConfig:
             # reaction time scale; with second-order SBDF2, eps/25 moves the
             # Fig. 4 fitted rate by 0.07% against dt/8 (eps = 0.1, t_end = 4)
             self.dt = self.params.eps / 25.0
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
         if not 0 < self.dx <= self.params.eps / 4.0 + 1e-15:
             raise ValueError("dx must satisfy dx <= eps/4")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.eta) and self.eta != 0):
             raise ValueError("eta must be finite and nonzero")
         if self.perturbation_shape not in ("even_bump", "random"):

@@ -318,6 +318,13 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
     """
     if n_f < 2 or n_nu < 2:
         raise ValueError("grid resolution must be >= 2 in each axis")
+    # ModelParams' checks, before any cell divides by u* or f(u*), and no
+    # infinity, at which every cell's spectrum fails
+    for name, value in (("u_star", u_star), ("f_val", f_val)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+        if value == np.inf:
+            raise ValueError(f"{name} must be finite")
     f_values = np.linspace(f_der_range[0], f_der_range[1], n_f)
     nu_values = np.linspace(nu_range[0], nu_range[1], n_nu)
 

@@ -262,18 +262,35 @@ _MEMO = _FactorMemo()
 
 
 class _RootProblem:
-    """Root function G(lh) = (L(lh) - R(lh)) (lh - 5/4)(lh + 3/4), where
-    L(lh) = alpha + beta sqrt(1 + lh + l'(0)): the root equation cleared of
-    R's two simple poles, so it has the same roots and no poles.
+    """One spectrum in the making, and its root function G(lh) = (L(lh) -
+    R(lh)) (lh - 5/4)(lh + 3/4), where L(lh) = alpha + beta sqrt(1 + lh +
+    l'(0)): the root equation cleared of R's two simple poles, so it has the
+    same roots and no poles.
 
     G is linear in (alpha, beta): G = (alpha + beta s) q - p over the
     factors s, q and p of ``_factors``, which depend on lh and the gain
-    only.  ``g`` takes a scalar or an array of lh and evaluates all of it in
-    one pass, by that one formula; ``_g_rows`` evaluates it for a group of
-    problems on the factors of a ``_MEMO`` sample set.  Real lh, at or right
-    of the branch point -1 - l'(0) and of R_c's cut end -1, gives real values.
-    ``n_eval`` counts points, here or in ``_g_rows``.
+    only.  ``g`` evaluates it at one point, and ``_g_rows``, the one array
+    evaluator, for a group of problems on the factors of a ``_MEMO`` sample
+    set.  Real lh, at or right of the branch point -1 - l'(0) and of R_c's
+    cut end -1, gives real values.  ``n_eval`` counts points, here or in
+    ``_g_rows``.
+
+    The stages of ``assemble_spectra`` write onto the problem, in turn, its
+    search ``window`` and its off-axis rectangle ``rect``, None where it has
+    none (``_pose``), its ``real_roots`` (``find_real_roots``) and its
+    ``complex_roots`` (``_complex_roots``).  A stage that raises keeps what
+    it raised in ``error`` instead (``attempt``), and the later stages pass
+    the problem by.
+
+    Complex roots are isolated by the argument principle.  Windings are
+    taken of G / prod_r (lh - r) over ``real_roots``, which above the real
+    axis counts the roots of G, but whose phase does not turn by pi along an
+    edge passing just above a real root.  A phase step of a quarter turn or
+    more between boundary samples (``_boundary_points``) is bisected.
     """
+
+    __slots__ = ("alpha", "beta", "gain", "branch", "n_eval",
+                 "window", "rect", "real_roots", "complex_roots", "error")
 
     def __init__(self, coeffs: ReducedCoefficients, control_slope: float):
         self.alpha = coeffs.alpha
@@ -281,22 +298,24 @@ class _RootProblem:
         self.gain = control_slope
         self.branch = -1.0 - control_slope
         self.n_eval = 0
+        self.window = self.rect = self.error = None
+        self.real_roots, self.complex_roots = [], []
 
-    def _points(self, lh):
-        """Count the points; a scalar becomes a Python float or complex.
-
-        Single points (Brent, the secant, phase-step refinement) stay scalars
-        because the array path costs about three times as much per call.
-        """
-        if isinstance(lh, (int, float, complex)):
-            self.n_eval += 1
-            return complex(lh) if isinstance(lh, complex) else float(lh)
-        lh = np.asarray(lh)
-        self.n_eval += lh.size
-        return lh if lh.dtype.kind == "c" else lh.astype(float, copy=False)
+    def attempt(self, stage, *args):
+        """``stage(*args)``, or None if it raised, and then ``error`` keeps
+        what it raised: a problem that fails leaves the others of its group
+        alone."""
+        try:
+            return stage(*args)
+        except Exception as exc:
+            self.error = exc
 
     def g(self, lh):
-        lh = self._points(lh)
+        """G at one point (Brent, the secant, phase-step refinement), in
+        Python float or complex arithmetic, which costs about a third of an
+        array call."""
+        self.n_eval += 1
+        lh = complex(lh) if isinstance(lh, complex) else float(lh)
         s, q, p = _factors(lh, self.branch)
         return (self.alpha + self.beta * s) * q - p
 
@@ -325,6 +344,98 @@ class _RootProblem:
             if abs(f1) >= abs(f0) and abs(step) <= _SQRT_EPS * abs(x1):
                 return x0
         return None
+
+    def _deflated(self, lh):
+        """G(lh) / prod_r (lh - r) at one point."""
+        out = self.g(lh)
+        for r in self.real_roots:
+            out /= lh - r
+        return out
+
+    def winding(self, rect) -> int:
+        """The winding number on ``rect``."""
+        ((_, row),) = _phase_steps([self], rect)
+        return self.count(rect, *row)
+
+    def count(self, rect, pts, vals, steps, big, zero: bool) -> int:
+        """The winding number on ``rect`` from the deflated G ``vals`` at the
+        boundary samples ``pts``, ``zero`` if one is 0, and the principal
+        phase ``steps`` between neighbours, once those that are ``big`` are
+        resolved by bisection."""
+        if zero:
+            raise RootIsolationFailure("root on search boundary")
+        for i in big.nonzero()[0]:
+            steps[i] = self._arg_step(pts[i], vals[i], pts[i + 1], vals[i + 1], depth=0)
+        w = steps.sum() / (2.0 * np.pi)
+        wi = int(round(w))
+        if abs(w - wi) > 0.25:
+            raise RootIsolationFailure(f"non-integer winding {w:.3f} on {rect}")
+        return wi
+
+    def _arg_step(self, a, fa, b, fb, depth):
+        if fa == 0 or fb == 0:
+            raise RootIsolationFailure("root on search boundary")
+        d = np.angle(fb / fa)
+        if abs(d) < 0.5 * np.pi:
+            return d
+        if depth >= 48 or abs(b - a) < 1e-13:
+            raise RootIsolationFailure("phase tracking stalled on boundary")
+        m = 0.5 * (a + b)
+        fm = self._deflated(m)
+        return self._arg_step(a, fa, m, fm, depth + 1) \
+            + self._arg_step(m, fm, b, fb, depth + 1)
+
+    def roots(self, rect, w: int, depth: int = 0):
+        """The roots in ``rect``, whose winding number is ``w``."""
+        if w == 0:
+            return []
+        re0, re1, im0, im1 = rect
+        diam = math.hypot(re1 - re0, im1 - im0)
+        center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
+        if w == 1 or diam < 1e-3:
+            # an iterate farther than the diameter from the centre has left
+            # the rectangle; give up there and subdivide
+            root = self.secant(center, center + _SECANT_START * diam, diam)
+            if root is not None and re0 - 1e-9 <= root.real <= re1 + 1e-9 \
+                    and im0 - 1e-9 <= root.imag <= im1 + 1e-9:
+                return [root] * w  # a cluster or multiple root counts w times
+            if diam < 1e-6:
+                raise RootIsolationFailure(
+                    f"winding {w} in cell of diameter {diam:.2e} but the secant failed")
+        if depth >= _MAX_DEPTH:
+            raise RootIsolationFailure("max subdivision depth reached")
+        # split slightly off-center so subdivision lines avoid roots
+        fr = 0.5 + 1.37e-3
+        rm = re0 + fr * (re1 - re0)
+        im_m = im0 + fr * (im1 - im0)
+        out = []
+        for sub in ((re0, rm, im0, im_m), (rm, re1, im0, im_m),
+                    (re0, rm, im_m, im1), (rm, re1, im_m, im1)):
+            out.extend(self.roots(sub, self.winding(sub), depth + 1))
+        return out
+
+    def isolate(self, rect, row):
+        """The roots in ``rect``, sorted, from its boundary ``row`` of
+        ``_phase_steps``: they must match its winding number in number, or
+        ``RootIsolationFailure`` is raised."""
+        total = self.count(rect, *row)
+        found = self.roots(rect, total)
+        if len(found) != total:
+            raise RootIsolationFailure(
+                f"found {len(found)} roots where the winding number is {total} on {rect}")
+        found.sort(key=lambda z: (z.real, z.imag))
+        return found
+
+    def report(self) -> SpectrumReport:
+        """The report on the roots found, once every stage ran without
+        ``error``."""
+        roots = [complex(r, 0.0) for r in self.real_roots]
+        for z in self.complex_roots:
+            roots += [z, z.conjugate()]
+        gain = self.gain
+        re0, re1, im0, im1 = self.window
+        return _report(gain, [z + gain for z in roots],
+                       {"re": [re0, re1], "im": [im0, im1]}, self.n_eval)
 
 
 def _real_subintervals(lo: float, hi: float, control_slope: float):
@@ -370,17 +481,36 @@ def _scan_points(a, b):
     return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
+# the winding count samples each side of a rectangle every _SPACING, at
+# least _MIN_SIDE points; a rectangle that holds one root polishes it by the
+# secant on G, started from the centre and from _SECANT_START times the
+# diameter beside it; subdivision stops at depth _MAX_DEPTH
+_SPACING = 0.75
+_MIN_SIDE = 8
+_SECANT_START = 1e-3 * (1.0 + 1.0j)
+_MAX_DEPTH = 60
+
+
+def _side(a: complex, b: complex):
+    """Samples from ``a`` toward ``b``, ``b`` left out."""
+    n = max(_MIN_SIDE, int(abs(b - a) / _SPACING) + 1)
+    # np.linspace(0, 1, n, endpoint=False), bit for bit
+    return a + (b - a) * (np.arange(n) * (1.0 / n))
+
+
+def _boundary_points(rect):
+    """The samples of ``rect``'s boundary, counterclockwise from its lower
+    left corner, which closes them."""
+    re0, re1, im0, im1 = rect
+    corners = [complex(re0, im0), complex(re1, im0),
+               complex(re1, im1), complex(re0, im1), complex(re0, im0)]
+    sides = [_side(a, b) for a, b in zip(corners[:-1], corners[1:])]
+    return np.concatenate(sides + [[corners[0]]])
+
+
 # a block of a group's problems holds at most this many samples in all, which
 # bounds the temporaries of the passes that run on the block at once
 _BLOCK_POINTS = 1 << 13
-
-
-def _blocks(items, n_points: int):
-    """``items`` in consecutive runs of at most ``_BLOCK_POINTS`` samples of
-    ``n_points`` each, and at least one item."""
-    size = max(1, _BLOCK_POINTS // n_points)
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
 
 
 def _column(values, dtype):
@@ -404,20 +534,17 @@ def _g_rows(problems, factors):
     return ((a + b * s) * q - p).reshape(len(problems), -1)
 
 
-def _settled(fn, *args):
-    """``fn(*args)``, or the exception it raised: one problem that fails
-    leaves the others of its group alone."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
-
-
-def _raised(result):
-    """``result``, or raise it if it is an exception."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+def _sampled(problems, key, build):
+    """G of ``problems``, which share one gain, on the samples of the
+    ``_MEMO`` set ``key``, made by ``build()`` on a miss: per block of
+    consecutive problems, the samples, the block and its G, a row per
+    problem (``_g_rows``).  A block holds at most ``_BLOCK_POINTS`` samples
+    in all, and at least one problem."""
+    xs, factors, _ = _MEMO.get(key, build, problems[0].branch)
+    size = max(1, _BLOCK_POINTS // xs.size)
+    for start in range(0, len(problems), size):
+        block = problems[start:start + size]
+        yield xs, block, _g_rows(block, factors)
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float, fa: float, fb: float) -> float:
@@ -476,8 +603,9 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, fa: float, fb: floa
 
 
 def find_real_roots(problems, window):
-    """The real roots in ``window`` of each of ``problems``, which share one
-    gain: per problem its roots ascending, or the exception it raised.
+    """The real-root stage of ``assemble_spectra``: onto each of
+    ``problems``, which share one gain, its ``real_roots`` in ``window``,
+    ascending, or the ``error`` it raised.
 
     One scan samples G on every subinterval of ``_real_subintervals``, with
     the samples of all the problems in one array, and each sign change
@@ -493,14 +621,11 @@ def find_real_roots(problems, window):
     prob = problems[0]
     intervals = _real_subintervals(float(window[0]), float(window[1]), prob.gain)
     if not intervals:
-        return [[] for _ in problems]
-    xs, factors, _ = _MEMO.get(("scan", prob.branch, *intervals),
-                               lambda: _scan_points(*np.array(intervals).T), prob.branch)
-    h = xs[1:] - xs[:-1]
-    span = h[:-1] + h[1:]
-    out = []
-    for block in _blocks(problems, xs.size):
-        vals = _g_rows(block, factors)
+        return  # no root: each problem keeps its empty real_roots
+    for xs, block, vals in _sampled(problems, ("scan", prob.branch, *intervals),
+                                    lambda: _scan_points(*np.array(intervals).T)):
+        h = xs[1:] - xs[:-1]
+        span = h[:-1] + h[1:]
         sign = np.sign(vals)
         change = sign[:, :-1] * sign[:, 1:] < 0.0
         # the parabola y1 + c (x - x1) + q (x - x1)^2 through three samples
@@ -511,9 +636,8 @@ def find_real_roots(problems, window):
         qy = q * vals[:, 1:-1]
         turn = (qy > 0.0) & (4.0 * qy <= c * c)
         for k, prob in enumerate(block):
-            out.append(_settled(_polish_real, prob, xs, h, vals[k], sign[k],
-                                change[k], turn[k], c[k], q[k]))
-    return out
+            prob.real_roots = prob.attempt(_polish_real, prob, xs, h, vals[k], sign[k],
+                                           change[k], turn[k], c[k], q[k])
 
 
 def _polish_real(prob: _RootProblem, xs, h, vals, sign, change, turn, c, q):
@@ -550,134 +674,17 @@ def _polish_real(prob: _RootProblem, xs, h, vals, sign, change, turn, c, q):
     return sorted(roots)
 
 
-class _WindingSearch:
-    """Argument-principle root isolation on a rectangle in the lh-plane.
-
-    Windings are taken of G / prod_r (lh - r) over ``real_roots``, which
-    above the real axis counts the roots of G, but whose phase does not turn
-    by pi along an edge passing just above a real root.  Each side is sampled
-    every ``SPACING`` (at least ``MIN_SIDE`` points); a phase step of a
-    quarter turn or more is bisected.
-    A rectangle that holds one root polishes it by the secant on G, started
-    from the centre and from ``SECANT_START`` times the diameter beside it.
-    """
-
-    SPACING = 0.75
-    MIN_SIDE = 8
-    SECANT_START = 1e-3 * (1.0 + 1.0j)
-
-    def __init__(self, problem: _RootProblem, real_roots=(), max_depth: int = 60):
-        self.prob = problem
-        # Python floats, so that a scalar point stays a Python complex
-        self.real_roots = [float(r) for r in real_roots]
-        self.max_depth = max_depth
-
-    def _deflated(self, lh):
-        """G(lh) / prod_r (lh - r) at a scalar or on an array."""
-        out = self.prob.g(lh)
-        for r in self.real_roots:
-            out /= lh - r
-        return out
-
-    def _side(self, a: complex, b: complex):
-        """Samples from ``a`` toward ``b``, ``b`` left out."""
-        n = max(self.MIN_SIDE, int(abs(b - a) / self.SPACING) + 1)
-        # np.linspace(0, 1, n, endpoint=False), bit for bit
-        return a + (b - a) * (np.arange(n) * (1.0 / n))
-
-    def _boundary_points(self, rect):
-        re0, re1, im0, im1 = rect
-        corners = [complex(re0, im0), complex(re1, im0),
-                   complex(re1, im1), complex(re0, im1), complex(re0, im0)]
-        sides = [self._side(a, b) for a, b in zip(corners[:-1], corners[1:])]
-        return np.concatenate(sides + [[corners[0]]])
-
-    def winding(self, rect) -> int:
-        return _raised(_windings([self], rect)[0])
-
-    def count(self, rect, pts, vals, steps, big, zero: bool) -> int:
-        """The winding number on ``rect`` from the deflated G ``vals`` at the
-        boundary samples ``pts``, ``zero`` if one is 0, and the principal
-        phase ``steps`` between neighbours, once those that are ``big`` are
-        resolved by bisection."""
-        if zero:
-            raise RootIsolationFailure("root on search boundary")
-        for i in big.nonzero()[0]:
-            steps[i] = self._arg_step(pts[i], vals[i], pts[i + 1], vals[i + 1], depth=0)
-        w = steps.sum() / (2.0 * np.pi)
-        wi = int(round(w))
-        if abs(w - wi) > 0.25:
-            raise RootIsolationFailure(f"non-integer winding {w:.3f} on {rect}")
-        return wi
-
-    def _arg_step(self, a, fa, b, fb, depth):
-        if fa == 0 or fb == 0:
-            raise RootIsolationFailure("root on search boundary")
-        d = np.angle(fb / fa)
-        if abs(d) < 0.5 * np.pi:
-            return d
-        if depth >= 48 or abs(b - a) < 1e-13:
-            raise RootIsolationFailure("phase tracking stalled on boundary")
-        m = 0.5 * (a + b)
-        fm = self._deflated(m)
-        return self._arg_step(a, fa, m, fm, depth + 1) \
-            + self._arg_step(m, fm, b, fb, depth + 1)
-
-    def roots(self, rect, w: int, depth: int = 0):
-        """The roots in ``rect``, whose winding number is ``w``."""
-        if w == 0:
-            return []
-        re0, re1, im0, im1 = rect
-        diam = math.hypot(re1 - re0, im1 - im0)
-        center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        if w == 1 or diam < 1e-3:
-            # an iterate farther than the diameter from the centre has left
-            # the rectangle; give up there and subdivide
-            root = self.prob.secant(center, center + self.SECANT_START * diam, diam)
-            if root is not None and re0 - 1e-9 <= root.real <= re1 + 1e-9 \
-                    and im0 - 1e-9 <= root.imag <= im1 + 1e-9:
-                return [root] * w  # a cluster or multiple root counts w times
-            if diam < 1e-6:
-                raise RootIsolationFailure(
-                    f"winding {w} in cell of diameter {diam:.2e} but the secant failed")
-        if depth >= self.max_depth:
-            raise RootIsolationFailure("max subdivision depth reached")
-        # split slightly off-center so subdivision lines avoid roots
-        fr = 0.5 + 1.37e-3
-        rm = re0 + fr * (re1 - re0)
-        im_m = im0 + fr * (im1 - im0)
-        out = []
-        for sub in ((re0, rm, im0, im_m), (rm, re1, im0, im_m),
-                    (re0, rm, im_m, im1), (rm, re1, im_m, im1)):
-            out.extend(self.roots(sub, self.winding(sub), depth + 1))
-        return out
-
-    def isolate(self, rect, total: int):
-        """The roots in ``rect``, sorted, which must match its winding number
-        ``total`` in number, or ``RootIsolationFailure`` is raised."""
-        found = self.roots(rect, total)
-        if len(found) != total:
-            raise RootIsolationFailure(
-                f"found {len(found)} roots where the winding number is {total} on {rect}")
-        found.sort(key=lambda z: (z.real, z.imag))
-        return found
-
-
-def _windings(searches, rect):
-    """The winding number on ``rect`` of each of ``searches``, which share
-    one gain and their number of real roots, or the exception its count
-    raised.  The deflated G of all of them on the boundary samples is one
-    array, and its phase steps are taken once; ``_WindingSearch.count``
-    finishes each."""
-    branch = searches[0].prob.branch
-    cls = _WindingSearch
-    pts, factors, _ = _MEMO.get(("rect", branch, cls.SPACING, cls.MIN_SIDE, *rect),
-                                lambda: searches[0]._boundary_points(rect), branch)
-    out = []
-    for block in _blocks(searches, pts.size):
-        vals = _g_rows([search.prob for search in block], factors)
+def _phase_steps(problems, rect):
+    """The deflated G of each of ``problems``, which share one gain and
+    their number of real roots, on the boundary samples of ``rect``, and
+    its principal phase steps between neighbours: per problem, the problem
+    and the arguments of its winding ``count`` that follow ``rect``.
+    The deflated G of a block of problems is one array, and its phase steps
+    are taken once."""
+    key = ("rect", problems[0].branch, _SPACING, _MIN_SIDE, *rect)
+    for pts, block, vals in _sampled(problems, key, lambda: _boundary_points(rect)):
         for k in range(len(block[0].real_roots)):
-            vals /= pts - _column([search.real_roots[k] for search in block], pts.dtype)
+            vals /= pts - _column([prob.real_roots[k] for prob in block], pts.dtype)
         zero = np.zeros(len(block), dtype=bool)
         safe = vals
         if not vals.all():
@@ -687,22 +694,21 @@ def _windings(searches, rect):
             safe = np.where(zero[:, None], 1.0, vals)
         steps = np.angle(safe[:, 1:] / safe[:, :-1])
         big = np.abs(steps) >= 0.5 * np.pi
-        for k, search in enumerate(block):
-            out.append(_settled(search.count, rect, pts, vals[k], steps[k], big[k], zero[k]))
-    return out
+        for k, prob in enumerate(block):
+            yield prob, (pts, vals[k], steps[k], big[k], zero[k])
 
 
-def _complex_roots(problems, rect, real_roots):
-    """All roots of G inside ``rect`` = (re_lo, re_hi, im_lo, im_hi) of each
-    of ``problems``, which share one gain: per problem its roots, sorted, or
-    the exception its search raised.  Each problem's roots must match its
-    winding number in number, or ``RootIsolationFailure`` is raised.
+def _complex_roots(problems, rect):
+    """The winding stage of ``assemble_spectra``: onto each of ``problems``,
+    which share one gain, its ``complex_roots`` inside ``rect`` = (re_lo,
+    re_hi, im_lo, im_hi), sorted, or the ``error`` its search raised.  The
+    top winding count of all of them runs on one array (``_phase_steps``);
+    each problem's roots must match its count in number (``isolate``).
     ``rect`` lies above each problem's ``real_roots``, as many for each,
-    which ``_WindingSearch`` deflates out of its count."""
+    which the count deflates."""
     rect = tuple(float(v) for v in rect)
-    searches = [_WindingSearch(prob, roots) for prob, roots in zip(problems, real_roots)]
-    return [total if isinstance(total, Exception) else _settled(search.isolate, rect, total)
-            for search, total in zip(searches, _windings(searches, rect))]
+    for prob, row in _phase_steps(problems, rect):
+        prob.complex_roots = prob.attempt(prob.isolate, rect, row)
 
 
 def _r_bound_terms():
@@ -869,34 +875,10 @@ def _report(gain: float, root_eigs, window: dict, evaluations: int) -> SpectrumR
     )
 
 
-class _Posed:
-    """A spectrum in the making: its root problem and search window, and
-    then, as the stages of ``assemble_spectra`` find them, its real roots,
-    its off-axis rectangle (None if it has none) and its complex roots.  A
-    list of roots may be the exception its search raised instead."""
-
-    __slots__ = ("prob", "window", "real_roots", "rect", "complex_roots")
-
-    def __init__(self, prob: _RootProblem, window):
-        self.prob = prob
-        self.window = window
-        self.real_roots = self.rect = None
-        self.complex_roots = []
-
-    def report(self) -> SpectrumReport:
-        """The report on the roots found, or the exception a search raised."""
-        roots = [complex(r, 0.0) for r in _raised(self.real_roots)]
-        for z in _raised(self.complex_roots):
-            roots += [z, z.conjugate()]
-        gain = self.prob.gain
-        re0, re1, im0, im1 = self.window
-        return _report(gain, [z + gain for z in roots],
-                       {"re": [re0, re1], "im": [im0, im1]}, self.prob.n_eval)
-
-
 def _pose(params: ModelParams):
     """The report on ``params`` where f'(u*) = 0, and otherwise its root
-    problem and search window, ``_Posed``.
+    problem, posed: with its search window and off-axis rectangle, or the
+    ``error`` that ``default_window`` raised.
 
     With f'(u*) = 0 no zero-pole cancellation occurs and the fast eigenvalues
     {5/4, 0, -3/4} (shifted by the gain) survive verbatim; in addition the
@@ -914,7 +896,11 @@ def _pose(params: ModelParams):
         note = {"note": "no cancellation (f_der = 0): fast spectrum survives"}
         return _report(gain, root_eigs, note, 0)
     coeffs = reduced_coefficients(params)
-    return _Posed(_RootProblem(coeffs, gain), default_window(coeffs, gain))
+    prob = _RootProblem(coeffs, gain)
+    prob.window = prob.attempt(default_window, coeffs, gain)
+    if prob.error is None:
+        prob.rect = _off_axis(prob.beta, prob.window)
+    return prob
 
 
 def _off_axis(beta: float, window):
@@ -936,11 +922,13 @@ def _off_axis(beta: float, window):
     return (re0, -0.35, 1e-6, 0.6) if re0 < -0.36 else None
 
 
-def _grouped(items, key):
-    """``items`` in lists of equal ``key``, each in the order given."""
+def _grouped(problems, key):
+    """The ``problems`` without an ``error``, in lists of equal ``key``,
+    each in the order given."""
     groups = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
+    for prob in problems:
+        if prob.error is None:
+            groups.setdefault(key(prob), []).append(prob)
     return groups.values()
 
 
@@ -948,32 +936,29 @@ def assemble_spectra(params_list) -> list:
     """``assemble_spectrum`` of each of ``params_list``, in order; an entry
     is the exception its spectrum raised instead, if any.
 
+    A spectrum with f'(u*) != 0 is a ``_RootProblem``, which the stages
+    fill in turn: ``_pose`` its window, ``find_real_roots`` its real roots
+    and ``_complex_roots`` its complex roots.  A stage that raises on a
+    spectrum keeps the exception in its ``error``, and the later stages
+    pass it by, so a spectrum that raises leaves the others alone.
+
     Spectra whose windows coincide (on the ladder of ``default_window``)
     share the real-axis scan, and those whose off-axis rectangles coincide
     share the top winding count: G on those samples is one (spectra x
     samples) array, and its sign-change, parabola and phase passes run
-    once (``find_real_roots``, ``_windings``).  Brent, the minimizer, the
-    phase-step bisection, the secant and subdivision and the count
-    certificate run per spectrum, and a spectrum that raises leaves the
-    others alone.
+    once.  Brent, the minimizer, the phase-step bisection, the secant and
+    subdivision and the count certificate run per spectrum.
     """
-    # reports (f' = 0) and exceptions stand; the rest are posed
-    out = [_settled(_pose, params) for params in params_list]
-    posed = [x for x in out if type(x) is _Posed]
-    for group in _grouped(posed, lambda sp: (sp.prob.gain, sp.window[:2])):
-        found = find_real_roots([sp.prob for sp in group], group[0].window[:2])
-        for sp, roots in zip(group, found):
-            sp.real_roots = roots
-            if not isinstance(roots, Exception):
-                sp.rect = _off_axis(sp.prob.beta, sp.window)
+    out = [_pose(params) for params in params_list]
+    # reports (f' = 0) stand; the stages fill the problems
+    problems = [x for x in out if type(x) is _RootProblem]
+    for group in _grouped(problems, lambda prob: (prob.gain, prob.window[:2])):
+        find_real_roots(group, group[0].window[:2])
     # the winding count deflates the real roots, as many in a group
-    for group in _grouped([sp for sp in posed if sp.rect is not None],
-                          lambda sp: (sp.prob.gain, sp.rect, len(sp.real_roots))):
-        found = _complex_roots([sp.prob for sp in group], group[0].rect,
-                               [sp.real_roots for sp in group])
-        for sp, roots in zip(group, found):
-            sp.complex_roots = roots
-    return [_settled(x.report) if type(x) is _Posed else x for x in out]
+    for group in _grouped([prob for prob in problems if prob.rect is not None],
+                          lambda prob: (prob.gain, prob.rect, len(prob.real_roots))):
+        _complex_roots(group, group[0].rect)
+    return [x.error or x.report() if type(x) is _RootProblem else x for x in out]
 
 
 def assemble_spectrum(params: ModelParams) -> SpectrumReport:
@@ -983,4 +968,7 @@ def assemble_spectrum(params: ModelParams) -> SpectrumReport:
     the eigenvalues are the roots of the reduced equation plus the
     translation eigenvalue at lambda = l'(0).
     """
-    return _raised(assemble_spectra([params])[0])
+    (report,) = assemble_spectra([params])
+    if isinstance(report, Exception):
+        raise report
+    return report

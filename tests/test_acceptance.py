@@ -38,10 +38,11 @@ POLE_LOW = -0.75
 
 def real_roots(coeffs, gain, window):
     """The real roots in ``window`` of one root problem."""
-    (roots,) = find_real_roots([_RootProblem(coeffs, gain)], window)
-    if isinstance(roots, Exception):
-        raise roots
-    return roots
+    prob = _RootProblem(coeffs, gain)
+    find_real_roots([prob], window)
+    if prob.error is not None:
+        raise prob.error
+    return prob.real_roots
 
 
 def non_translation_eigs(report):

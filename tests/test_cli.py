@@ -52,6 +52,18 @@ def test_numerical_error_exit(capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_bad_point_data_is_a_domain_error(capsys):
+    # a sweep divided by u* or f(u*) (exit 2), or failed every cell (exit
+    # 0); a simulation turned an infinite t_end into a step count (exit 2)
+    for flag, value in (("--u-star", "0"), ("--u-star", "-1"), ("--u-star", "nan"),
+                        ("--u-star", "inf"), ("--f-val", "0"), ("--f-val", "-2"),
+                        ("--f-val", "inf")):
+        assert dispatch(["region", "--grid", "3", flag, value]) == EXIT_DOMAIN, (flag, value)
+        assert flag[2:].replace("-", "_") + " must be" in capsys.readouterr().err
+    assert dispatch(["simulate"] + FIG4_FLAGS + ["--t-end", "inf"]) == EXIT_DOMAIN
+    assert "t_end must be positive and finite" in capsys.readouterr().err
+
+
 def test_spectrum_fig4_controlled(capsys):
     code, doc = run_json(capsys, ["spectrum"] + FIG4_FLAGS + ["--gain", "-3"])
     assert code == EXIT_OK

@@ -60,6 +60,14 @@ class TestSimConfig:
             fig4_config(params=other)  # model/params disagree
 
 
+    @pytest.mark.parametrize("name", ["t_end", "dt"])
+    def test_t_end_and_dt_finite(self, name):
+        # an infinite t_end made no step count, and an infinite dt no step
+        for value in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                fig4_config(**{name: value})
+
+
 def test_rhs_zero_state_forcing():
     # with f(0) = 0 the u-equation vanishes on the zero state while the
     # control term forces the v-equation by -gain * v_ref

@@ -236,20 +236,20 @@ def test_a_failing_spectrum_leaves_its_group_alone(monkeypatch):
     lose_window = scan[0]
     lose_winding = next(ab for ab in rect if ab != lose_window)
 
-    window, count = spectral.default_window, spectral._WindingSearch.count
+    window, count = spectral.default_window, spectral._RootProblem.count
 
     def failing_window(coeffs, gain):
         if (coeffs.alpha, coeffs.beta) == lose_window:
             raise ValueError("no window here")
         return window(coeffs, gain)
 
-    def failing_count(search, *args):
-        if (search.prob.alpha, search.prob.beta) == lose_winding:
+    def failing_count(prob, *args):
+        if (prob.alpha, prob.beta) == lose_winding:
             raise RootIsolationFailure("no winding here")
-        return count(search, *args)
+        return count(prob, *args)
 
     monkeypatch.setattr(spectral, "default_window", failing_window)
-    monkeypatch.setattr(spectral._WindingSearch, "count", failing_count)
+    monkeypatch.setattr(spectral._RootProblem, "count", failing_count)
     after = sweep_plane(n_f=16, n_nu=16, threads=1)
 
     def coefficients(cell):
@@ -273,6 +273,17 @@ def test_a_failing_spectrum_leaves_its_group_alone(monkeypatch):
                 == {**asdict(old), "boundary_tag": None}
     assert sorted(failed) == ["RootIsolationFailure: no winding here",
                               "ValueError: no window here"]
+
+
+@pytest.mark.parametrize("u_star, f_val, message", [
+    (0.0, 1.0, "u_star must be positive"), (-1.0, 1.0, "u_star must be positive"),
+    (np.nan, 1.0, "u_star must be positive"), (np.inf, 1.0, "u_star must be finite"),
+    (1.0, 0.0, "f_val must be positive"), (1.0, -2.0, "f_val must be positive"),
+    (1.0, np.nan, "f_val must be positive"), (1.0, np.inf, "f_val must be finite")])
+def test_sweep_rejects_bad_point_data(u_star, f_val, message):
+    # zero divided by zero, and the other values failed every cell
+    with pytest.raises(ValueError, match=message):
+        sweep_plane(n_f=3, n_nu=3, u_star=u_star, f_val=f_val, threads=1)
 
 
 def test_worker_pool_capped_by_rows_and_cores(monkeypatch):

@@ -41,18 +41,25 @@ FIG4_COEFFS = ReducedCoefficients(alpha=2.0, beta=-1.0, nu=2.0)
 
 def real_roots_of(coeffs, gain, window, prob=None):
     """``find_real_roots`` of one root problem, ``prob`` if given."""
-    (roots,) = find_real_roots([prob or spectral._RootProblem(coeffs, gain)], window)
-    if isinstance(roots, Exception):
-        raise roots
-    return roots
+    prob = prob or spectral._RootProblem(coeffs, gain)
+    find_real_roots([prob], window)
+    if prob.error is not None:
+        raise prob.error
+    return prob.real_roots
 
 
 def complex_roots_of(prob, rect, real=()):
     """``_complex_roots`` of one root problem, with its real roots ``real``."""
-    (roots,) = spectral._complex_roots([prob], rect, [real])
-    if isinstance(roots, Exception):
-        raise roots
-    return roots
+    prob.real_roots = list(real)
+    spectral._complex_roots([prob], rect)
+    if prob.error is not None:
+        raise prob.error
+    return prob.complex_roots
+
+
+def g_on(prob, lh):
+    """G of ``prob`` on the array ``lh``, by the array evaluator ``_g_rows``."""
+    return spectral._g_rows([prob], spectral._factors(np.asarray(lh), prob.branch))[0]
 
 
 def oracle_extrapolated(lh: complex) -> complex:
@@ -409,16 +416,16 @@ class TestRootProblemBatch:
         n_real = 0
         for n in sizes:
             lh = np.resize(self.POINTS, n)
-            batch = prob.g(lh)
+            batch = g_on(prob, lh)
             assert batch.shape == (n,)
             assert_close(batch, [prob.g(z) for z in lh])
             # G is real on the real axis from the branch point and from -1 on
             x = lh.real[lh.real >= max(-1.0, -1.0 - gain)]
             n_real += x.size
-            real = prob.g(x)
+            real = g_on(prob, x)
             assert real.dtype == float
             assert_close(real, [prob.g(complex(v)).real for v in x])
-            assert_close(real, prob.g(x.astype(complex)).real)
+            assert_close(real, g_on(prob, x.astype(complex)).real)
         assert n_real > 0
         # n_eval counts points: each complex point twice, each real one three times
         assert prob.n_eval == 2 * sum(sizes) + 3 * n_real
@@ -510,7 +517,7 @@ class TestBrentq:
             lo, hi, _, _ = default_window(co, gain)
             xs = spectral._scan_points(*np.array(spectral._real_subintervals(lo, hi, gain)).T)
             prob = spectral._RootProblem(co, gain)
-            sign = np.sign(prob.g(xs))
+            sign = np.sign(g_on(prob, xs))
             for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
                 # the tolerances of the real-root polish
                 self.agree(prob.g, float(xs[i]), float(xs[i + 1]), 1e-300, 4.0 * spectral._EPS)
@@ -604,7 +611,7 @@ def test_real_scan_finds_every_sign_change():
               for s in (-1.0, 1.0)]
         x = np.unique(np.concatenate(x))
         x = x[(x >= lo) & (x <= hi)]
-        sign = np.sign(spectral._RootProblem(co, gain).g(x))
+        sign = np.sign(g_on(spectral._RootProblem(co, gain), x))
         dense = np.count_nonzero(sign == 0) + np.count_nonzero(sign[:-1] * sign[1:] < 0)
         roots = real_roots_of(co, gain, (lo, hi))
         assert len(roots) == dense, (f_der, nu, gain)
@@ -622,7 +629,7 @@ def test_real_scan_finds_a_pair_between_two_samples():
     lo, hi, _, _ = default_window(co, 0.0)
     roots = real_roots_of(co, 0.0, (lo, hi))
     x = np.linspace(-0.7, -0.5, 20_001)
-    sign = np.sign(spectral._RootProblem(co, 0.0).g(x))
+    sign = np.sign(g_on(spectral._RootProblem(co, 0.0), x))
     (i, j) = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     assert len(roots) == 3
     assert x[i] <= roots[0] <= x[i + 1] and x[j] <= roots[1] <= x[j + 1]
@@ -657,10 +664,9 @@ class TestScanSamples:
                                   np.geomspace(start, stop, num, axis=1))
 
     def test_winding_sides_are_linspace(self):
-        search = spectral._WindingSearch(spectral._RootProblem(FIG4_COEFFS, 0.0))
         for n in (8, 9, 100, 1999):
             a, b = complex(-0.5, 1e-6), complex(-0.5 + 0.75 * (n - 1), 1e-6)
-            assert np.array_equal(search._side(a, b),
+            assert np.array_equal(spectral._side(a, b),
                                   a + (b - a) * np.linspace(0.0, 1.0, n, endpoint=False))
 
 
@@ -668,7 +674,7 @@ class TestFindComplexRoots:
     def test_fig4_roots_and_conjugate_closure(self):
         prob, rect = spectral._RootProblem(FIG4_COEFFS, 0.0), (-0.9, 10.0, -8.0, 8.0)
         roots = complex_roots_of(prob, rect)
-        assert spectral._WindingSearch(prob).winding(rect) == len(roots)
+        assert prob.winding(rect) == len(roots)
         assert roots
         assert max(z.real for z in roots) < 1.28
         for z in roots:
@@ -705,11 +711,12 @@ class TestFindComplexRoots:
             vals[0, 5] = 0.0
             return vals
 
-        alone = spectral._WindingSearch(spectral._RootProblem(FIG4_COEFFS, 0.0)).winding(rect)
+        alone = spectral._RootProblem(FIG4_COEFFS, 0.0).winding(rect)
         monkeypatch.setattr(spectral, "_g_rows", zero_in_first_row)
-        searches = [spectral._WindingSearch(spectral._RootProblem(FIG4_COEFFS, 0.0))
-                    for _ in range(2)]
-        failed, counted = spectral._windings(searches, rect)
+        problems = [spectral._RootProblem(FIG4_COEFFS, 0.0) for _ in range(2)]
+        counts = [prob.attempt(prob.count, rect, *row)
+                  for prob, row in spectral._phase_steps(problems, rect)]
+        failed, counted = problems[0].error, counts[1]
         assert isinstance(failed, RootIsolationFailure) and "boundary" in str(failed)
         assert counted == alone >= 2
 
@@ -721,19 +728,20 @@ class TestFindComplexRoots:
         real_roots = real_roots_of(FIG4_COEFFS, 0.0, (re0, re1))
         assert real_roots
         plain, deflated = (spectral._RootProblem(FIG4_COEFFS, 0.0) for _ in range(2))
-        assert spectral._WindingSearch(plain).winding(rect) == 1
-        assert spectral._WindingSearch(deflated, real_roots).winding(rect) == 1
+        deflated.real_roots = real_roots
+        assert plain.winding(rect) == 1
+        assert deflated.winding(rect) == 1
         assert deflated.n_eval < plain.n_eval
 
     def test_lost_root_trips_the_certificate(self, monkeypatch):
         # a winding count on a subrectangle that misses a root leaves the
         # roots found one short of the top rectangle's winding number
-        winding = spectral._WindingSearch.winding
+        winding = spectral._RootProblem.winding
         top = (-0.9, 10.0, -8.0, 8.0)
         lost = []
 
-        def losing(search, rect):
-            w = winding(search, rect)
+        def losing(prob, rect):
+            w = winding(prob, rect)
             if rect != top and w > 0 and not lost:
                 lost.append(rect)
                 return w - 1
@@ -741,8 +749,8 @@ class TestFindComplexRoots:
 
         prob = spectral._RootProblem(FIG4_COEFFS, 0.0)
         roots = complex_roots_of(prob, top)
-        assert winding(spectral._WindingSearch(prob), top) == len(roots) >= 2
-        monkeypatch.setattr(spectral._WindingSearch, "winding", losing)
+        assert winding(prob, top) == len(roots) >= 2
+        monkeypatch.setattr(spectral._RootProblem, "winding", losing)
         with pytest.raises(RootIsolationFailure, match="winding number"):
             complex_roots_of(spectral._RootProblem(FIG4_COEFFS, 0.0), top)
         assert lost
@@ -761,7 +769,7 @@ class TestNewton:
         rect = (re0, re1, 1e-6, im1)
         centre = complex(0.5 * (re0 + re1), 0.5 * (1e-6 + im1))
         diam = math.hypot(re1 - re0, im1 - 1e-6)
-        start = centre + spectral._WindingSearch.SECANT_START * diam
+        start = centre + spectral._SECANT_START * diam
         unbounded = spectral._RootProblem(co, 0.0)
         (real_root,) = [x for x in real_roots_of(co, 0.0, (re0, re1)) if x < 0.0]
         assert abs(unbounded.secant(centre, start, math.inf) - real_root) <= 1e-12
@@ -947,7 +955,7 @@ class TestAssembleSpectrum:
         lh = np.linspace(0.0, report.search_window["re"][1], 65_536) + 1e-6j
         tracemalloc.start()
         try:
-            spectral._RootProblem(co, 0.0).g(lh)
+            g_on(spectral._RootProblem(co, 0.0), lh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1008,15 +1016,13 @@ class TestAssembleSpectrum:
                 co = reduced_coefficients(params)
                 re0, re1, _, im1 = default_window(co, 0.0)
                 prob = spectral._RootProblem(co, 0.0)
-                real_roots = real_roots_of(co, 0.0, (re0, re1), prob)
-                search = spectral._WindingSearch(prob, real_roots)
-                assert 2 * search.winding((re0, re1, 1e-6, im1)) == counts[-1], (f_der, nu)
+                real_roots_of(co, 0.0, (re0, re1), prob)
+                assert 2 * prob.winding((re0, re1, 1e-6, im1)) == counts[-1], (f_der, nu)
             return counts
 
         counts = off_axis_counts()
-        search = spectral._WindingSearch
-        monkeypatch.setattr(search, "SPACING", search.SPACING / 8.0)
-        monkeypatch.setattr(search, "MIN_SIDE", search.MIN_SIDE * 8)
+        monkeypatch.setattr(spectral, "_SPACING", spectral._SPACING / 8.0)
+        monkeypatch.setattr(spectral, "_MIN_SIDE", spectral._MIN_SIDE * 8)
         assert counts == off_axis_counts()
         assert sum(counts) > 0
 
@@ -1070,6 +1076,67 @@ class TestAssembleSpectra:
         assert sum(n for n in windows.values() if n > 1) > len(params) // 4
 
 
+    def test_later_stage_failures_stay_with_their_spectrum(self, monkeypatch):
+        # one spectrum's Brent polish raises, and another's secant fails in
+        # every cell of its subdivision; each shares its stage's group
+        rng = np.random.default_rng(30)
+        params = [ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der)
+                  for f_der, nu in rng.uniform(-3.0, 3.0, (120, 2))]
+        single = {}
+        for p in params:
+            co, report = reduced_coefficients(p), assemble_spectrum(p)
+            single[co.alpha, co.beta] = report
+        groups = {"find_real_roots": [], "_complex_roots": []}
+
+        def spy(name, stage):
+            def recorded(problems, *args):
+                groups[name].append([(prob.alpha, prob.beta) for prob in problems])
+                return stage(problems, *args)
+            return recorded
+
+        for name in groups:
+            monkeypatch.setattr(spectral, name, spy(name, getattr(spectral, name)))
+        spectral.assemble_spectra(params)
+        # the first spectrum with a real root (besides the translation
+        # eigenvalue) in a shared scan, and with a complex root in a shared
+        # winding count
+        lose_polish = next(ab for group in groups["find_real_roots"] if len(group) > 1
+                           for ab in group if any(
+                               z.imag == 0.0 and z != single[ab].translation_eigenvalue
+                               for z in single[ab].eigenvalues))
+        lose_secant = next(ab for group in groups["_complex_roots"] if len(group) > 1
+                           for ab in group if ab != lose_polish
+                           and any(z.imag != 0.0 for z in single[ab].eigenvalues))
+        brentq, secant = spectral._brentq, spectral._RootProblem.secant
+
+        def failing_brentq(f, *args):
+            if (f.__self__.alpha, f.__self__.beta) == lose_polish:
+                raise RuntimeError("no polish here")
+            return brentq(f, *args)
+
+        def failing_secant(prob, *args):
+            return None if (prob.alpha, prob.beta) == lose_secant else secant(prob, *args)
+
+        monkeypatch.setattr(spectral, "_brentq", failing_brentq)
+        monkeypatch.setattr(spectral._RootProblem, "secant", failing_secant)
+        failed = {}
+        for p, report in zip(params, spectral.assemble_spectra(params)):
+            co = reduced_coefficients(p)
+            ab = co.alpha, co.beta
+            if ab in (lose_polish, lose_secant):
+                # the error a single spectrum raises under the same faults
+                with pytest.raises(Exception) as raised:
+                    assemble_spectrum(p)
+                assert type(report) is type(raised.value)
+                assert str(report) == str(raised.value)
+                failed[ab] = report
+            else:
+                assert report.to_json() == single[ab].to_json()
+        assert isinstance(failed[lose_polish], RuntimeError)
+        assert isinstance(failed[lose_secant], RootIsolationFailure)
+        assert "secant failed" in str(failed[lose_secant])
+
+
 class TestFactorMemo:
     """The memo of sample sets and G's parameter-free factors on them."""
 
@@ -1090,11 +1157,11 @@ class TestFactorMemo:
             + self.seeded_params(120, 17, lambda k, rng: float(
                 scan[k % 33] if k % 2 else rng.uniform(-20.0, 0.5)))
         built = []
-        scan_points, boundary_points = spectral._scan_points, spectral._WindingSearch._boundary_points
+        scan_points, boundary_points = spectral._scan_points, spectral._boundary_points
         monkeypatch.setattr(spectral, "_scan_points",
                             lambda *a: built.append(a) or scan_points(*a))
-        monkeypatch.setattr(spectral._WindingSearch, "_boundary_points",
-                            lambda search, rect: built.append(rect) or boundary_points(search, rect))
+        monkeypatch.setattr(spectral, "_boundary_points",
+                            lambda rect: built.append(rect) or boundary_points(rect))
         cold, again = [], []
         for p in params:
             spectral._MEMO.clear()
