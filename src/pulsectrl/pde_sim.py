@@ -61,6 +61,9 @@ class SimConfig:
             raise ValueError("dx must satisfy dx <= eps/4")
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
+        # run takes ceil(t_end / dt) steps, none where the quotient underflows
+        if not self.t_end / self.dt > 0:
+            raise ValueError("t_end must span at least one step of dt")
         if not (math.isfinite(self.eta) and self.eta != 0):
             raise ValueError("eta must be finite and nonzero")
         if self.perturbation_shape not in ("even_bump", "random"):

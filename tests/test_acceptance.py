@@ -39,7 +39,8 @@ POLE_LOW = -0.75
 def real_roots(coeffs, gain, window):
     """The real roots in ``window`` of one root problem."""
     prob = _RootProblem(coeffs, gain)
-    find_real_roots([prob], window)
+    prob.window = window
+    find_real_roots([prob])
     if prob.error is not None:
         raise prob.error
     return prob.real_roots

@@ -67,6 +67,13 @@ class TestSimConfig:
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 fig4_config(**{name: value})
 
+    def test_t_end_spans_a_step(self):
+        # t_end / dt underflows to 0, and run would take no step at all
+        with pytest.raises(ValueError, match="at least one step"):
+            fig4_config(t_end=1e-320, dt=1e10)
+        # half a step still rounds up to one
+        assert fig4_config(t_end=0.5e-3, dt=1e-3).t_end == 0.5e-3
+
 
 def test_rhs_zero_state_forcing():
     # with f(0) = 0 the u-equation vanishes on the zero state while the

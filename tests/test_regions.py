@@ -220,7 +220,7 @@ def test_batched_sweep_bytes_equal_single_spectra(monkeypatch, n):
 def test_a_failing_spectrum_leaves_its_group_alone(monkeypatch):
     # the groups a 16x16 sweep evaluates together, by the (alpha, beta) of
     # their members
-    groups = {"find_real_roots": [], "_complex_roots": []}
+    groups = {"_scan_real": [], "_complex_roots": []}
 
     def spy(name, stage):
         def recorded(problems, *args):

@@ -13,7 +13,6 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from pulsectrl import spectral
 from pulsectrl.errors import (
@@ -42,7 +41,8 @@ FIG4_COEFFS = ReducedCoefficients(alpha=2.0, beta=-1.0, nu=2.0)
 def real_roots_of(coeffs, gain, window, prob=None):
     """``find_real_roots`` of one root problem, ``prob`` if given."""
     prob = prob or spectral._RootProblem(coeffs, gain)
-    find_real_roots([prob], window)
+    prob.window = window
+    find_real_roots([prob])
     if prob.error is not None:
         raise prob.error
     return prob.real_roots
@@ -476,41 +476,64 @@ class TestFindRealRoots:
         assert roots and roots == real_roots_of(FIG4_COEFFS, gain, (edge, 0.0))
 
 
-class TestBrentq:
-    """``spectral._brentq`` is scipy's ``brentq``, bit for bit: the same
-    root after the same calls of f, counted by one wrapper on both."""
+class TestChandrupatla:
+    """``spectral._chandrupatla`` in Python floats and
+    ``spectral._chandrupatla_array`` on many brackets are one iteration:
+    the same root bits after the same evaluations, counted per bracket."""
+
+    XTOL, RTOL = 1e-300, 4.0 * spectral._EPS  # the real-root polish's
 
     @staticmethod
-    def counted(f):
-        def wrapped(x):
-            wrapped.calls += 1
-            return f(x)
+    def scalar(fs, a, b, xtol, rtol):
+        """Per bracket the scalar root, as hex, or the exception's type, and
+        the evaluations it made."""
+        out = []
+        for f, lo, hi in zip(fs, a, b):
+            calls = []
 
-        wrapped.calls = 0
-        return wrapped
+            def counted(x, f=f):
+                calls.append(x)
+                return f(x)
+
+            try:
+                root = spectral._chandrupatla(counted, lo, hi, f(lo), f(hi), xtol, rtol).hex()
+            except (ValueError, RuntimeError) as exc:
+                root = type(exc)
+            out.append((root, len(calls)))
+        return out
 
     @staticmethod
-    def outcome(solve):
-        try:
-            return solve().hex()
-        except RuntimeError:  # no convergence in 100 steps
-            return "RuntimeError"
+    def array(fs, a, b, xtol, rtol, f_rows=None):
+        """The same from the array form, with G of the live brackets from
+        ``f_rows(x, live)``, or else from ``fs`` one point at a time."""
+        a, b = np.array(a), np.array(b)
+        if f_rows is None:
+            def f_rows(x, live):
+                return np.array([fs[k](xk) for k, xk in zip(live.tolist(), x.tolist())])
+        fa = np.array([f(x) for f, x in zip(fs, a.tolist())])
+        fb = np.array([f(x) for f, x in zip(fs, b.tolist())])
+        roots, evals, errors = spectral._chandrupatla_array(f_rows, a, b, fa, fb, xtol, rtol)
+        return [(type(exc) if exc else root.hex(), n)
+                for root, n, exc in zip(roots.tolist(), evals.tolist(), errors)]
 
-    def agree(self, f, a, b, xtol, rtol):
-        ref = self.counted(f)
-        root = self.outcome(lambda: brentq(ref, a, b, xtol=xtol, rtol=rtol))
-        # the end values taken through the wrapper, as scipy takes them, or
-        # known, which saves those two calls and changes nothing else
-        for known in (False, True):
-            ported = self.counted(f)
-            ends = (f(a), f(b)) if known else (ported(a), ported(b))
-            assert self.outcome(lambda: spectral._brentq(ported, a, b, xtol, rtol, *ends)) == root
-            assert ported.calls == ref.calls - 2 * known
+    def test_factors_round_alike_at_a_point_and_in_an_array(self):
+        # the forms agree only if G does: at real points right of the
+        # branch point, _factors of a Python float equals the array's entry
+        rng = np.random.default_rng(26)
+        lh = np.concatenate([rng.uniform(-1.0, 3.0, 10_000),
+                             -1.0 + 10.0 ** rng.uniform(-12.0, 3.0, 10_000)])
+        branch = np.minimum(lh, -1.0 - rng.uniform(-6.0, 0.0, lh.size))
+        rows = np.array(spectral._factors(lh, branch)).T.tolist()
+        assert [spectral._factors(x, c) for x, c in zip(lh.tolist(), branch.tolist())] \
+            == [tuple(row) for row in rows]
 
     def test_scan_brackets_of_g(self):
+        # the brackets of 200 seeded spectra's scans at g = 0 and at random
+        # gains, each of its own problem, in one array
         rng = np.random.default_rng(23)
-        n = 0
-        while n < 200:
+        fs, a, b, alpha, beta, branch = [], [], [], [], [], []
+        spectra = 0
+        while spectra < 200:
             f_der, nu = rng.uniform(-3.0, 3.0, 2)
             gain = rng.choice([0.0, rng.uniform(-6.0, 0.0)])
             co = reduced_coefficients(ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der))
@@ -518,33 +541,53 @@ class TestBrentq:
             xs = spectral._scan_points(*np.array(spectral._real_subintervals(lo, hi, gain)).T)
             prob = spectral._RootProblem(co, gain)
             sign = np.sign(g_on(prob, xs))
-            for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-                # the tolerances of the real-root polish
-                self.agree(prob.g, float(xs[i]), float(xs[i + 1]), 1e-300, 4.0 * spectral._EPS)
-                n += 1
+            changes = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+            spectra += bool(changes.size)
+            for i in changes.tolist():
+                fs.append(prob.g)
+                a.append(float(xs[i]))
+                b.append(float(xs[i + 1]))
+                alpha.append(prob.alpha)
+                beta.append(prob.beta)
+                branch.append(prob.branch)
+        alpha, beta, branch = map(np.array, (alpha, beta, branch))
+
+        def g_rows(x, live):
+            return spectral._g(alpha[live], beta[live], branch[live], x)
+
+        scalar = self.scalar(fs, a, b, self.XTOL, self.RTOL)
+        assert all(isinstance(root, str) for root, _ in scalar)
+        assert self.array(fs, a, b, self.XTOL, self.RTOL, g_rows) == scalar
+        # about Brent's 4.4 evaluations a bracket, and within its budget
+        evals = [n for _, n in scalar]
+        assert np.mean(evals) < 6.0 and max(evals) < 30
 
     def test_gain_floor_excess(self, monkeypatch):
+        # the brackets _gain_floor hands the scalar form
         calls = []
+        scalar = spectral._chandrupatla
 
-        def spy(f, a, b, xtol, rtol, fa, fb):
+        def spy(f, a, b, fa, fb, xtol, rtol):
             calls.append((f, a, b, xtol, rtol))
-            return ported(f, a, b, xtol, rtol, fa, fb)
+            return scalar(f, a, b, fa, fb, xtol, rtol)
 
-        ported = spectral._brentq
-        monkeypatch.setattr(spectral, "_brentq", spy)
+        monkeypatch.setattr(spectral, "_chandrupatla", spy)
         rng = np.random.default_rng(24)
         for _ in range(60):
             beta = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
             spectral._gain_floor(-rng.uniform(-4.0, 6.0) * beta, beta)
         assert len(calls) == 60
-        monkeypatch.setattr(spectral, "_brentq", ported)
-        for f, a, b, xtol, rtol in calls:
-            self.agree(f, a, b, xtol, rtol)
+        monkeypatch.setattr(spectral, "_chandrupatla", scalar)
+        fs, a, b, xtol, rtol = zip(*calls)
+        assert set(xtol) == set(rtol) == {1e-12}
+        out = self.scalar(fs, a, b, 1e-12, 1e-12)
+        assert all(isinstance(root, str) for root, _ in out)
+        assert self.array(fs, a, b, 1e-12, 1e-12) == out
 
     def test_steep_flat_and_wiggly_functions(self):
-        # brackets where Brent refuses interpolation steps and bisects
+        # brackets where the interpolation is refused and it bisects
         rng = np.random.default_rng(25)
-        n = 0
+        fs = []
         for make in (lambda r, s: lambda x: math.tanh(s * (x - r)),
                      lambda r, s: lambda x: (x - r) ** 9,
                      lambda r, s: lambda x: math.copysign(abs(x - r) ** 0.1, x - r),
@@ -552,21 +595,67 @@ class TestBrentq:
             for _ in range(50):
                 f = make(rng.uniform(-0.9, 0.9), 10.0 ** rng.uniform(0.0, 3.0))
                 if (f(-1.0) < 0.0) != (f(1.0) < 0.0):
-                    self.agree(f, -1.0, 1.0, 1e-12, 1e-12)
-                    n += 1
-        assert n >= 150
+                    fs.append(f)
+        assert len(fs) >= 150
+        xtol = rtol = 1e-12
+        a, b = [-1.0] * len(fs), [1.0] * len(fs)
+        scalar = self.scalar(fs, a, b, xtol, rtol)
+        assert self.array(fs, a, b, xtol, rtol) == scalar
+        for f, (root, _) in zip(fs, scalar):
+            # a sign change of f lies within xtol + rtol |x| of the root x
+            x = float.fromhex(root)
+            tol = xtol + rtol * abs(x)
+            assert f(x) == 0.0 or f(x - tol) * f(x + tol) <= 0.0
 
     def test_zero_at_an_end(self):
-        for f, a, b in ((lambda x: x, 0.0, 1.0), (lambda x: x, -1.0, 0.0),
-                        (lambda x: x * (x - 1.0), 0.0, 1.0)):
-            self.agree(f, a, b, 1e-12, 1e-12)
-            assert spectral._brentq(f, a, b, 1e-12, 1e-12, f(a), f(b)) == (a if f(a) == 0.0 else b)
+        fs = [lambda x: x, lambda x: x, lambda x: x * (x - 1.0)]
+        a, b = [0.0, -1.0, 0.0], [1.0, 0.0, 1.0]
+        scalar = self.scalar(fs, a, b, 1e-12, 1e-12)
+        assert scalar == [(0.0.hex(), 0), (0.0.hex(), 0), (0.0.hex(), 0)]
+        assert self.array(fs, a, b, 1e-12, 1e-12) == scalar
+        assert spectral._chandrupatla(None, 0.5, 1.0, 3.0, 0.0, 1e-12, 1e-12) == 1.0
 
-    def test_ends_of_one_sign(self):
-        with pytest.raises(ValueError):
-            brentq(lambda x: x * x + 1.0, -1.0, 2.0)
-        with pytest.raises(ValueError):
-            spectral._brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 1e-12, 2.0, 5.0)
+    def test_one_bracket_fails_alone(self):
+        # ends of one sign or a NaN end raise ValueError, a NaN value met on
+        # the way ValueError, and a bracket still open after 100 steps
+        # RuntimeError; in the array the other brackets still converge
+        def nan_inside(x):
+            return math.nan if -0.5 < x < 0.5 else x
+
+        def slow(x):
+            # root at 0, where only the absolute tolerance applies
+            return math.copysign(abs(x) ** 0.1, x)
+
+        fs = [lambda x: x * x + 1.0, lambda x: x - 0.25, lambda x: math.nan if x > 0 else x,
+              nan_inside, slow, math.tanh]
+        a, b = [-1.0, -1.0, -1.0, -1.0, -1.0, -0.7], [2.0, 1.0, 1.0, 1.0, 2.0, 0.9]
+        scalar = self.scalar(fs, a, b, 1e-300, 4.0 * spectral._EPS)
+        assert [root for root, _ in scalar] == [
+            ValueError, (0.25).hex(), ValueError, ValueError, RuntimeError, 0.0.hex()]
+        assert scalar[4][1] == spectral._MAX_STEPS
+        assert self.array(fs, a, b, 1e-300, 4.0 * spectral._EPS) == scalar
+        with pytest.raises(ValueError, match="different signs"):
+            spectral._chandrupatla(fs[0], -1.0, 2.0, 2.0, 5.0, 1e-12, 1e-12)
+        with pytest.raises(ValueError, match="NaN"):
+            spectral._chandrupatla(fs[3], -1.0, 1.0, -1.0, 1.0, 1e-12, 1e-12)
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            spectral._chandrupatla(slow, -1.0, 2.0, slow(-1.0), slow(2.0), 1e-300, 1e-12)
+
+
+@pytest.mark.parametrize("f_der", [1e-300, -1e-300, -1e-200])
+def test_scan_of_huge_coefficients_does_not_overflow(f_der):
+    # |alpha| and |beta| near 1e300 put the scan's G samples near 1e300,
+    # whose slopes overflowed before each row was scaled by a power of two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (result,) = spectral.assemble_spectra([ModelParams(1.0, 1.0, f_der, 0.5)])
+    assert not isinstance(result, Warning), result
+    if f_der < 0.0:
+        # the spectrum at f' = 0: 5/4, -3/4, (nu u*)^2 - 1 = -3/4 and the
+        # translation eigenvalue 0
+        assert result.verdict == "Unstable"
+        assert sorted(z.real for z in result.eigenvalues) == \
+            pytest.approx([-0.75, -0.75, 0.0, 1.25], abs=1e-12)
 
 
 @pytest.mark.parametrize("f_der, to_log_der", [(1e-9, -2.0), (1e-8, 0.5)])
@@ -875,9 +964,10 @@ class TestAssembleSpectrum:
             assert abs(z - complex(1.2423052748579382, im)) <= 1e-12
 
     def test_fig4_scans_the_real_axis_in_one_call(self, monkeypatch):
-        # every real subinterval's samples go through one array call of G
-        is_array, per_scan = [], []
-        g, g_rows, scan = spectral._RootProblem.g, spectral._g_rows, spectral.find_real_roots
+        # every real subinterval's samples go through one array call of G,
+        # and the polish of a single spectrum's brackets through none
+        is_array, per_scan, per_polish = [], [], []
+        g, g_rows, g_points = spectral._RootProblem.g, spectral._g_rows, spectral._g
 
         def counted(prob, lh):
             is_array.append(isinstance(lh, np.ndarray))
@@ -887,17 +977,28 @@ class TestAssembleSpectrum:
             is_array.append(True)
             return g_rows(problems, factors)
 
-        def traced(*args, **kwargs):
-            start = len(is_array)
-            roots = scan(*args, **kwargs)
-            per_scan.append(sum(is_array[start:]))
-            return roots
+        def counted_points(alpha, beta, branch, lh):
+            is_array.append(isinstance(lh, np.ndarray))
+            return g_points(alpha, beta, branch, lh)
+
+        def traced(stage, calls):
+            def run(*args, **kwargs):
+                start = len(is_array)
+                out = stage(*args, **kwargs)
+                calls.append(sum(is_array[start:]))
+                return out
+            return run
 
         monkeypatch.setattr(spectral._RootProblem, "g", counted)
         monkeypatch.setattr(spectral, "_g_rows", counted_rows)
-        monkeypatch.setattr(spectral, "find_real_roots", traced)
-        assemble_spectrum(ModelParams(1.0, 1.0, -3.0, 8.0))
+        monkeypatch.setattr(spectral, "_g", counted_points)
+        monkeypatch.setattr(spectral, "_scan_real", traced(spectral._scan_real, per_scan))
+        monkeypatch.setattr(spectral, "_polish_real", traced(spectral._polish_real, per_polish))
+        report = assemble_spectrum(ModelParams(1.0, 1.0, -3.0, 8.0))
         assert per_scan == [1]
+        # its one real root besides the translation eigenvalue
+        assert sum(z.imag == 0.0 for z in report.eigenvalues) == 2
+        assert per_polish == [0]
 
     def test_positive_beta_zone_holds_every_complex_root(self):
         # for beta > 0 the off-axis search covers only the zone
@@ -1077,8 +1178,9 @@ class TestAssembleSpectra:
 
 
     def test_later_stage_failures_stay_with_their_spectrum(self, monkeypatch):
-        # one spectrum's Brent polish raises, and another's secant fails in
-        # every cell of its subdivision; each shares its stage's group
+        # one spectrum's real-root polish meets a NaN value of G inside the
+        # array iteration, and another's secant fails in every cell of its
+        # subdivision; each shares its stage's group
         rng = np.random.default_rng(30)
         params = [ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der)
                   for f_der, nu in rng.uniform(-3.0, 3.0, (120, 2))]
@@ -1086,7 +1188,7 @@ class TestAssembleSpectra:
         for p in params:
             co, report = reduced_coefficients(p), assemble_spectrum(p)
             single[co.alpha, co.beta] = report
-        groups = {"find_real_roots": [], "_complex_roots": []}
+        groups = {"_scan_real": [], "_complex_roots": [], "_polish_real": []}
 
         def spy(name, stage):
             def recorded(problems, *args):
@@ -1097,30 +1199,42 @@ class TestAssembleSpectra:
         for name in groups:
             monkeypatch.setattr(spectral, name, spy(name, getattr(spectral, name)))
         spectral.assemble_spectra(params)
+        # the batch's brackets are polished as one array
+        (polished,) = groups["_polish_real"]
+        assert len(polished) >= spectral._ARRAY_BRACKETS
         # the first spectrum with a real root (besides the translation
         # eigenvalue) in a shared scan, and with a complex root in a shared
         # winding count
-        lose_polish = next(ab for group in groups["find_real_roots"] if len(group) > 1
+        lose_polish = next(ab for group in groups["_scan_real"] if len(group) > 1
                            for ab in group if any(
                                z.imag == 0.0 and z != single[ab].translation_eigenvalue
                                for z in single[ab].eigenvalues))
         lose_secant = next(ab for group in groups["_complex_roots"] if len(group) > 1
                            for ab in group if ab != lose_polish
                            and any(z.imag != 0.0 for z in single[ab].eigenvalues))
-        brentq, secant = spectral._brentq, spectral._RootProblem.secant
+        g, secant = spectral._g, spectral._RootProblem.secant
+        array_steps = []
 
-        def failing_brentq(f, *args):
-            if (f.__self__.alpha, f.__self__.beta) == lose_polish:
-                raise RuntimeError("no polish here")
-            return brentq(f, *args)
+        def failing_g(alpha, beta, branch, lh):
+            # NaN at real points of lose_polish, one point at a time or as
+            # an array's entries
+            out = g(alpha, beta, branch, lh)
+            lose = (alpha == lose_polish[0]) & (beta == lose_polish[1])
+            if isinstance(out, np.ndarray):
+                array_steps.append(np.any(lose))
+                return np.where(lose, np.nan, out)
+            return math.nan if lose and isinstance(lh, float) else out
 
         def failing_secant(prob, *args):
             return None if (prob.alpha, prob.beta) == lose_secant else secant(prob, *args)
 
-        monkeypatch.setattr(spectral, "_brentq", failing_brentq)
+        monkeypatch.setattr(spectral, "_g", failing_g)
         monkeypatch.setattr(spectral._RootProblem, "secant", failing_secant)
         failed = {}
-        for p, report in zip(params, spectral.assemble_spectra(params)):
+        batched = spectral.assemble_spectra(params)
+        # the fault met lose_polish inside the array iteration
+        assert array_steps and array_steps[0]
+        for p, report in zip(params, batched):
             co = reduced_coefficients(p)
             ab = co.alpha, co.beta
             if ab in (lose_polish, lose_secant):
@@ -1132,7 +1246,8 @@ class TestAssembleSpectra:
                 failed[ab] = report
             else:
                 assert report.to_json() == single[ab].to_json()
-        assert isinstance(failed[lose_polish], RuntimeError)
+        assert isinstance(failed[lose_polish], ValueError)
+        assert "NaN" in str(failed[lose_polish])
         assert isinstance(failed[lose_secant], RootIsolationFailure)
         assert "secant failed" in str(failed[lose_secant])
 
