@@ -27,12 +27,11 @@ class UnstableEssential(PulseControlError):
 
 class RootIsolationFailure(PulseControlError):
     """The argument-principle search could not account for the roots in a
-    rectangle: a root lies on the search boundary; the winding number is
-    not an integer; a phase step stayed a quarter turn or more after 48
-    bisections, or once its edge fell under 1e-13; the secant failed in a
-    cell under 1e-6 across that winds around a root; subdivision reached
-    its depth limit; or the roots found do not match the rectangle's
-    winding number (the count certificate)."""
+    rectangle: a root lies on the search boundary; a phase step stayed a
+    quarter turn or more after 48 bisections, or once its edge fell under
+    1e-13; the secant failed in a cell under 1e-6 across that winds around
+    a root; subdivision reached its depth limit; or the roots found do not
+    match the rectangle's winding number (the count certificate)."""
 
 
 class NearEigenvalue(PulseControlError):

@@ -30,7 +30,6 @@ from .errors import NumericalBlowup
 from .model import ModelParams, PowerLawModel, pulse_profile
 
 RELAX_TOL = 1e-12
-BLOWUP_NORM = 1e12
 
 
 @dataclass

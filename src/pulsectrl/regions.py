@@ -131,11 +131,10 @@ def min_control_gain(params: ModelParams, tol: float = 1e-3,
     Below g* = ``spectral._gain_floor(alpha, beta)`` no eigenvalue meets the
     imaginary axis, so every gain there has the verdict of the deep-gain
     limit lambda -> (nu u*)^2 - 1.  A coarse scan of
-    [max(min(g*, SHALLOWEST_FLOOR), DEEPEST_FLOOR), 0] finds the
-    stable-to-unstable transition closest to zero gain, which bisection then
-    sharpens.  Stability is not assumed monotone in the gain: the scan counts
-    every transition it sees and reports extras, and g* as ``gain_floor``,
-    through ``diagnostics``.
+    [max(min(g*, SHALLOWEST_FLOOR), DEEPEST_FLOOR), 0] runs from zero gain
+    down and stops at the first stable gain, and bisection then sharpens the
+    transition just above it.  g* is reported as ``gain_floor``, and the
+    points of the last scan as ``scan_points``, through ``diagnostics``.
 
     Raises FloorInsufficient when no scanned gain is stable.  Where
     g* >= DEEPEST_FLOOR the range holds every crossing and ends at the limit's
@@ -152,23 +151,24 @@ def min_control_gain(params: ModelParams, tol: float = 1e-3,
     if diagnostics is not None:
         diagnostics["gain_floor"] = g_star
     if uncontrolled_verdict(params) != VERDICT_UNSTABLE:
-        if diagnostics is not None:
-            diagnostics.update({"transitions": 0, "non_monotone": False})
         return 0.0
 
     # Stability need not persist as the gain deepens: with alpha > 0 and
     # beta < 0 a real eigenvalue returns to lambda = (alpha/beta)^2 - 1 > 0
     # as l'(0) -> -inf, so stable gains form a window.  Scan with increasing
-    # density until a stable sample appears.
+    # density until a stable sample appears.  A denser rung's even samples
+    # are the sparser rung's, bit for bit, all unstable, so after the first
+    # rung only the odd ones are evaluated.
     floor = max(min(g_star, SHALLOWEST_FLOOR), DEEPEST_FLOOR)
-    gains = None
-    stable_flags = None
+    stride = 1
     for n_scan in (33, 65, 129, 257):
         gains = np.linspace(0.0, floor, n_scan)
-        stable_flags = [False] + [_stable_at(params, float(g)) for g in gains[1:]]
-        if any(stable_flags):
+        first_stable = next((i for i in range(1, n_scan, stride)
+                             if _stable_at(params, float(gains[i]))), None)
+        if first_stable is not None:
             break
-    if not any(stable_flags):
+        stride = 2
+    else:
         found = (f"no stable gain found in [{floor:.6g}, 0] at spacing "
                  f"{abs(floor) / (len(gains) - 1):.3g}")
         if g_star >= DEEPEST_FLOOR:
@@ -180,13 +180,8 @@ def min_control_gain(params: ModelParams, tol: float = 1e-3,
         raise FloorInsufficient(
             f"{found}; crossings may lie below the range, down to "
             f"g* = {g_star:.6g}")
-    transitions = sum(1 for a, b in zip(stable_flags[:-1], stable_flags[1:])
-                      if a != b)
     if diagnostics is not None:
-        diagnostics.update({"transitions": transitions,
-                            "non_monotone": transitions > 1,
-                            "scan_points": len(gains)})
-    first_stable = stable_flags.index(True)
+        diagnostics["scan_points"] = n_scan
     hi = gains[first_stable - 1]   # unstable, closer to zero
     lo = gains[first_stable]       # stable, deeper
     while hi - lo > tol:

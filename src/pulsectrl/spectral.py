@@ -364,22 +364,19 @@ class _RootProblem:
     def winding(self, rect) -> int:
         """The winding number on ``rect``."""
         ((_, row),) = _phase_steps([self], rect)
-        return self.count(rect, *row)
+        return self.count(*row)
 
-    def count(self, rect, pts, vals, steps, big, zero: bool) -> int:
-        """The winding number on ``rect`` from the deflated G ``vals`` at the
+    def count(self, pts, vals, steps, big, zero: bool) -> int:
+        """The winding number from the deflated G ``vals`` at the closed
         boundary samples ``pts``, ``zero`` if one is 0, and the principal
         phase ``steps`` between neighbours, once those that are ``big`` are
-        resolved by bisection."""
+        resolved by bisection.  The samples close on their first point, so
+        the steps sum to a multiple of 2 pi up to rounding."""
         if zero:
             raise RootIsolationFailure("root on search boundary")
         for i in big.nonzero()[0]:
             steps[i] = self._arg_step(pts[i], vals[i], pts[i + 1], vals[i + 1], depth=0)
-        w = steps.sum() / (2.0 * np.pi)
-        wi = int(round(w))
-        if abs(w - wi) > 0.25:
-            raise RootIsolationFailure(f"non-integer winding {w:.3f} on {rect}")
-        return wi
+        return int(round(steps.sum() / (2.0 * np.pi)))
 
     def _arg_step(self, a, fa, b, fb, depth):
         if fa == 0 or fb == 0:
@@ -427,7 +424,7 @@ class _RootProblem:
         """The roots in ``rect``, sorted, from its boundary ``row`` of
         ``_phase_steps``: they must match its winding number in number, or
         ``RootIsolationFailure`` is raised."""
-        total = self.count(rect, *row)
+        total = self.count(*row)
         found = self.roots(rect, total)
         if len(found) != total:
             raise RootIsolationFailure(
@@ -472,8 +469,9 @@ def _scan_points(a, b):
     """Sorted scan samples of the subintervals [a_k, b_k] (arrays, in order,
     sharing at most an end): per subinterval the grid
     ``np.linspace(a_k, b_k, n_k)``, bit for bit, plus 25 geometric offsets
-    from 1e-8 to half its width in from either end, where R blows up at the
-    poles and L flattens at the branch point, so that sign changes hide there."""
+    from 1e-8 to half its width in from either end, which bracket roots
+    close to an end, as by the branch point, where the square root's slope
+    is unbounded."""
     pts = []
     for lo, hi in zip(a.tolist(), b.tolist()):
         n = max(64, min(512, int((hi - lo) * 16)))
@@ -850,7 +848,7 @@ def _phase_steps(problems, rect):
     """The deflated G of each of ``problems``, which share one gain and
     their number of real roots, on the boundary samples of ``rect``, and
     its principal phase steps between neighbours: per problem, the problem
-    and the arguments of its winding ``count`` that follow ``rect``.
+    and the arguments of its winding ``count``.
     The deflated G of a block of problems is one array, and its phase steps
     are taken once."""
     key = ("rect", problems[0].branch, _SPACING, _MIN_SIDE, *rect)

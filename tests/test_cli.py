@@ -14,6 +14,7 @@ from pulsectrl.cli import (
     dispatch,
 )
 from pulsectrl.model import ModelParams
+from pulsectrl.regions import sweep_plane, sweep_to_dict
 from pulsectrl.spectral import assemble_spectrum
 
 FIG4_FLAGS = ["--u-star", "1", "--f-val", "1", "--f-der", "-3",
@@ -133,6 +134,17 @@ def test_region_outputs(tmp_path, capsys):
     assert doc["cells"] == 25
 
 
+def test_region_without_out_prints_the_sweep(capsys):
+    code, doc = run_json(capsys, ["region", "--grid", "5", "--min-gain"])
+    assert code == EXIT_OK
+    manifest = doc.pop("manifest")
+    assert manifest["subcommand"] == "region"
+    assert manifest["parameters"] == {"grid": 5, "min-gain": True}
+    sweep = sweep_plane(n_f=5, n_nu=5, include_min_gain=True)
+    assert doc == json.loads(json.dumps(sweep_to_dict(sweep)))
+    assert any(cell["min_gain"] for cell in doc["cells"])
+
+
 def test_simulate_quick_run(tmp_path, capsys):
     out = tmp_path / "trace"
     code, doc = run_json(capsys, ["simulate"] + FIG4_FLAGS +
@@ -154,6 +166,18 @@ def test_simulate_verdict_follows_early_exit(capsys):
     assert doc["early_exit"] == "unstable"
     assert doc["fitted_rate"] == 0.0
     assert doc["verdict"] == "Unstable"
+
+
+def test_simulate_decay_to_the_floor_is_stable(capsys):
+    # Fig. 4 under gain -3, past its minimal gain: the deviation decays
+    # below the relaxation floor 1e-12 before t_end, which ends the run
+    code, doc = run_json(capsys, ["simulate"] + FIG4_FLAGS +
+                         ["--gain", "-3", "--eps", "0.1", "--t-end", "30",
+                          "--eta", "1e-11"])
+    assert code == EXIT_OK
+    assert doc["early_exit"] == "stable"
+    assert doc["verdict"] == "Stable"
+    assert doc["fitted_rate"] < 0.0
 
 
 def test_tol_only_on_verify(capsys):

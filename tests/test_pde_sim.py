@@ -349,6 +349,20 @@ def test_negative_eta_runs_to_the_end():
     assert trace.diagnostics["n_steps"] == round(0.02 / config.dt)
 
 
+def test_decay_below_the_floor_exits_stable():
+    # Fig. 4 under gain -3, past its minimal gain: the deviation decays from
+    # 1e-11 and the run ends at its first sample below 1e-12
+    params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0,
+                         eps=0.1, control_slope=-3.0)
+    config = SimConfig(model=PowerLawModel.from_params(params), params=params,
+                       t_end=30.0, eta=1e-11)
+    trace = run(config)
+    assert trace.early_exit == "stable"
+    assert trace.deviation_norms[-1] < 1e-12 <= trace.deviation_norms[-2]
+    assert trace.diagnostics["n_steps"] < round(30.0 / config.dt)
+    assert trace.fitted_rate < 0.0
+
+
 def test_run_structure_and_determinism():
     config = fig4_config(t_end=0.02, perturbation_shape="random", seed=3)
     trace1 = run(config)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pulsectrl import regions, spectral
-from pulsectrl.errors import NotControllable, RootIsolationFailure
+from pulsectrl.errors import FloorInsufficient, NotControllable, RootIsolationFailure
 from pulsectrl.model import ModelParams, reduced_coefficients
 from pulsectrl.regions import (
     CLASS_F_PRIME_NEG,
@@ -66,16 +66,30 @@ def test_uncontrolled_verdicts():
     assert all(z.real < 0.0 for z in others)
 
 
+@pytest.fixture
+def searched_gains(monkeypatch):
+    """The gains of the spectra the region layer evaluates, in order."""
+    gains = []
+
+    def counted(params):
+        gains.append(params.control_slope)
+        return assemble_spectrum(params)
+
+    monkeypatch.setattr(regions, "assemble_spectrum", counted)
+    return gains
+
+
 class TestMinControlGain:
-    def test_fig4_gain(self):
+    def test_fig4_gain(self, searched_gains):
         diag = {}
         gain = min_control_gain(FIG4, diagnostics=diag)
         assert -3.0 <= gain < 0.0
         assert assemble_spectrum(FIG4.with_control_slope(gain)).verdict == "Stable"
         assert assemble_spectrum(
             FIG4.with_control_slope(gain + 1e-3)).verdict == "Unstable"
-        assert diag["transitions"] >= 1
         assert diag["scan_points"] >= 33
+        # g = 0, the scan down to its first stable gain, then the bisection
+        assert len(searched_gains) == 14
 
     def test_guards(self):
         with pytest.raises(NotControllable):
@@ -88,7 +102,6 @@ class TestMinControlGain:
     def test_already_stable_returns_zero(self):
         diag = {}
         assert min_control_gain(grid_params(-2.0, -1.0), diagnostics=diag) == 0.0
-        assert diag["transitions"] == 0
 
     def test_gain_below_minus_64(self):
         # g* = -125.19 here, so the range reaches past -64, where the least
@@ -111,6 +124,31 @@ class TestMinControlGain:
         diag = {}
         assert min_control_gain(params, diagnostics=diag) == pytest.approx(-0.375, abs=2e-3)
         assert diag["gain_floor"] < DEEPEST_FLOOR
+
+    def test_floor_insufficient_holds_every_crossing(self, searched_gains):
+        # a seeded point with f' < 0 and nu u* > 1: g* = -1.53, so the range
+        # is [-64, 0], and the limit (nu u*)^2 - 1 = 3.77 is unstable
+        params = grid_params(-0.13484125328871954, 2.1831594715721643)
+        with pytest.raises(FloorInsufficient, match="holds every imaginary-axis crossing"):
+            min_control_gain(params)
+        # g = 0, then 32 gains and 32, 64 and 128 new ones on the denser rungs
+        assert len(searched_gains) == len(set(searched_gains)) == 257
+        # below g* every gain has the unstable limit's verdict, and no gain
+        # of [g*, 0] 1e-3 apart is stable, so the raise is right
+        coeffs = reduced_coefficients(params)
+        g_star = spectral._gain_floor(coeffs.alpha, coeffs.beta)
+        assert g_star == pytest.approx(-1.53027, abs=1e-5)
+        for gain in np.linspace(0.0, g_star, int(np.ceil(-g_star / 1e-3)) + 1):
+            report = assemble_spectrum(params.with_control_slope(float(gain)))
+            assert report.verdict == "Unstable"
+
+    def test_gain_on_the_densest_rung_evaluates_each_gain_once(self, searched_gains):
+        # a seeded point whose first stable sample lies on the 257-point rung
+        params = grid_params(-2.4036618328527197, 2.5627610488856476)
+        diag = {}
+        assert min_control_gain(params, diagnostics=diag) == -4.548828125
+        assert diag["scan_points"] == 257
+        assert len(searched_gains) == len(set(searched_gains)) == 147
 
 
 def test_deep_gain_witness_for_positive_beta():
@@ -187,6 +225,12 @@ class TestSweep:
         assert small_sweep.hopf and small_sweep.fold
         points = [tuple(p) for p in small_sweep.hopf + small_sweep.fold]
         assert len(set(points)) == len(points)
+
+
+@pytest.mark.parametrize("n_f, n_nu", [(1, 5), (5, 1), (0, 0)])
+def test_sweep_needs_two_points_per_axis(n_f, n_nu):
+    with pytest.raises(ValueError, match="grid resolution must be >= 2"):
+        sweep_plane(n_f=n_f, n_nu=n_nu)
 
 
 def test_sweep_bytes_do_not_depend_on_workers():

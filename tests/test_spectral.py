@@ -465,6 +465,16 @@ class TestFindRealRoots:
         for root, r in zip(roots, (r1, r2)):
             assert abs(root - r) <= 1e-15
 
+    def test_root_on_a_scan_sample_is_kept_exactly(self, monkeypatch):
+        # G = r - x is exactly 0 at the scan sample r, so no neighbouring
+        # pair of samples changes sign across it
+        r = float(spectral._scan_points(np.array([0.0]), np.array([1.0]))[40])
+        monkeypatch.setattr(spectral, "_factors", lambda x, branch: (
+            0.0 * x, 1.0 + 0.0 * x, x - r))
+        monkeypatch.setattr(spectral, "_MEMO", spectral._FactorMemo())
+        stub = spectral._RootProblem(ReducedCoefficients(0.0, 0.0, 0.0), 0.0)
+        assert real_roots_of(None, 0.0, (0.0, 1.0), stub) == [r]
+
     @pytest.mark.parametrize("gain", [0.0, -0.2, 0.4])
     def test_window_left_of_the_cut_is_clamped(self, gain):
         # G is real only from the branch point -1 - l'(0) and from -1 on;
@@ -803,7 +813,7 @@ class TestFindComplexRoots:
         alone = spectral._RootProblem(FIG4_COEFFS, 0.0).winding(rect)
         monkeypatch.setattr(spectral, "_g_rows", zero_in_first_row)
         problems = [spectral._RootProblem(FIG4_COEFFS, 0.0) for _ in range(2)]
-        counts = [prob.attempt(prob.count, rect, *row)
+        counts = [prob.attempt(prob.count, *row)
                   for prob, row in spectral._phase_steps(problems, rect)]
         failed, counted = problems[0].error, counts[1]
         assert isinstance(failed, RootIsolationFailure) and "boundary" in str(failed)
