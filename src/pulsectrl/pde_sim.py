@@ -30,6 +30,7 @@ from .errors import NumericalBlowup
 from .model import ModelParams, PowerLawModel, pulse_profile
 
 RELAX_TOL = 1e-12
+_RELAX_STEPS = 40
 
 
 @dataclass
@@ -288,12 +289,12 @@ def _half_jacobian_bands(u, v, config: SimConfig):
     return ab
 
 
-def relax_profile(config: SimConfig, max_iter: int = 40):
+def relax_profile(config: SimConfig):
     """Newton-refine the leading-order pulse to a discrete stationary state.
 
     Works on the half domain so the translation (odd) null mode cannot enter;
     the result is mirrored onto the full grid.  Raises if the residual cannot
-    be driven to RELAX_TOL.
+    be driven to RELAX_TOL within ``_RELAX_STEPS`` Newton steps.
     """
     x = config.x
     n_half = (x.size - 1) // 2
@@ -318,7 +319,7 @@ def relax_profile(config: SimConfig, max_iter: int = 40):
     tol = RELAX_TOL * reaction_scale
 
     norm, ru, rv = res_norm(u, v)
-    for _ in range(max_iter):
+    for _ in range(_RELAX_STEPS):
         if norm <= tol:
             break
         ab = _half_jacobian_bands(u, v, config)
@@ -428,7 +429,7 @@ def run(config: SimConfig) -> SimTrace:
 
     The deviation is sampled after every step.  The run exits early once it
     exceeds 1e6 * |eta| (growth has left the linear regime) or falls below
-    1e-12 (decayed to the relaxation floor).
+    1e-12 (decayed to the relaxation floor); a start below that raises.
     """
     u_ref, v_ref = relax_profile(config)
     du0, dv0 = perturbation(config)
@@ -441,6 +442,8 @@ def run(config: SimConfig) -> SimTrace:
     grow_limit = 1e6 * abs(config.eta)
     times = [0.0]
     norms = [deviation_norm(u, v, u_ref, v_ref, config)]
+    if norms[0] < 1e-12:
+        raise ValueError(f"eta = {config.eta:g} starts the deviation below the stable exit 1e-12")
     early_exit = None
     t = 0.0
     # a blow-up overflows, divides by zero or goes NaN inside a step before

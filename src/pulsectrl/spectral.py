@@ -280,10 +280,10 @@ class _RootProblem:
     factors s, q and p of ``_factors``, which depend on lh and the gain
     only.  ``g`` evaluates it at one point, ``_g_rows`` for a group of
     problems on the factors of a ``_MEMO`` sample set, and ``_g`` at the
-    points of many problems' real-root brackets (``_polish_real``).  Real
-    lh, at or right of the branch point -1 - l'(0) and of R_c's cut end -1,
-    gives real values.  ``n_eval`` counts points, here, in ``_g_rows`` or in
-    ``_polish_real``.
+    points of many problems' real-root brackets, each about its own branch
+    point (``_polish_real``).  Real lh, at or right of the branch point
+    -1 - l'(0) and of R_c's cut end -1, gives real values.  ``n_eval``
+    counts points, here, in ``_g_rows`` or in ``_polish_real``.
 
     The stages of ``assemble_spectra`` write onto the problem, in turn, its
     search ``window`` and its off-axis rectangle ``rect``, None where it has
@@ -328,10 +328,10 @@ class _RootProblem:
         lh = complex(lh) if isinstance(lh, complex) else float(lh)
         return _g(self.alpha, self.beta, self.branch, lh)
 
-    def secant(self, lh0: complex, lh1: complex, reach: float, maxit: int = 60):
+    def secant(self, lh0: complex, lh1: complex, reach: float):
         """Secant iteration on G from ``lh0`` and ``lh1``; returns the root,
         or None once an iterate lies farther than ``reach`` from ``lh0`` or
-        ``maxit`` steps run out.
+        ``_SECANT_STEPS`` steps run out.
 
         It stops once a step falls within 4 ulps of the iterate.  Where
         rounding stalls it first, as by a close pair of roots, it stops once
@@ -340,7 +340,7 @@ class _RootProblem:
         """
         x0, x1 = complex(lh0), complex(lh1)
         f0, f1 = self.g(x0), self.g(x1)
-        for _ in range(maxit):
+        for _ in range(_SECANT_STEPS):
             if f1 == f0:
                 return None
             step = f1 * (x1 - x0) / (f1 - f0)
@@ -452,16 +452,14 @@ def _real_subintervals(lo: float, hi: float, control_slope: float):
     return [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
 
 
-def _geomspace(start: float, stop, num: int):
-    """``np.geomspace(start, stop_k, num)`` bit for bit, a row for each
-    stop_k of ``stop`` (a float gives one row), for start > 0 and stop_k > 0:
+def _geomspace(start: float, stop: float, num: int):
+    """``np.geomspace(start, stop, num)`` bit for bit, for start, stop > 0:
     the same 10 ** (k * step + log10 start) with both ends set, without the
     argument handling that costs np.geomspace more than its arithmetic."""
-    stop = np.asarray(stop, dtype=float)[..., None]
     lo = np.log10(start)
     out = 10.0 ** (np.arange(num) * ((np.log10(stop) - lo) / (num - 1)) + lo)
-    out[..., 0] = start
-    out[..., -1] = stop[..., 0]
+    out[0] = start
+    out[-1] = stop
     return out
 
 
@@ -469,9 +467,9 @@ def _scan_points(a, b):
     """Sorted scan samples of the subintervals [a_k, b_k] (arrays, in order,
     sharing at most an end): per subinterval the grid
     ``np.linspace(a_k, b_k, n_k)``, bit for bit, plus 25 geometric offsets
-    from 1e-8 to half its width in from either end, which bracket roots
-    close to an end, as by the branch point, where the square root's slope
-    is unbounded."""
+    from 1e-8 to half the first one's width in from a_0, which bracket roots
+    by the branch point or the cut's end -1, where a square root's slope is
+    unbounded.  A pole needs none: it is a grid sample, and G is finite there."""
     pts = []
     for lo, hi in zip(a.tolist(), b.tolist()):
         n = max(64, min(512, int((hi - lo) * 16)))
@@ -479,8 +477,7 @@ def _scan_points(a, b):
         grid = np.arange(n) * ((hi - lo) / (n - 1)) + lo
         grid[-1] = hi
         pts.append(grid)
-    geo = _geomspace(1e-8, 0.5 * (b - a), 25)
-    pts += [(a[:, None] + geo).ravel(), (b[:, None] - geo).ravel()]
+    pts.append(a[0] + _geomspace(1e-8, 0.5 * (b[0] - a[0]), 25))
     # np.unique's sort and mask, without its argument handling, which on
     # numpy 2.4 imports numpy.ma
     pts = np.concatenate(pts)
@@ -490,11 +487,12 @@ def _scan_points(a, b):
 
 # the winding count samples each side of a rectangle every _SPACING, at
 # least _MIN_SIDE points; a rectangle that holds one root polishes it by the
-# secant on G, started from the centre and from _SECANT_START times the
-# diameter beside it; subdivision stops at depth _MAX_DEPTH
+# secant on G, from the centre and _SECANT_START times the diameter beside
+# it, for _SECANT_STEPS steps at most; subdivision stops at depth _MAX_DEPTH
 _SPACING = 0.75
 _MIN_SIDE = 8
 _SECANT_START = 1e-3 * (1.0 + 1.0j)
+_SECANT_STEPS = 60
 _MAX_DEPTH = 60
 
 
@@ -800,11 +798,11 @@ def _polish_real(owners, ends):
     """The polish of ``find_real_roots``: the root of each bracket of
     ``ends`` = (a, b, G(a), G(b)) to 4 ulps by Chandrupatla's method, added
     to the ``real_roots`` of its problem in ``owners``, or, where one fails,
-    the ``error`` of the problem's first bracket that failed.  The problems
-    share one gain.  Many brackets run as one array iteration, with G of all
-    the live brackets in one ``_factors`` call a step and per-bracket alpha
-    and beta; a few run one by one in Python floats, with the same roots
-    after the same evaluations."""
+    the ``error`` of the problem's first bracket that failed.  Many brackets
+    run as one array iteration, with G of all the live brackets in one
+    ``_factors`` call a step and per-bracket alpha, beta and branch point,
+    so the problems may differ in gain; a few run one by one in Python
+    floats, with the same roots after the same evaluations."""
     xtol, rtol = 1e-300, 4.0 * _EPS
     if len(owners) < _ARRAY_BRACKETS:
         for prob, (a, b, fa, fb) in zip(owners, ends.T.tolist()):
@@ -813,11 +811,9 @@ def _polish_real(owners, ends):
                 if prob.error is None:
                     prob.real_roots.append(root)
         return
-    alpha = np.array([prob.alpha for prob in owners])
-    beta = np.array([prob.beta for prob in owners])
-    branch = owners[0].branch
+    alpha, beta, branch = np.array([(prob.alpha, prob.beta, prob.branch) for prob in owners]).T
     roots, evals, errors = _chandrupatla_array(
-        lambda x, live: _g(alpha[live], beta[live], branch, x), *ends, xtol, rtol)
+        lambda x, live: _g(alpha[live], beta[live], branch[live], x), *ends, xtol, rtol)
     for prob, root, n, exc in zip(owners, roots.tolist(), evals.tolist(), errors):
         prob.n_eval += n
         if prob.error is None:
@@ -829,12 +825,12 @@ def _polish_real(owners, ends):
 
 def find_real_roots(problems):
     """The real-root stage of ``assemble_spectra``: onto each of
-    ``problems``, which share one gain, its ``real_roots`` in its
-    ``window``, ascending, or the ``error`` it raised.  The scan runs once
-    per group of problems whose windows coincide (``_scan_real``), and the
+    ``problems`` without an ``error`` its ``real_roots`` in its ``window``,
+    ascending, or the ``error`` it raised.  The scan runs once per group of
+    problems that share a gain and a window (``_scan_real``), and the
     polish once on the brackets of them all (``_polish_real``)."""
     owners, ends = [], []
-    for group in _grouped(problems, lambda prob: prob.window[:2]):
+    for group in _grouped(problems, lambda prob: (prob.gain, prob.window[:2])):
         found, brackets = _scan_real(group, group[0].window[:2])
         owners += found
         ends += brackets
@@ -1112,19 +1108,18 @@ def assemble_spectra(params_list) -> list:
     spectrum keeps the exception in its ``error``, and the later stages
     pass it by, so a spectrum that raises leaves the others alone.
 
-    Spectra whose windows coincide (on the ladder of ``default_window``)
-    share the real-axis scan, and those whose off-axis rectangles coincide
-    share the top winding count: G on those samples is one (spectra x
-    samples) array, and its sign-change, parabola and phase passes run
-    once.  The real roots of all the spectra at one gain are polished
-    together (``_polish_real``).  The minimizer, the phase-step bisection,
-    the secant and subdivision and the count certificate run per spectrum.
+    Spectra at one gain whose windows coincide (on the ladder of
+    ``default_window``) share the real-axis scan, and those whose off-axis
+    rectangles coincide share the top winding count: G on those samples is
+    one (spectra x samples) array, and its sign-change, parabola and phase
+    passes run once.  The real roots of all the spectra, at any gain, are
+    polished together (``_polish_real``); the minimizer, the phase-step
+    bisection, the secant, subdivision and the certificate run per spectrum.
     """
     out = [_pose(params) for params in params_list]
     # reports (f' = 0) stand; the stages fill the problems
     problems = [x for x in out if type(x) is _RootProblem]
-    for group in _grouped(problems, lambda prob: prob.gain):
-        find_real_roots(group)
+    find_real_roots(problems)
     # the winding count deflates the real roots, as many in a group
     for group in _grouped([prob for prob in problems if prob.rect is not None],
                           lambda prob: (prob.gain, prob.rect, len(prob.real_roots))):

@@ -168,6 +168,15 @@ def test_simulate_verdict_follows_early_exit(capsys):
     assert doc["verdict"] == "Unstable"
 
 
+def test_simulate_refuses_a_deviation_below_the_floor(capsys):
+    # the run would end as stable at its first step, though Fig. 4 at zero
+    # gain is unstable
+    code = dispatch(["simulate"] + FIG4_FLAGS +
+                    ["--eps", "0.1", "--t-end", "1", "--eta", "1e-13"])
+    assert code == EXIT_DOMAIN
+    assert "eta = 1e-13" in capsys.readouterr().err
+
+
 def test_simulate_decay_to_the_floor_is_stable(capsys):
     # Fig. 4 under gain -3, past its minimal gain: the deviation decays
     # below the relaxation floor 1e-12 before t_end, which ends the run
@@ -207,6 +216,13 @@ def test_verify_all_pass(capsys):
     assert len(doc["checks"]) >= 20
     for check in doc["checks"]:
         assert check["pass"], check["name"]
+
+
+def test_config_must_hold_an_object(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text("[1, 2]")
+    assert dispatch(["spectrum", "--config", str(config)]) == EXIT_DOMAIN
+    assert "config file must hold a JSON object" in capsys.readouterr().err
 
 
 def test_config_values_have_their_flags_types(tmp_path, capsys):

@@ -363,6 +363,16 @@ def test_decay_below_the_floor_exits_stable():
     assert trace.fitted_rate < 0.0
 
 
+def test_deviation_below_the_floor_is_refused():
+    # Fig. 4 at zero gain is unstable, but a deviation that starts below the
+    # decay floor 1e-12 would end the run as stable at its first step
+    params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0, eps=0.1)
+    config = SimConfig(model=PowerLawModel.from_params(params), params=params,
+                       t_end=1.0, eta=1e-13)
+    with pytest.raises(ValueError, match="eta = 1e-13 starts the deviation below"):
+        run(config)
+
+
 def test_run_structure_and_determinism():
     config = fig4_config(t_end=0.02, perturbation_shape="random", seed=3)
     trace1 = run(config)

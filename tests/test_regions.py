@@ -142,6 +142,16 @@ class TestMinControlGain:
             report = assemble_spectrum(params.with_control_slope(float(gain)))
             assert report.verdict == "Unstable"
 
+    def test_floor_insufficient_below_the_range(self):
+        # nu u* just under 1 puts g* far below -4096, where the range stops,
+        # so crossings may lie below it
+        params = grid_params(8.0, 0.9999)
+        diag = {}
+        with pytest.raises(FloorInsufficient, match="crossings may lie below the range") as raised:
+            min_control_gain(params, diagnostics=diag)
+        assert diag["gain_floor"] == pytest.approx(-198352.0, rel=1e-5)
+        assert str(raised.value).endswith(f"g* = {diag['gain_floor']:.6g}")
+
     def test_gain_on_the_densest_rung_evaluates_each_gain_once(self, searched_gains):
         # a seeded point whose first stable sample lies on the 257-point rung
         params = grid_params(-2.4036618328527197, 2.5627610488856476)
