@@ -1,7 +1,7 @@
 """Point spectrum of a slow-fast pulse under proportional feedback.
 
 Walks one parameter point end to end: reduce the model data to the
-coefficients (alpha, beta, nu), locate the eigenvalues of the uncontrolled
+coefficients (alpha, beta), locate the eigenvalues of the uncontrolled
 pulse, then find the weakest control slope that stabilizes it and confirm
 the controlled spectrum sits in the left half plane.
 
@@ -17,7 +17,7 @@ from pulsectrl.spectral import assemble_spectrum, r_total
 params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0)
 coeffs = reduced_coefficients(params)
 print(f"alpha = {coeffs.alpha:+.4f}  beta = {coeffs.beta:+.4f}  "
-      f"nu = {coeffs.nu:+.4f}")
+      f"nu = {params.nu:+.4f}")
 
 # the reduced eigenvalue equation reads
 #   alpha + beta*sqrt(1 + lh + g) = R(lh),   lambda = lh + g,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import re
 import sys
 import time
 
@@ -203,6 +205,9 @@ def _cmd_verify(args) -> int:
 
     merged = _merged(args, ("tol",))
     tol = float(merged.get("tol", 1e-4))
+    if not 0.0 < tol < math.inf:
+        # inf passes every check it bounds, and 0, a negative or NaN none
+        raise ValueError(f"tol must be positive and finite, not {tol}")
     grid = FastGrid()
     checks = []
 
@@ -241,8 +246,20 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if payload["all_pass"] else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative decimal number as a
+    value, where argparse's own pattern takes -3e0 or -1E-4 for a flag."""
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # the subparsers are made of this class too
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pulsectrl",
         description="Stability and controllability of a two-component "
                     "reaction-diffusion pulse under proportional feedback.")

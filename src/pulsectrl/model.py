@@ -1,4 +1,4 @@
-"""Toy-model data: pulse profile and the (alpha, beta, nu) reduction.
+"""Toy-model data: pulse profile and the (alpha, beta) reduction.
 
 The two-component system is
 
@@ -110,7 +110,6 @@ class ReducedCoefficients:
 
     alpha: float
     beta: float
-    nu: float
 
 
 def pulse_profile(params: ModelParams, x):
@@ -122,10 +121,10 @@ def pulse_profile(params: ModelParams, x):
 
 
 def reduced_coefficients(params: ModelParams) -> ReducedCoefficients:
-    """Map point data to (alpha, beta, nu); requires f'(u*) != 0."""
+    """Map point data to (alpha, beta); requires f'(u*) != 0."""
     if params.f_der == 0.0:
         raise DegenerateControl("f'(u*) = 0: reduction undefined")
     ratio = params.f_val / params.f_der
     alpha = -6.0 - 3.0 * params.to_log_der * ratio
     beta = 3.0 * ratio / params.u_star
-    return ReducedCoefficients(alpha=alpha, beta=beta, nu=params.nu)
+    return ReducedCoefficients(alpha=alpha, beta=beta)

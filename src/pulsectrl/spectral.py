@@ -444,45 +444,39 @@ class _RootProblem:
                        {"re": [re0, re1], "im": [im0, im1]}, self.n_eval)
 
 
+# a pole this close to a scan end splits off no subinterval: the 64 samples
+# of one that narrow would lie a few ulps apart or coincide, and the end,
+# where G is finite as at the pole, stands in for the pole
+_POLE_GAP = 1e-12
+
+
 def _real_subintervals(lo: float, hi: float, control_slope: float):
     """(lo, hi) from where G is real, at or right of the branch point
     -1 - l'(0) and of -1, split at the poles inside it."""
     lo = max(lo, -1.0, -1.0 - control_slope)
-    cuts = [lo] + [p for p in (POLE_LOW, POLE_HIGH) if lo < p < hi] + [hi]
+    cuts = [lo] + [p for p in (POLE_LOW, POLE_HIGH)
+                   if lo + _POLE_GAP < p < hi - _POLE_GAP] + [hi]
     return [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
 
 
-def _geomspace(start: float, stop: float, num: int):
-    """``np.geomspace(start, stop, num)`` bit for bit, for start, stop > 0:
-    the same 10 ** (k * step + log10 start) with both ends set, without the
-    argument handling that costs np.geomspace more than its arithmetic."""
-    lo = np.log10(start)
-    out = 10.0 ** (np.arange(num) * ((np.log10(stop) - lo) / (num - 1)) + lo)
-    out[0] = start
-    out[-1] = stop
-    return out
-
-
-def _scan_points(a, b):
-    """Sorted scan samples of the subintervals [a_k, b_k] (arrays, in order,
-    sharing at most an end): per subinterval the grid
-    ``np.linspace(a_k, b_k, n_k)``, bit for bit, plus 25 geometric offsets
-    from 1e-8 to half the first one's width in from a_0, which bracket roots
-    by the branch point or the cut's end -1, where a square root's slope is
-    unbounded.  A pole needs none: it is a grid sample, and G is finite there."""
+def _scan_points(a, b, base: float):
+    """Ascending scan samples of the subintervals [a_k, b_k] (arrays, in
+    order, each starting where the last ends): per subinterval n_k samples
+    uniform in w = sqrt(lh - base), from a_k to b_k exactly.  ``base`` is the
+    branch point -1 - l'(0) or the cut's end -1, whichever lies further
+    right, where a square root's slope in lh is unbounded; in w both square
+    roots of G are smooth.  A pole needs no samples around it: it is an end,
+    and G is finite there."""
     pts = []
     for lo, hi in zip(a.tolist(), b.tolist()):
         n = max(64, min(512, int((hi - lo) * 16)))
-        # np.linspace's k * step + lo, ending at hi
-        grid = np.arange(n) * ((hi - lo) / (n - 1)) + lo
-        grid[-1] = hi
-        pts.append(grid)
-    pts.append(a[0] + _geomspace(1e-8, 0.5 * (b[0] - a[0]), 25))
-    # np.unique's sort and mask, without its argument handling, which on
-    # numpy 2.4 imports numpy.ma
-    pts = np.concatenate(pts)
-    pts.sort()
-    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+        w0 = math.sqrt(lo - base)
+        w = np.arange(n) * ((math.sqrt(hi - base) - w0) / (n - 1)) + w0
+        grid = w * w + base
+        grid[0], grid[-1] = lo, hi
+        # the shared end a_k = b_(k-1) is already in
+        pts.append(grid[1:] if pts else grid)
+    return np.concatenate(pts)
 
 
 # the winding count samples each side of a rectangle every _SPACING, at
@@ -542,14 +536,14 @@ def _g_rows(problems, factors):
 def _sampled(problems, key, build):
     """G of ``problems``, which share one gain, on the samples of the
     ``_MEMO`` set ``key``, made by ``build()`` on a miss: per block of
-    consecutive problems, the samples, the block and its G, a row per
-    problem (``_g_rows``).  A block holds at most ``_BLOCK_POINTS`` samples
-    in all, and at least one problem."""
+    consecutive problems, the samples, their factors, the block and its G,
+    a row per problem (``_g_rows``).  A block holds at most
+    ``_BLOCK_POINTS`` samples in all, and at least one problem."""
     xs, factors, _ = _MEMO.get(key, build, problems[0].branch)
     size = max(1, _BLOCK_POINTS // xs.size)
     for start in range(0, len(problems), size):
         block = problems[start:start + size]
-        yield xs, block, _g_rows(block, factors)
+        yield xs, factors, block, _g_rows(block, factors)
 
 
 # a bracket that has not converged after this many steps fails
@@ -699,8 +693,9 @@ def _close_pair(prob: _RootProblem, lo: float, f_lo: float, hi: float, f_hi: flo
     (lo, hi), where G has one sign at both ends: at x, where the bounded
     minimizer finds the least |G|, G has the other sign or is 0.  None if it
     keeps the sign there."""
-    # rare (about one gap in 15,000 spectra), and the one use of scipy on
-    # the spectrum path, which a CLI spectrum then loads only here
+    # rare (no gap in 9,600 seeded spectra, a few by a pole at tiny |f'|),
+    # and the one use of scipy on the spectrum path, which a CLI spectrum
+    # then loads only here
     from scipy.optimize import minimize_scalar
 
     s = 1.0 if f_lo > 0.0 else -1.0
@@ -724,17 +719,19 @@ def _scan_real(problems, window):
     neighbouring samples brackets a root.
 
     A close pair of roots between two samples changes no sign.  Where the
-    parabola through three samples turns back across zero at a vertex in a
+    parabola in w = sqrt(lh - base) (``_scan_points``), in which G is
+    smooth, through three samples turns back across zero at a vertex in a
     gap without a sign change, the bounded minimizer seeks the least |G|
     there, and a sign change at it brackets both roots (``_close_pair``).
     The sign-change and parabola passes run once on the array, and the
     minimizer on the gaps they find only."""
     owners, ends = [], []
+    branch = problems[0].branch
+    base = max(-1.0, branch)
     intervals = _real_subintervals(float(window[0]), float(window[1]), problems[0].gain)
-    if not intervals:
-        return owners, ends  # no root
-    for xs, block, vals in _sampled(problems, ("scan", problems[0].branch, *intervals),
-                                    lambda: _scan_points(*np.array(intervals).T)):
+    for xs, (s, _, _), block, vals in _sampled(
+            problems, ("scan", branch, *intervals),
+            lambda: _scan_points(*np.array(intervals).T, base)):
         # flat, the block is a row after the other: its sample k is xs[k % n]
         # in the row of problem k // n
         n = xs.size
@@ -755,12 +752,14 @@ def _scan_real(problems, window):
                 owners += [block[r] for r in row.tolist()]
                 k = k + row
             ends.append(np.array((xs[i], xs[i + 1], vals.take(k), vals.take(k + 1))))
-        # the parabola y1 + c (x - x1) + q (x - x1)^2 through three samples
+        # the parabola y1 + c (w - w1) + q (w - w1)^2 through three samples
         # turns back across zero where q y1 > 0 and c^2 >= 4 q y1.  Each row
         # is taken over the power of two that brings its largest |G| into
         # [1/2, 1), which changes neither test but keeps the slopes finite
         y = np.ldexp(vals, -np.frexp(np.abs(vals).max(axis=1, keepdims=True))[1])
-        h = xs[1:] - xs[:-1]
+        # w is the factor s where base is the branch point
+        w = s if base == branch else np.sqrt(xs - base)
+        h = w[1:] - w[:-1]
         slope = (y[:, 1:] - y[:, :-1]) / h
         q = (slope[:, 1:] - slope[:, :-1]) / (h[:-1] + h[1:])
         c = slope[:, :-1] + q * h[:-1]
@@ -768,7 +767,7 @@ def _scan_real(problems, window):
         k = ((qy > 0.0) & (4.0 * qy <= c * c)).ravel().nonzero()[0]
         if not k.size:
             continue
-        # a turning parabola's vertex x1 - c / (2 q) in a gap without a sign
+        # a turning parabola's vertex w1 - c / (2 q) in a gap without a sign
         # change may hide a close pair there; the k-th parabola starts at
         # sample i of its row
         row, i = (0, k) if one else np.divmod(k, n - 2)
@@ -848,7 +847,7 @@ def _phase_steps(problems, rect):
     The deflated G of a block of problems is one array, and its phase steps
     are taken once."""
     key = ("rect", problems[0].branch, _SPACING, _MIN_SIDE, *rect)
-    for pts, block, vals in _sampled(problems, key, lambda: _boundary_points(rect)):
+    for pts, _, block, vals in _sampled(problems, key, lambda: _boundary_points(rect)):
         for k in range(len(block[0].real_roots)):
             vals /= pts - _column([prob.real_roots[k] for prob in block], pts.dtype)
         zero = np.zeros(len(block), dtype=bool)

@@ -152,7 +152,7 @@ def test_criterion_5_root_behaviors():
         alpha = rng.uniform(-10.0, 0.0)
         beta = rng.uniform(0.1, 10.0)
         gain = rng.uniform(-10.0, 0.5)
-        coeffs = ReducedCoefficients(alpha, beta, -alpha / beta)
+        coeffs = ReducedCoefficients(alpha, beta)
         window = default_window(coeffs, gain)
         roots = real_roots(coeffs, gain, (window[0], window[1]))
         assert roots and max(roots) > POLE_HIGH, (alpha, beta, gain)
@@ -162,7 +162,7 @@ def test_criterion_5_root_behaviors():
     for _ in range(50):
         beta = rng.uniform(0.1, 8.0)
         alpha = -beta * rng.uniform(1.0, 3.0)
-        coeffs = ReducedCoefficients(alpha, beta, -alpha / beta)
+        coeffs = ReducedCoefficients(alpha, beta)
         for gain in (0.0, -10.0):
             window = default_window(coeffs, gain)
             roots = real_roots(coeffs, gain, (window[0], window[1]))
@@ -173,7 +173,7 @@ def test_criterion_5_root_behaviors():
     for _ in range(50):
         alpha = rng.uniform(0.05, 10.0)
         beta = rng.uniform(0.1, 10.0)
-        coeffs = ReducedCoefficients(alpha, beta, -alpha / beta)
+        coeffs = ReducedCoefficients(alpha, beta)
         emptied = False
         for gain in (-2.0, -5.0, -10.0, -20.0, -50.0, -100.0, -200.0, -400.0):
             window = default_window(coeffs, gain)

@@ -209,6 +209,36 @@ def test_tol_only_on_verify(capsys):
     assert not any(c["pass"] for c in oracle)
 
 
+def test_negative_numbers_with_an_exponent(capsys):
+    # argparse's own pattern reads -3e0 as a flag, not as a number
+    def payload(argv):
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK, argv
+        doc["manifest"].pop("timestamp")
+        return doc
+
+    fig4 = ["--u-star", "1", "--f-val", "1", "--to-log-der", "8"]
+    for argv, plain in (
+            (["spectrum", "--f-der", "-3e0"] + fig4, ["spectrum", "--f-der", "-3"] + fig4),
+            (["spectrum", "--gain", "-3E0"] + FIG4_FLAGS, ["spectrum", "--gain", "-3"] + FIG4_FLAGS),
+            (["simulate", "--eta", "-1e-4", "--t-end", "0.01"] + FIG4_FLAGS,
+             ["simulate", "--eta", "-0.0001", "--t-end", "0.01"] + FIG4_FLAGS)):
+        assert payload(argv) == payload(plain), argv
+    assert dispatch(["spectrum", "--f-der", "-x"]) == EXIT_USAGE
+
+
+def test_verify_tol_must_be_positive_and_finite(tmp_path, capsys):
+    # inf would pass the oracle-equivalence checks whatever their error,
+    # and 0, a negative or NaN none: each is refused before the checks run
+    config = tmp_path / "run.json"
+    for tol in ("inf", "nan", "0", "-1"):
+        assert dispatch(["verify", "--tol", tol]) == EXIT_DOMAIN, tol
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        config.write_text(json.dumps({"tol": float(tol)}))
+        assert dispatch(["verify", "--config", str(config)]) == EXIT_DOMAIN, tol
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_verify_all_pass(capsys):
     code, doc = run_json(capsys, ["verify"])
     assert code == EXIT_OK

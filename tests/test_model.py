@@ -104,10 +104,11 @@ def test_reduced_coefficients_reference_points():
         co = reduced_coefficients(params)
         assert co.alpha == pytest.approx(2.0)
         assert co.beta == pytest.approx(-1.0)
-        assert co.nu == pytest.approx(2.0 / u_star)
+        assert params.nu == pytest.approx(2.0 / u_star)
 
-    co = reduced_coefficients(ModelParams(1.0, 1.0, 1.0, 0.0))
-    assert (co.alpha, co.beta, co.nu) == pytest.approx((-6.0, 3.0, 2.0))
+    params = ModelParams(1.0, 1.0, 1.0, 0.0)
+    co = reduced_coefficients(params)
+    assert (co.alpha, co.beta, params.nu) == pytest.approx((-6.0, 3.0, 2.0))
 
     with pytest.raises(DegenerateControl):
         reduced_coefficients(ModelParams(1.0, 1.0, 0.0, 0.5))
@@ -126,10 +127,10 @@ def test_reduction_identities_random_sample():
         co = reduced_coefficients(params)
         assert np.sign(co.beta) == np.sign(f_der)
         # -alpha/beta = nu * u_star is an algebraic identity of the reduction
-        assert -co.alpha / co.beta == pytest.approx(co.nu * u_star,
+        assert -co.alpha / co.beta == pytest.approx(params.nu * u_star,
                                                     rel=1e-12, abs=1e-12)
         # trichotomy equivalence behind the region classifier: for f' > 0
         # the nu threshold is exactly the (alpha, beta) comparison
         if co.beta > 0.0:
-            assert (co.nu < 1.0 / u_star) == (-co.alpha < co.beta)
-            assert (co.nu >= 1.0 / u_star) == (-co.alpha >= co.beta)
+            assert (params.nu < 1.0 / u_star) == (-co.alpha < co.beta)
+            assert (params.nu >= 1.0 / u_star) == (-co.alpha >= co.beta)

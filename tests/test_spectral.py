@@ -35,7 +35,7 @@ from pulsectrl.spectral import (
     r_total,
 )
 
-FIG4_COEFFS = ReducedCoefficients(alpha=2.0, beta=-1.0, nu=2.0)
+FIG4_COEFFS = ReducedCoefficients(alpha=2.0, beta=-1.0)
 
 
 def real_roots_of(coeffs, gain, window, prob=None):
@@ -321,7 +321,7 @@ class TestCertifiedWindow:
             alpha = rng.uniform(-6.0, 6.0)
             beta = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
             gain = rng.uniform(-5.0, 0.5) if k % 3 else -(10.0 ** rng.uniform(0.5, 2.5))
-            co = ReducedCoefficients(alpha, beta, 0.0)
+            co = ReducedCoefficients(alpha, beta)
             re0, re1, _, im1 = default_window(co, gain)
             c = -1.0 - gain
             big = (re0, c + 3.0 * (re1 - c), 1e-6, 3.0 * im1)
@@ -377,7 +377,7 @@ class TestCertifiedWindow:
             else:
                 # the rungs are denser than the floats there
                 assert not self.certified(alpha, beta, gain, rho * (1.0 - 2.0 ** -40))
-            window = default_window(ReducedCoefficients(alpha, beta, 0.0), gain)
+            window = default_window(ReducedCoefficients(alpha, beta), gain)
             assert window[1:] == (-1.0 - gain + rho, -rho, rho)
         assert n_above_first > 150
 
@@ -402,7 +402,7 @@ class TestRootProblemBatch:
 
     @pytest.mark.parametrize("coeffs, gain", [
         (FIG4_COEFFS, 0.0),
-        (ReducedCoefficients(alpha=-1.0, beta=2.0, nu=0.5), -3.0),
+        (ReducedCoefficients(alpha=-1.0, beta=2.0), -3.0),
     ])
     def test_batch_equals_point_by_point(self, coeffs, gain):
         # batched and scalar arithmetic may round differently, by a few ulps
@@ -433,46 +433,52 @@ class TestRootProblemBatch:
 
 class TestFindRealRoots:
     def test_root_right_of_high_pole(self):
-        co = ReducedCoefficients(alpha=0.0, beta=1.0, nu=0.0)
+        co = ReducedCoefficients(alpha=0.0, beta=1.0)
         win = default_window(co, 0.0)
         roots = real_roots_of(co, 0.0, (win[0], win[1]))
         assert any(r > 1.25 for r in roots)
 
     def test_large_root_for_negative_alpha(self):
-        co = ReducedCoefficients(alpha=-5.0, beta=1.0, nu=5.0)
+        co = ReducedCoefficients(alpha=-5.0, beta=1.0)
         win = default_window(co, 0.0)
         roots = real_roots_of(co, 0.0, (win[0], win[1]))
         assert roots and max(roots) > 24.0
 
     def test_deep_gain_empties_roots(self):
-        co = ReducedCoefficients(alpha=2.0, beta=1.0, nu=-2.0)
+        co = ReducedCoefficients(alpha=2.0, beta=1.0)
         win = default_window(co, -20.0)
         assert real_roots_of(co, -20.0, (win[0], win[1])) == []
 
     def test_close_pair_keeps_both_roots(self, monkeypatch):
-        # two roots 1e-8 apart by the window's left end, each bracketed by
-        # its own pair of geometric samples
+        # G = (w - w1)(w - w2) in w = sqrt(lh + 1), with both roots in the
+        # first gap of the w-samples, 1e-3 to 8.9e-3, by the window's left
+        # end: no sign change brackets them, but the parabola through three
+        # samples in w, where this G is one, turns back across zero there
         lo = -1.0 + 1e-6
-        r1, r2 = lo + 0.5e-8, lo + 1.5e-8
-        # with alpha = beta = 0, G = -p, here 1e12 (x - r1)(x - r2), on
-        # samples kept in a memo of this test's own
-        monkeypatch.setattr(spectral, "_factors", lambda x, branch: (
-            0.0 * x, 1.0 + 0.0 * x, -1e12 * (x - r1) * (x - r2)))
         monkeypatch.setattr(spectral, "_MEMO", spectral._FactorMemo())
-        stub = spectral._RootProblem(ReducedCoefficients(0.0, 0.0, 0.0), 0.0)
-        roots = real_roots_of(None, 0.0, (lo, 3.0), stub)
-        assert len(roots) == 2
-        for root, r in zip(roots, (r1, r2)):
-            assert abs(root - r) <= 1e-15
+        for w1, w2 in ((2e-3, 6e-3), (1.5e-3, 3e-3)):
+            # with alpha = beta = 0, G = -p, on samples kept in a memo of
+            # this test's own; the scan takes w from s
+            def factors(x, branch, w1=w1, w2=w2):
+                s = np.sqrt(x - branch)
+                return s, 1.0 + 0.0 * x, -(s - w1) * (s - w2)
+
+            monkeypatch.setattr(spectral, "_factors", factors)
+            spectral._MEMO.clear()
+            stub = spectral._RootProblem(ReducedCoefficients(0.0, 0.0), 0.0)
+            roots = real_roots_of(None, 0.0, (lo, 3.0), stub)
+            assert len(roots) == 2, (w1, w2)
+            for root, w in zip(roots, (w1, w2)):
+                assert abs(root - (w * w - 1.0)) <= 1e-15
 
     def test_root_on_a_scan_sample_is_kept_exactly(self, monkeypatch):
         # G = r - x is exactly 0 at the scan sample r, so no neighbouring
         # pair of samples changes sign across it
-        r = float(spectral._scan_points(np.array([0.0]), np.array([1.0]))[40])
+        r = float(spectral._scan_points(np.array([0.0]), np.array([1.0]), -1.0)[40])
         monkeypatch.setattr(spectral, "_factors", lambda x, branch: (
-            0.0 * x, 1.0 + 0.0 * x, x - r))
+            np.sqrt(x - branch), 1.0 + 0.0 * x, x - r))
         monkeypatch.setattr(spectral, "_MEMO", spectral._FactorMemo())
-        stub = spectral._RootProblem(ReducedCoefficients(0.0, 0.0, 0.0), 0.0)
+        stub = spectral._RootProblem(ReducedCoefficients(0.0, 0.0), 0.0)
         assert real_roots_of(None, 0.0, (0.0, 1.0), stub) == [r]
 
     @pytest.mark.parametrize("gain", [0.0, -0.2, 0.4])
@@ -548,7 +554,8 @@ class TestChandrupatla:
             gain = rng.choice([0.0, rng.uniform(-6.0, 0.0)])
             co = reduced_coefficients(ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der))
             lo, hi, _, _ = default_window(co, gain)
-            xs = spectral._scan_points(*np.array(spectral._real_subintervals(lo, hi, gain)).T)
+            xs = spectral._scan_points(*np.array(spectral._real_subintervals(lo, hi, gain)).T,
+                                       max(-1.0, -1.0 - gain))
             prob = spectral._RootProblem(co, gain)
             sign = np.sign(g_on(prob, xs))
             changes = np.flatnonzero(sign[:-1] * sign[1:] < 0)
@@ -685,7 +692,7 @@ def test_spectrum_tends_to_the_unperturbed_one(f_der, to_log_der):
 
 def test_roots_by_the_poles_at_large_alpha():
     # |alpha| / |beta| = 1.5e9 puts a root within 1e-8 of each pole
-    co = ReducedCoefficients(alpha=1.5e9, beta=1.0, nu=0.0)
+    co = ReducedCoefficients(alpha=1.5e9, beta=1.0)
     re0, re1, _, _ = default_window(co, 0.0)
     roots = real_roots_of(co, 0.0, (re0, re1))
     assert len(roots) == 2
@@ -743,24 +750,35 @@ class TestScanSamples:
         ((-2.0, 5.0), 0.0), ((-5.0, 5.0), -0.3),
     ])
     def test_one_pass_keeps_every_subinterval_sample(self, window, gain):
-        # the grid of a scan one subinterval at a time, and the geometric
-        # offsets in from the window's lower end
+        # the grid of a scan one subinterval at a time, uniform in
+        # w = sqrt(lh - base) and ending on the subinterval's ends
+        base = max(-1.0, -1.0 - gain)
         intervals = spectral._real_subintervals(*window, gain)
         pts = []
         for a, b in intervals:
-            pts.append(np.linspace(a, b, max(64, min(512, int((b - a) * 16)))))
-        a, b = intervals[0]
-        pts.append(a + np.geomspace(1e-8, 0.5 * (b - a), 25))
+            w = np.linspace(np.sqrt(a - base), np.sqrt(b - base),
+                            max(64, min(512, int((b - a) * 16))))
+            grid = w * w + base
+            grid[0], grid[-1] = a, b
+            pts.append(grid)
         a, b = np.array(intervals).T
-        assert np.array_equal(spectral._scan_points(a, b), np.unique(np.concatenate(pts)))
+        xs = spectral._scan_points(a, b, base)
+        assert np.all(xs[1:] > xs[:-1])
+        assert np.array_equal(xs, np.unique(np.concatenate(pts)))
 
-    def test_geomspace_bit_for_bit(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            start, num = 10.0 ** rng.uniform(-10.0, 0.0), int(rng.integers(2, 60))
-            stop = 10.0 ** rng.uniform(-9.0, 6.0, 3)
-            assert np.array_equal(spectral._geomspace(start, stop[0], num),
-                                  np.geomspace(start, stop[0], num))
+    def test_pole_by_a_scan_end_splits_off_no_subinterval(self):
+        # at this gain the window's left end lies an ulp left of the pole
+        # -3/4, where a subinterval's 64 samples would coincide and the
+        # parabola pass divide by 0
+        gain = -0.24999899999999983
+        lo, hi, _, _ = default_window(FIG4_COEFFS, gain)
+        assert 0.0 < spectral.POLE_LOW - lo < 1e-15
+        assert spectral._real_subintervals(lo, hi, gain)[0] == (lo, spectral.POLE_HIGH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = assemble_spectrum(ModelParams(1.0, 1.0, -3.0, 8.0, control_slope=gain))
+        assert report.verdict == "Unstable"
+        assert len(report.eigenvalues) == 3
 
     def test_winding_sides_are_linspace(self):
         for n in (8, 9, 100, 1999):
@@ -780,7 +798,7 @@ class TestFindComplexRoots:
             assert min(abs(np.conj(z) - w) for w in roots) <= 1e-8
 
     def test_positive_beta_roots_real(self):
-        co = ReducedCoefficients(alpha=-1.0, beta=1.0, nu=1.0)
+        co = ReducedCoefficients(alpha=-1.0, beta=1.0)
         roots = complex_roots_of(spectral._RootProblem(co, 0.0),
                                         (-0.7, 30.0, -5.0, 5.0))
         assert roots
@@ -789,7 +807,7 @@ class TestFindComplexRoots:
     def test_edge_through_a_root_raises(self):
         # the bottom edge im = 0 runs through the real root 5.769, where the
         # phase of G jumps by pi; the search fails rather than moving the edge
-        co = ReducedCoefficients(alpha=-1.0, beta=1.0, nu=1.0)
+        co = ReducedCoefficients(alpha=-1.0, beta=1.0)
         (real_root,) = real_roots_of(co, 0.0, (4.5, 7.0))
         assert 4.5 < real_root < 7.0
         with pytest.raises(RootIsolationFailure):
@@ -863,7 +881,7 @@ class TestNewton:
         # from the centre of the off-axis window, the secant heads for the
         # real root near -0.774, below the window, and not for the window's
         # one root near -0.83 + 6.53i
-        co = ReducedCoefficients(alpha=0.7, beta=-0.56, nu=0.0)
+        co = ReducedCoefficients(alpha=0.7, beta=-0.56)
         re0, re1, _, im1 = default_window(co, 0.0)
         rect = (re0, re1, 1e-6, im1)
         centre = complex(0.5 * (re0 + re1), 0.5 * (1e-6 + im1))
@@ -966,7 +984,7 @@ class TestAssembleSpectrum:
         assert report.verdict == "Unstable"
         assert report.max_real_part > 0.0
         # the work and the answer are pinned: batching saves overhead only
-        assert report.diagnostics == {"function_evaluations": 333}
+        assert report.diagnostics == {"function_evaluations": 308}
         pair = sorted((z for z in report.eigenvalues if z.imag != 0.0),
                       key=lambda z: z.imag)
         assert len(pair) == 2
@@ -1059,7 +1077,7 @@ class TestAssembleSpectrum:
         params = ModelParams(1.0, 1.0, -300.0, 50.0)
         report = assemble_spectrum(params)
         assert 3.0e5 < report.search_window["re"][1] < 3.1e5
-        assert report.diagnostics["function_evaluations"] == 1_614_072
+        assert report.diagnostics["function_evaluations"] == 1_613_996
         # one call on a long side of that window: the closed form for R_c
         # holds a few arrays of the call's size at a time, 1 MB each here
         co = reduced_coefficients(params)
