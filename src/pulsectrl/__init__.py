@@ -29,6 +29,7 @@ from .errors import (
     OutOfContinuum,
     PoleAtInput,
     PulseControlError,
+    RelaxationFailure,
     RootIsolationFailure,
     UnstableEssential,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "OutOfContinuum",
     "PoleAtInput",
     "PulseControlError",
+    "RelaxationFailure",
     "RootIsolationFailure",
     "UnstableEssential",
     # model

@@ -57,3 +57,20 @@ class NumericalBlowup(PulseControlError):
     def __init__(self, time=None):
         self.time = time
         super().__init__(f"non-finite state at t={time}")
+
+
+class RelaxationFailure(NumericalBlowup):
+    """Newton relaxation of the pulse profile stalled above its tolerance.
+
+    The state is finite; the residual stays at the rounding floor of the
+    discrete operator, which a fine enough grid pushes above the tolerance.
+    """
+
+    def __init__(self, residual, tol, steps):
+        self.time = 0.0
+        self.residual = residual
+        self.tol = tol
+        self.steps = steps
+        PulseControlError.__init__(
+            self, f"pulse relaxation stalled: residual {residual:.3g} above "
+                  f"its tolerance {tol:.3g} after {steps} Newton steps")

@@ -86,8 +86,11 @@ class PowerLawModel:
     def t_o(self, u):
         return self.u_star ** (1.0 - self.delta) * np.power(u, self.delta)
 
-    def t_o_prime(self, u):
-        return self.u_star ** (1.0 - self.delta) * self.delta * np.power(u, self.delta - 1.0)
+    def reaction_powers(self):
+        """(exponent, prefactor) of f^2 T_o and of f: each is prefactor * u^exponent."""
+        return ((2.0 * self.gamma + self.delta,
+                 self.phi ** 2 * self.u_star ** (1.0 - self.delta)),
+                (self.gamma, self.phi))
 
     def induced_params(self, eps: float = 0.02, control_slope: float = 0.0) -> ModelParams:
         f_val = float(self.f(self.u_star))
@@ -116,7 +119,9 @@ def pulse_profile(params: ModelParams, x):
     """Leading-order stationary pulse (u_p, v_p) at position(s) x."""
     x = np.asarray(x, dtype=float)
     u_p = params.u_star * np.exp(-np.abs(x))
-    v_p = 1.5 / params.f_val / np.cosh(x / (2.0 * params.eps)) ** 2
+    # far out, cosh or its square overflows to inf; the sech^2 tail 0 is exact
+    with np.errstate(over="ignore"):
+        v_p = 1.5 / params.f_val / np.cosh(x / (2.0 * params.eps)) ** 2
     return u_p, v_p
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import NumericalBlowup
+from .errors import NumericalBlowup, RelaxationFailure
 from .model import ModelParams, PowerLawModel, pulse_profile
 
 RELAX_TOL = 1e-12
@@ -98,98 +98,104 @@ class SimTrace:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _neumann_laplacian(w, dx):
-    """Zero-flux second difference of ``w`` along its last axis, over dx**2.
+def _neumann_laplacian(w, scale):
+    """Zero-flux second difference of the rows of the (2, n) ``w``, times ``scale``.
 
-    At each end the mirror ghost point w[-1] = w[1] doubles the one
-    difference: 2 (w[1] - w[0]) / dx**2.
+    The rows are differenced as one flat array.  At its rows 0, n-1, n and
+    2n-1, the ends of u and v, the mirror ghost w[-1] = w[1] doubles the one
+    difference, 2 (w[1] - w[0]), and overwrites those taken across the junction.
     """
-    flux = np.subtract(w[..., 1:], w[..., :-1])
+    n = w.shape[1]
+    flat = w.reshape(-1)
+    flux = flat[1:] - flat[:-1]
     out = np.empty_like(w)
-    np.subtract(flux[..., 1:], flux[..., :-1], out=out[..., 1:-1])
-    out[..., 0] = 2.0 * flux[..., 0]
-    out[..., -1] = -2.0 * flux[..., -1]
-    out /= dx ** 2
+    lap = out.reshape(-1)
+    np.subtract(flux[1:], flux[:-1], out=lap[1:-1])
+    lap[0], lap[n] = 2.0 * flux[0], 2.0 * flux[n]
+    lap[n - 1], lap[-1] = -2.0 * flux[n - 2], -2.0 * flux[-1]
+    out *= scale
     return out
 
 
-def _derivatives(u, v, config: SimConfig, v_ref):
+def _columns(config: SimConfig):
+    """Columns (rows u, v) of the exponents and scales of the reaction
+    powers f^2 T_o/(3 eps) and f, and of the diffusivities over dx**2."""
+    (p_u, c_u), (p_v, c_v) = config.model.reaction_powers()
+    eps = config.params.eps
+    return (np.array([[p_u], [p_v]]),
+            np.array([[c_u / (3.0 * eps)], [c_v]]),
+            np.array([[1.0], [eps ** 2]]) / config.dx ** 2)
+
+
+def _derivatives(state, config: SimConfig, v_ref, columns):
     """Explicit part (reaction plus control) and full time derivative.
 
-    Returns one (4, n) array whose rows are du, dv, u_t and v_t: rows 0-1 the
-    explicit part, rows 2-3 that plus the zero-flux diffusion of the stacked
-    state.  With v_ref = v the control term is exactly zero; at zero gain it
-    is skipped.
+    ``state`` stacks (u, v); ``columns`` is ``_columns(config)``, or those
+    columns repeated along the grid.  Returns one (4, n) array whose rows are
+    du, dv, u_t and v_t: rows 0-1 the explicit part, one power of u times
+    scale and v^2 minus the state, rows 2-3 that plus the zero-flux diffusion
+    of the state.  With v_ref = v the control term is exactly zero; at zero
+    gain it is skipped.
     """
-    m = config.model
-    params = config.params
+    exponents, scales, diffusion = columns
+    # rows by index: unpacking an array iterates it, which costs more
+    u, v = state[0], state[1]
     rates = np.empty((4, u.size))
-    du, dv = rates[0], rates[1]
-    fu = m.f(u)
-    np.multiply(fu, v * v, out=dv)
-    np.multiply(dv, fu, out=du)
-    du *= m.t_o(u)
-    du /= 3.0 * params.eps
-    du -= u
-    dv -= v
-    if params.control_slope != 0.0:
-        dv += params.control_slope * (v - v_ref)
-    # rows 2-3 hold the stacked state until its time derivative replaces it
-    rates[2] = u
-    rates[3] = v
-    diffusion = _neumann_laplacian(rates[2:], config.dx)
-    diffusion[1] *= params.eps ** 2
-    np.add(rates[:2], diffusion, out=rates[2:])
+    explicit = rates[:2]
+    np.power(u, exponents, out=explicit)
+    explicit *= scales
+    explicit *= v * v
+    explicit -= state
+    gain = config.params.control_slope
+    if gain != 0.0:
+        explicit[1] += gain * (v - v_ref)
+    np.add(explicit, _neumann_laplacian(state, diffusion), out=rates[2:])
     return rates
 
 
-def _factor(n, dx, dt, diffusivity):
-    """LDL^T factors of I - dt*diffusivity*Laplacian, as ``dpttrs`` takes them.
+def _factors(a, r, n):
+    """Block-diagonal LDL^T factors of a I - r_k Lap, blocks u and v.
 
-    The zero-flux rows 0 and n-1 carry -2r on their one off-diagonal.  Halved,
-    they carry -r like every other row, so the matrix is symmetric; it stays
-    strictly diagonally dominant with a positive diagonal, so it is positive
-    definite.
+    ``r`` holds each block's dt*diffusivity/dx**2.  A block's zero-flux rows
+    0 and n-1 carry -2r on their one off-diagonal; halved, they carry -r like
+    the rest, so the block is symmetric positive definite.  The off-diagonal
+    between the blocks is zero, so each block gets the bits of its own solve.
     """
-    r = dt * diffusivity / dx ** 2
-    d = np.full(n, 1.0 + 2.0 * r)
-    d[::n - 1] *= 0.5
-    d, e, info = dpttrf(d, np.full(n - 1, -r))
+    d = np.repeat(a + 2.0 * r, n)
+    d.reshape(2, n)[:, ::n - 1] *= 0.5
+    e = np.repeat(-r, n)[:-1]
+    e[n - 1] = 0.0
+    d, e, info = dpttrf(d, e)
     if info != 0:
         raise NumericalBlowup()
     return d, e
-
-
-def _solve(factors, rhs):
-    """Solve (I - r Lap) x = rhs with factors from ``_factor``.
-
-    Halves both ends of ``rhs``, as ``_factor`` halved the end rows; x may
-    overwrite ``rhs``.
-    """
-    rhs[0] *= 0.5
-    rhs[-1] *= 0.5
-    return dpttrs(*factors, rhs, overwrite_b=1)[0]
 
 
 class _StepContext:
     """Config, implicit-diffusion factors and step history of one trajectory.
 
     The implicit-diffusion matrices depend only on the grid and the step
-    size, so each is factored once, here, and every step reuses it.
+    size, so each is factored once, here, and every step reuses it:
+    ``start_factors`` of I - dt D Lap for the Euler start, ``factors`` of
+    3 I - 2 dt D Lap for SBDF2.  A right-hand side times ``halves`` has its
+    four end rows halved, as the factored matrices have.
     """
 
     def __init__(self, config: SimConfig, v_ref):
         self.config = config
         n = config.x.size
-        eps2 = config.params.eps ** 2
-        dt = config.dt
-        self.start_factors = (_factor(n, config.dx, dt, 1.0),
-                              _factor(n, config.dx, dt, eps2))
-        self.factors = (_factor(n, config.dx, 2.0 * dt / 3.0, 1.0),
-                        _factor(n, config.dx, 2.0 * dt / 3.0, eps2))
+        # scales and diffusivities repeated along the grid, so no step
+        # broadcasts them; np.power is fastest with one exponent per row
+        exponents, *per_row = _columns(config)
+        self.columns = (exponents, *(np.repeat(c, n, axis=1) for c in per_row))
+        self.halves = np.ones((2, n))
+        self.halves[:, ::n - 1] = 0.5
+        r = config.dt * np.array([1.0, config.params.eps ** 2]) / config.dx ** 2
+        self.start_factors = _factors(1.0, r, n)
+        self.factors = _factors(3.0, 2.0 * r, n)
         self.v_ref = v_ref
-        # (u_out, v_out, state_out, state_in, explicit_in) of the last step,
-        # the states stacked (2, n) with u_out and v_out the rows of state_out
+        # (u_out, v_out, state_out, increment, explicit_in) of the last step,
+        # each (2, n) but u_out and v_out, the rows of state_out
         self.history = None
 
 
@@ -209,105 +215,92 @@ def step(state, context: _StepContext):
         (I - dt D Lap) w' = w + dt N,
 
     which starts the trajectory.  u and v are worked on as the rows of one
-    (2, n) array, and the returned pair are the rows of the new one.  Raises
-    ``NumericalBlowup`` unless the new state is finite.
+    (2, n) array, solved by one block-diagonal ``dpttrs`` call, and the
+    returned pair are the rows of the new one.  Raises ``NumericalBlowup``
+    unless the new state is finite.
     """
     u, v = state
-    config = context.config
-    dt = config.dt
+    dt = context.config.dt
     history = context.history
     continuing = history is not None and history[0] is u and history[1] is v
     w = history[2] if continuing else np.array((u, v))
-    rates = _derivatives(u, v, config, context.v_ref)
+    rates = _derivatives(w, context.config, context.v_ref, context.columns)
     # solve for the increment w' - w, whose right-hand side carries the full
     # time derivative w_t = D Lap w + N: the tridiagonal solve then rounds
     # relative to the step, so a stationary state stays fixed (solving for
     # w' directly lets rounding move the relaxed pulse by a few 1e-12 over
-    # t ~ 1)
+    # t ~ 1).  SBDF2 solves 3 times its equation, right-hand side
+    # 2 dt (w_t + N - N_old) + (w - w_old), w - w_old the last increment.
     explicit, inc = rates[:2], rates[2:]
     if continuing:
         factors = context.factors
-        w_old, explicit_old = history[3:]
         inc += explicit
-        inc -= explicit_old
-        inc *= 2.0 * dt / 3.0
-        inc += (w - w_old) / 3.0
+        inc -= history[4]
+        inc *= 2.0 * dt
+        inc += history[3]
+        inc *= context.halves
     else:
         factors = context.start_factors
-        inc *= dt
-    for k, lu in enumerate(factors):
-        inc[k] = _solve(lu, inc[k])
-    inc += w
-    # no off-diagonal of the factors is zero, so a non-finite explicit part
-    # spreads through the whole solution: this one check also catches it
-    if not np.isfinite(inc).all():
+        inc *= dt * context.halves
+    inc = dpttrs(*factors, inc.reshape(-1), overwrite_b=1)[0].reshape(w.shape)
+    new = inc + w
+    # the one finiteness guard: the dot with the old state is finite exactly
+    # when every new entry is (inf * 0 is NaN), short of overflow near 1e308;
+    # a non-finite old state or explicit part makes a non-finite new block
+    if not math.isfinite(np.vdot(new, w)):
         raise NumericalBlowup()
-    u_new, v_new = inc
-    context.history = (u_new, v_new, inc, w, explicit)
+    u_new, v_new = new[0], new[1]
+    context.history = (u_new, v_new, new, inc, explicit)
     return u_new, v_new
 
 
-def _half_jacobian_bands(u, v, config: SimConfig):
-    """Banded Jacobian of the half-grid residual, state interleaved (u,v)."""
-    eps = config.params.eps
-    m = config.model
-    dx2 = config.dx ** 2
-    n = u.size
-    fu = m.f(u)
-    fpu = m.f_prime(u)
-    tou = m.t_o(u)
-    topu = m.t_o_prime(u)
-    # d(ru)/du includes the diffusion diagonal; neighbors couple at offset 2
-    c_uu = -2.0 / dx2 - 1.0 + (2.0 * fu * fpu * tou + fu ** 2 * topu) * v ** 2 / (3.0 * eps)
-    c_uv = 2.0 * fu ** 2 * tou * v / (3.0 * eps)
-    c_vu = fpu * v ** 2
-    c_vv = -2.0 * eps ** 2 / dx2 - 1.0 + 2.0 * fu * v
+def _half_jacobian_bands(state, config: SimConfig, columns):
+    """Banded Jacobian of the half-grid residual, state interleaved (u,v).
 
-    size = 2 * n
-    ab = np.zeros((5, size))  # offsets +2, +1, 0, -1, -2
-    ab[2, 0::2] = c_uu
-    ab[2, 1::2] = c_vv
-    # du/dv coupling sits one column right of each u-row
-    ab[1, 1::2] = c_uv
-    # dv/du coupling sits one column left of each v-row
-    ab[3, 0::2] = c_vu
-    # diffusion neighbors: superdiagonal +2 holds J[i, i+2]
-    off_u = np.full(n - 1, 1.0 / dx2)
-    off_v = np.full(n - 1, eps ** 2 / dx2)
-    up_u = off_u.copy()
-    up_u[0] = 2.0 / dx2          # symmetry row at x = 0
-    lo_u = off_u.copy()
-    lo_u[-1] = 2.0 / dx2         # zero-flux row at x = L
-    up_v = off_v.copy()
-    up_v[0] = 2.0 * eps ** 2 / dx2
-    lo_v = off_v.copy()
-    lo_v[-1] = 2.0 * eps ** 2 / dx2
-    ab[0, 2::2] = up_u
-    ab[0, 3::2] = up_v
-    ab[4, 0:-2:2] = lo_u
-    ab[4, 1:-1:2] = lo_v
+    The reaction derivatives come from the same powers as the residual:
+    d/du of c u^p is p (c u^p)/u, and d/dv of P v^2 is 2 P v.
+    """
+    exponents, scales, diffusion = columns
+    u, v = state
+    powers = np.power(u, exponents)
+    powers *= scales
+    by_u = powers * exponents / u * (v * v)   # rows d(ru)/du, d(rv)/du
+    by_v = 2.0 * powers * v                   # rows d(ru)/dv, d(rv)/dv
+    ab = np.zeros((5, 2 * u.size))  # offsets +2, +1, 0, -1, -2
+    # d(ru)/du and d(rv)/dv include the diffusion diagonal
+    ab[2, 0::2] = by_u[0] - 2.0 * diffusion[0] - 1.0
+    ab[2, 1::2] = by_v[1] - 2.0 * diffusion[1] - 1.0
+    # d(ru)/dv sits one column right of each u-row, d(rv)/du one left of each v-row
+    ab[1, 1::2] = by_v[0]
+    ab[3, 0::2] = by_u[1]
+    # diffusion neighbours at offsets +-2, doubled in the symmetry rows at
+    # x = 0 (superdiagonal) and the zero-flux rows at x = L (subdiagonal)
+    ab[0, 2:].reshape(-1, 2)[:] = diffusion.T
+    ab[0, 2:4] *= 2.0
+    ab[4, :-2].reshape(-1, 2)[:] = diffusion.T
+    ab[4, -4:-2] *= 2.0
     return ab
 
 
-def relax_profile(config: SimConfig):
+def relax_profile(config: SimConfig, diagnostics: dict | None = None):
     """Newton-refine the leading-order pulse to a discrete stationary state.
 
     Works on the half domain so the translation (odd) null mode cannot enter;
-    the result is mirrored onto the full grid.  Raises if the residual cannot
-    be driven to RELAX_TOL within ``_RELAX_STEPS`` Newton steps.
+    the result is mirrored onto the full grid.  Raises ``RelaxationFailure``
+    unless ``_RELAX_STEPS`` Newton steps drive the residual to RELAX_TOL times
+    the reaction scale.  Records ``relax_steps``, ``relax_residual`` and
+    ``relax_tol`` in ``diagnostics``.
     """
     x = config.x
     n_half = (x.size - 1) // 2
-    x_half = x[n_half:]
-    u, v = pulse_profile(config.params, x_half)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    state = np.array(pulse_profile(config.params, x[n_half:]))
+    columns = _columns(config)
 
-    def res_norm(uu, vv):
+    def residual(trial):
         # v is its own control reference: the residual is taken at zero
         # control, on the half grid [0, L] with symmetry at x = 0
-        _, _, ru, rv = _derivatives(uu, vv, config, vv)
-        return max(np.max(np.abs(ru)), np.max(np.abs(rv))), ru, rv
+        res = _derivatives(trial, config, trial[1], columns)[2:]
+        return np.max(np.abs(res)), res
 
     # absolute 1e-12 is below the roundoff floor of the O(1/eps) reaction
     # term, so the tolerance is taken relative to its magnitude
@@ -318,33 +311,31 @@ def relax_profile(config: SimConfig):
                          * v0 ** 2 / (3.0 * config.params.eps))
     tol = RELAX_TOL * reaction_scale
 
-    norm, ru, rv = res_norm(u, v)
-    for _ in range(_RELAX_STEPS):
-        if norm <= tol:
-            break
-        ab = _half_jacobian_bands(u, v, config)
-        rhs_vec = np.empty(2 * u.size)
-        rhs_vec[0::2] = ru
-        rhs_vec[1::2] = rv
-        delta = solve_banded((2, 2), ab, rhs_vec)
-        du, dv = delta[0::2], delta[1::2]
+    norm, res = residual(state)
+    steps = 0
+    while norm > tol and steps < _RELAX_STEPS:
+        ab = _half_jacobian_bands(state, config, columns)
+        # the interleaved (u, v) solution, back as rows u and v
+        delta = solve_banded((2, 2), ab, res.T.reshape(-1)).reshape(-1, 2).T
         scale = 1.0
         for _ in range(30):
-            u_try = u - scale * du
-            v_try = v - scale * dv
-            if np.all(u_try > 0):
-                norm_try, ru_try, rv_try = res_norm(u_try, v_try)
+            trial = state - scale * delta
+            if np.all(trial[0] > 0):
+                norm_try, res_try = residual(trial)
                 if norm_try < norm:
-                    u, v, norm, ru, rv = u_try, v_try, norm_try, ru_try, rv_try
+                    state, norm, res = trial, norm_try, res_try
                     break
             scale *= 0.5
         else:
             break
+        steps += 1
+    norm = float(norm)
+    if diagnostics is not None:
+        diagnostics.update(relax_steps=steps, relax_residual=norm, relax_tol=tol)
     if norm > tol:
-        raise NumericalBlowup(time=0.0)
-    u_full = np.concatenate([u[:0:-1], u])
-    v_full = np.concatenate([v[:0:-1], v])
-    return u_full, v_full
+        raise RelaxationFailure(norm, tol, steps)
+    u, v = state
+    return np.concatenate([u[:0:-1], u]), np.concatenate([v[:0:-1], v])
 
 
 def perturbation(config: SimConfig):
@@ -356,7 +347,9 @@ def perturbation(config: SimConfig):
     """
     x = config.x
     eps = config.params.eps
-    core = 1.0 / np.cosh(x / (2.0 * eps)) ** 2
+    # far out, cosh or its square overflows to inf; the envelope 0 is exact
+    with np.errstate(over="ignore"):
+        core = 1.0 / np.cosh(x / (2.0 * eps)) ** 2
     if config.perturbation_shape == "even_bump":
         du = config.eta * np.exp(-x ** 2)
         dv = config.eta * core
@@ -369,8 +362,11 @@ def perturbation(config: SimConfig):
 
 def deviation_norm(u, v, u_ref, v_ref, config: SimConfig) -> float:
     """Discrete L2 norm of the deviation; v weighted by sqrt(eps)."""
-    du = u - u_ref
-    dv = v - v_ref
+    return _weighted_norm((u - u_ref, v - v_ref), config)
+
+
+def _weighted_norm(deviation, config: SimConfig) -> float:
+    du, dv = deviation[0], deviation[1]
     return math.sqrt(config.dx * (du @ du + config.params.eps * (dv @ dv)))
 
 
@@ -431,11 +427,13 @@ def run(config: SimConfig) -> SimTrace:
     exceeds 1e6 * |eta| (growth has left the linear regime) or falls below
     1e-12 (decayed to the relaxation floor); a start below that raises.
     """
-    u_ref, v_ref = relax_profile(config)
+    diagnostics = {}
+    u_ref, v_ref = relax_profile(config, diagnostics)
     du0, dv0 = perturbation(config)
     u = u_ref + du0
     v = v_ref + dv0
     context = _StepContext(config, v_ref)
+    reference = np.array((u_ref, v_ref))
 
     dt = config.dt
     n_steps = int(np.ceil(config.t_end / dt))
@@ -456,7 +454,8 @@ def run(config: SimConfig) -> SimTrace:
             except NumericalBlowup:
                 raise NumericalBlowup(time=t)
             t = k * dt
-            norm = deviation_norm(u, v, u_ref, v_ref, config)
+            # u and v are the rows of the stacked new state
+            norm = _weighted_norm(context.history[2] - reference, config)
             times.append(t)
             norms.append(norm)
             if norm > grow_limit:
@@ -481,5 +480,6 @@ def run(config: SimConfig) -> SimTrace:
             "dt": dt,
             "dx": config.dx,
             "grid_points": int(config.x.size),
+            **diagnostics,
         },
     )

@@ -41,16 +41,27 @@ def test_domain_error_exit(capsys):
 def test_numerical_error_exit(capsys):
     # an absurd perturbation amplitude drives the state non-finite within the
     # first step, before the first sample can end the run as growth; the
-    # step's finiteness checks report it, so numpy must not warn on the way
+    # step's finiteness checks report it, so numpy must not warn on the way.
+    # (1e50 no longer does: f^2 T_o = u^2 at Fig. 4, taken as one power,
+    # keeps the new state finite, near 1e198, and the run ends as growth)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = dispatch(["simulate"] + FIG4_FLAGS +
-                        ["--eta", "1e50", "--t-end", "0.01"])
+                        ["--eta", "1e100", "--t-end", "0.01"])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_relaxation_stall_exit(capsys):
+    # at eps = 0.002 the profile relaxation stalls above its tolerance: a
+    # numerical failure that names the relaxation, not a non-finite state
+    code = dispatch(["simulate"] + FIG4_FLAGS + ["--eps", "0.002", "--t-end", "0.001"])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "pulse relaxation stalled" in err and "non-finite" not in err
 
 
 def test_bad_point_data_is_a_domain_error(capsys):
@@ -152,6 +163,8 @@ def test_simulate_quick_run(tmp_path, capsys):
     assert code == EXIT_OK
     assert doc["verdict"] in ("Stable", "Unstable")
     assert doc["diagnostics"]["n_steps"] > 0
+    assert doc["diagnostics"]["relax_steps"] >= 1
+    assert doc["diagnostics"]["relax_residual"] <= doc["diagnostics"]["relax_tol"]
     lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert lines[0] == "t,deviation_norm"
     assert len(lines) > 5

@@ -1,6 +1,8 @@
 """Model layer: point-data validation, the power-law family, the pulse
 profile, and the (alpha, beta, nu) reduction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,17 @@ def test_power_law_round_trip():
                 getattr(params, name), abs=1e-12)
 
 
+def test_reaction_powers_are_f_squared_t_o_and_f():
+    # the PDE takes f^2 T_o and f as one power of u each
+    model = PowerLawModel.from_params(
+        ModelParams(u_star=2.5, f_val=2.0, f_der=1.2, to_log_der=0.8))
+    u = np.linspace(0.05, 4.0, 50)
+    (p_ft, c_ft), (p_f, c_f) = model.reaction_powers()
+    assert np.allclose(c_ft * u ** p_ft, model.f(u) ** 2 * model.t_o(u),
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(c_f * u ** p_f, model.f(u), rtol=1e-14, atol=0.0)
+
+
 def test_pulse_profile_values_symmetry_decay():
     u0, v0 = pulse_profile(FIG4, 0.0)
     assert u0 == pytest.approx(FIG4.u_star)
@@ -75,6 +88,22 @@ def test_pulse_profile_values_symmetry_decay():
     assert np.allclose(v_pos, v_neg)
     assert np.all(np.diff(v_pos) < 0) and np.all(v_pos > 0)
     assert pulse_profile(FIG4, 1.0)[1] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_pulse_profile_tails_underflow_to_zero_without_warning():
+    # at small eps, cosh(x/(2 eps)) and its square overflow in the tails; the
+    # sech^2 limit there is exactly 0, while the core keeps its bits
+    params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0,
+                         eps=1e-3)
+    x = np.linspace(-10.0, 10.0, 2001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, v = pulse_profile(params, x)
+        assert pulse_profile(params, 10.0)[1] == 0.0
+    tails = np.abs(x) >= 2.0
+    assert np.all(v[tails] == 0.0)
+    core = np.abs(x) < 0.5
+    assert np.array_equal(v[core], 1.5 / np.cosh(x[core] / 2e-3) ** 2)
 
 
 def test_pulse_core_satisfies_reduced_ode():

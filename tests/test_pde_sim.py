@@ -2,21 +2,23 @@
 perturbations, and rate fitting."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from pulsectrl import pde_sim
-from pulsectrl.errors import NumericalBlowup
+from pulsectrl.errors import NumericalBlowup, RelaxationFailure
 from pulsectrl.model import ModelParams, PowerLawModel, pulse_profile
 from pulsectrl.pde_sim import (
     SimConfig,
     _StepContext,
     _best_window_fit,
+    _columns,
     _derivatives,
     _fit_rate,
     _neumann_laplacian,
-    _solve,
     deviation_norm,
     perturbation,
     relax_profile,
@@ -83,7 +85,8 @@ def test_rhs_zero_state_forcing():
     config = SimConfig(model=model, params=params, t_end=1.0)
     v_ref = pulse_profile(params, config.x)[1]
     zero = np.zeros_like(config.x)
-    du, dv, u_t, v_t = _derivatives(zero, zero, config, v_ref)
+    du, dv, u_t, v_t = _derivatives(np.array((zero, zero)), config, v_ref,
+                                    _columns(config))
     assert np.max(np.abs(u_t)) == 0.0
     assert np.allclose(v_t, 0.5 * v_ref, atol=1e-15)
     # the zero state has no diffusion, so the explicit part is all of it
@@ -103,7 +106,7 @@ def test_rhs_blowup_guard():
 def test_nonfinite_reaction_raises(monkeypatch):
     # a finite state with u = 0 at one grid point has an infinite reaction,
     # f(u) = u^-3; step checks only its new state, which the solve makes
-    # non-finite everywhere, since no off-diagonal is zero
+    # non-finite over the whole v block, since no off-diagonal in it is zero
     config = fig4_config(t_end=0.02)
     u_ref, v_ref = relax_profile(config)
     centre = u_ref.size // 2
@@ -126,6 +129,20 @@ def test_nonfinite_reaction_raises(monkeypatch):
     assert blowup.value.time == 0.0
 
 
+def test_laplacian_zero_flux_ends_of_both_rows():
+    # each row's end rows are the mirror-ghost difference 2 (w[1] - w[0]),
+    # and no difference across the junction of u and v leaks into either
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal((2, 9))
+    lap = _neumann_laplacian(w, 1.0)
+    for k in range(2):
+        row = w[k]
+        assert lap[k, 0] == 2.0 * (row[1] - row[0])
+        assert lap[k, -1] == 2.0 * (row[-2] - row[-1])
+        assert np.allclose(lap[k, 1:-1], row[2:] - 2.0 * row[1:-1] + row[:-2],
+                           rtol=0.0, atol=1e-14)
+
+
 def test_rhs_leading_order_profile_nearly_stationary():
     # the leading-order profile is stationary up to O(eps + dx^2) away from
     # the core; at x = 0 the u-profile has a corner whose discrete Laplacian
@@ -134,7 +151,8 @@ def test_rhs_leading_order_profile_nearly_stationary():
     config = fig4_config()
     x = config.x
     u0, v0 = pulse_profile(FIG4, x)
-    _, _, du, dv = _derivatives(u0, v0, config, v0)
+    _, _, du, dv = _derivatives(np.array((u0, v0)), config, v0,
+                                _columns(config))
     scale = FIG4.eps + config.dx ** 2
     assert np.max(np.abs(dv)) <= 5.0 * scale
     tail = np.abs(x) >= 8.0 * FIG4.eps
@@ -143,12 +161,14 @@ def test_rhs_leading_order_profile_nearly_stationary():
 
 
 def test_laplacian_stencil_second_order():
+    # both rows of the stack, each away from its ends and from the junction
     def worst_error(dx):
         x = dx * np.arange(-200, 201)
         f = np.exp(-x ** 2)
         exact = (4.0 * x ** 2 - 2.0) * f
-        approx = _neumann_laplacian(f, dx)
-        return np.max(np.abs(approx - exact)[5:-5])
+        approx = _neumann_laplacian(np.array((f, 3.0 * f)), 1.0 / dx ** 2)
+        return max(np.max(np.abs(approx[0] - exact)[5:-5]),
+                   np.max(np.abs(approx[1] - 3.0 * exact)[5:-5]) / 3.0)
 
     ratio = worst_error(0.02) / worst_error(0.01)
     assert 3.5 < ratio < 4.5
@@ -157,12 +177,64 @@ def test_laplacian_stencil_second_order():
 def test_relax_profile_stationary_and_close_to_leading_order():
     config = fig4_config()
     u_ref, v_ref = relax_profile(config)
-    _, _, du, dv = _derivatives(u_ref, v_ref, config, v_ref)
+    _, _, du, dv = _derivatives(np.array((u_ref, v_ref)), config, v_ref,
+                                _columns(config))
     assert max(np.max(np.abs(du)), np.max(np.abs(dv))) <= 1e-9
     u0, v0 = pulse_profile(FIG4, config.x)
     assert np.max(np.abs(u_ref - u0)) <= 3.0 * FIG4.eps
     assert np.max(np.abs(v_ref - v0)) <= 3.0 * FIG4.eps
     assert np.allclose(u_ref, u_ref[::-1]) and np.allclose(v_ref, v_ref[::-1])
+
+
+def test_relax_profile_reports_its_newton_steps():
+    # Fig. 4 at eps = 0.1: the leading-order profile needs Newton steps, and
+    # the residual they reach is within the tolerance; run passes the
+    # record on in its trace
+    params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0,
+                         eps=0.1)
+    config = SimConfig(model=PowerLawModel.from_params(params), params=params,
+                       t_end=0.02)
+    diagnostics = {}
+    relax_profile(config, diagnostics=diagnostics)
+    assert diagnostics["relax_steps"] >= 1
+    assert 0.0 < diagnostics["relax_residual"] <= diagnostics["relax_tol"]
+    trace = run(config)
+    for key in ("relax_steps", "relax_residual", "relax_tol"):
+        assert trace.diagnostics[key] == diagnostics[key]
+
+
+def test_relaxation_stall_is_reported_as_such():
+    # at eps = 0.002 (dx = 5e-4) the residual stalls at the rounding floor of
+    # the discrete Laplacian, above the tolerance; every value is finite,
+    # and the error says so instead of reporting a non-finite state
+    params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0,
+                         eps=0.002)
+    config = SimConfig(model=PowerLawModel.from_params(params), params=params,
+                       t_end=0.001)
+    diagnostics = {}
+    with pytest.raises(RelaxationFailure) as failure:
+        relax_profile(config, diagnostics)
+    stall = failure.value
+    assert isinstance(stall, NumericalBlowup) and stall.time == 0.0
+    assert stall.residual > stall.tol == diagnostics["relax_tol"]
+    assert stall.steps == diagnostics["relax_steps"] >= 1
+    assert f"{stall.tol:.3g}" in str(stall) and "Newton steps" in str(stall)
+
+
+def test_small_eps_runs_without_overflow_warnings():
+    # at eps = 0.01 the sech^2 of the profile and of the perturbation
+    # envelope overflow in the tails; the limit 0 is exact and no
+    # RuntimeWarning may escape, here with the control and random branches
+    params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0,
+                         eps=0.01, control_slope=-3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        config = SimConfig(model=PowerLawModel.from_params(params),
+                           params=params, t_end=0.02,
+                           perturbation_shape="random", seed=3)
+        trace = run(config)
+    assert trace.diagnostics["n_steps"] == 50
+    assert np.all(np.isfinite(trace.deviation_norms))
 
 
 def test_step_fixed_point_and_noninvasive_control():
@@ -178,36 +250,74 @@ def test_step_fixed_point_and_noninvasive_control():
     assert np.max(np.abs(v - v_ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("eps", [0.1, 0.02])
-def test_step_context_factors_solve_their_matrices(eps):
-    # each factored solve must invert the dense I - r Lap it stands for,
-    # zero-flux boundary entries included; a swapped diagonal or a lost
-    # boundary entry would only show as a small drift in the fitted rate
+def _stacked_solve(factors, rhs):
+    # the solve step makes: both blocks' end rows halved, one dpttrs call
+    n = rhs.shape[1]
+    halved = rhs.copy()
+    halved[:, ::n - 1] *= 0.5
+    return dpttrs(*factors, halved.reshape(-1))[0].reshape(2, n)
+
+
+def _fig4_context(eps):
     params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0,
                          eps=eps)
     config = SimConfig(model=PowerLawModel.from_params(params), params=params,
                        t_end=1.0)
+    return config, _StepContext(config, np.zeros(config.x.size))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.02])
+def test_step_context_factors_solve_their_matrices(eps):
+    # each block of each stacked factored solve must invert the dense
+    # a I - r Lap it stands for, zero-flux boundary entries included: I - dt
+    # D Lap for the Euler start and three times I - 2/3 dt D Lap for SBDF2;
+    # a swapped diagonal or a lost boundary entry would only show as a small
+    # drift in the fitted rate
+    config, context = _fig4_context(eps)
     n = config.x.size
-    context = _StepContext(config, np.zeros(n))
     dt, eps2 = config.dt, eps ** 2
-    cases = [(context.start_factors[0], dt),
-             (context.start_factors[1], dt * eps2),
-             (context.factors[0], 2.0 * dt / 3.0),
-             (context.factors[1], 2.0 * dt / 3.0 * eps2)]
-    rhs = np.random.default_rng(17).standard_normal(n)
+    cases = [(context.start_factors, 1.0, dt), (context.factors, 3.0, 2.0 * dt)]
+    rhs = np.random.default_rng(17).standard_normal((2, n))
     rows = np.arange(n)
-    for factors, dt_diffusivity in cases:
-        r = dt_diffusivity / config.dx ** 2
-        dense = np.zeros((n, n))
-        dense[rows, rows] = 1.0 + 2.0 * r
-        dense[rows[:-1], rows[1:]] = -r
-        dense[rows[1:], rows[:-1]] = -r
-        dense[0, 1] = dense[-1, -2] = -2.0 * r
-        expected = np.linalg.solve(dense, rhs)
-        del dense  # 128 MB at eps = 0.02; free it before the next one
-        got = _solve(factors, rhs.copy())
-        assert np.max(np.abs(got - expected)) <= (
-            1e-13 * np.max(np.abs(expected)))
+    for factors, a, dt_scale in cases:
+        got = _stacked_solve(factors, rhs)
+        for k, diffusivity in enumerate((1.0, eps2)):
+            r = dt_scale * diffusivity / config.dx ** 2
+            dense = np.zeros((n, n))
+            dense[rows, rows] = a + 2.0 * r
+            dense[rows[:-1], rows[1:]] = -r
+            dense[rows[1:], rows[:-1]] = -r
+            dense[0, 1] = dense[-1, -2] = -2.0 * r
+            expected = np.linalg.solve(dense, rhs[k])
+            del dense  # 128 MB at eps = 0.02; free it before the next one
+            assert np.max(np.abs(got[k] - expected)) <= (
+                1e-13 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.02])
+def test_stacked_solve_is_the_two_block_solves_bit_for_bit(eps):
+    # the zero off-diagonal between the u and the v block decouples
+    # dpttrf's and dpttrs's recurrences: the one stacked solve gives each
+    # block the bits of its own factoring and solve
+    config, context = _fig4_context(eps)
+    n = config.x.size
+    rhs = np.random.default_rng(5).standard_normal((2, n))
+    r = config.dt * np.array([1.0, eps ** 2]) / config.dx ** 2
+    for factors, a, r_blocks in ((context.start_factors, 1.0, r),
+                                 (context.factors, 3.0, 2.0 * r)):
+        d, e = factors
+        assert e[n - 1] == 0.0
+        got = _stacked_solve(factors, rhs)
+        for k in range(2):
+            # the block's own symmetrised matrix, factored alone
+            diag = np.full(n, a + 2.0 * r_blocks[k])
+            diag[::n - 1] *= 0.5
+            alone = dpttrf(diag, np.full(n - 1, -r_blocks[k]))[:2]
+            assert np.array_equal(alone[0], d[k * n:(k + 1) * n])
+            assert np.array_equal(alone[1], e[k * n:(k + 1) * n - 1])
+            halved = rhs[k].copy()
+            halved[::n - 1] *= 0.5
+            assert np.array_equal(got[k], dpttrs(*alone, halved)[0])
 
 
 def test_step_history_only_continues_its_own_trajectory():
