@@ -362,12 +362,24 @@ def perturbation(config: SimConfig):
 
 def deviation_norm(u, v, u_ref, v_ref, config: SimConfig) -> float:
     """Discrete L2 norm of the deviation; v weighted by sqrt(eps)."""
-    return _weighted_norm((u - u_ref, v - v_ref), config)
+    with np.errstate(over="ignore"):
+        return _weighted_norm((u - u_ref, v - v_ref), config)
 
 
 def _weighted_norm(deviation, config: SimConfig) -> float:
+    """``deviation_norm`` of the stacked deviation (du, dv).  Its squares
+    overflow for entries past about 1e154, and numpy warns where the caller
+    does not ignore overflow; a norm that is not finite is taken again of
+    the deviation over its largest entry, which no square overflows."""
     du, dv = deviation[0], deviation[1]
-    return math.sqrt(config.dx * (du @ du + config.params.eps * (dv @ dv)))
+    norm = math.sqrt(config.dx * (du @ du + config.params.eps * (dv @ dv)))
+    if math.isfinite(norm):
+        return norm
+    scale = float(max(np.abs(du).max(), np.abs(dv).max()))
+    if not 0.0 < scale < math.inf:
+        return norm
+    du, dv = du / scale, dv / scale
+    return scale * math.sqrt(config.dx * (du @ du + config.params.eps * (dv @ dv)))
 
 
 def _best_window_fit(times, lognorms, min_width=8, frac=0.4):

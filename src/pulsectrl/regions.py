@@ -267,16 +267,59 @@ def _hopf_arc(lo, hi, u_star: float, f_val: float, spacing: float):
     return points
 
 
-def _crosses_polyline(p, q, line) -> bool:
-    """Whether the segment pq meets a segment of the polyline ``line``."""
+def _crosses_polyline(p, q, line):
+    """Whether the segment pq meets a segment of the polyline ``line``; p and
+    q are points, or (n, 2) arrays of them for n segments."""
+    p, q = np.asarray(p)[..., None, :], np.asarray(q)[..., None, :]
     a, b = line[:-1], line[1:]
 
     def turn(u, v, w):
         return np.sign((v[..., 0] - u[..., 0]) * (w[..., 1] - u[..., 1])
                        - (v[..., 1] - u[..., 1]) * (w[..., 0] - u[..., 0]))
 
-    return bool(np.any((turn(p, q, a) * turn(p, q, b) <= 0)
-                       & (turn(a, b, p) * turn(a, b, q) <= 0)))
+    return np.any((turn(p, q, a) * turn(p, q, b) <= 0)
+                  & (turn(a, b, p) * turn(a, b, q) <= 0), axis=-1)
+
+
+def _edge_tags(side, fold_side, f_values, nu_values, hopf):
+    """The boundary tags of the grid's cells that have one, by flat index.
+
+    An edge joins a non-failed cell to its right or lower neighbour, or to
+    the cell past a failed neighbour (the degenerate existence line is the
+    fold line, so a fold edge often spans one), where the two verdicts
+    differ.  It is a fold edge where the fold line meets it and the Hopf
+    arc does not; next to the Bogdanov-Takens point both curves can cross
+    one edge, and the verdict then flips where the Hopf arc crosses it.  A
+    cell takes the tag of its first edge, in the row-major order of the
+    edges' first cells, the right edge before the lower one.  ``side`` is 1
+    at stable cells, 0 at unstable ones and NaN at failed ones."""
+    n_nu, n_f = side.shape
+    flat_side, flat_fold = side.ravel(), fold_side.ravel()
+    index = np.arange(side.size).reshape(side.shape)
+    sources, targets, orders = [], [], []
+    for order, (di, dj) in enumerate(((0, 1), (1, 0))):
+        # the neighbour, or where it failed, the cell past it (itself where
+        # that lies off the grid, which then joins no edge)
+        here, there = index[:n_nu - di, :n_f - dj], index[di:, dj:].copy()
+        past = index[2 * di:, 2 * dj:]
+        inner = there[:past.shape[0], :past.shape[1]]
+        failed = np.isnan(flat_side[inner])
+        inner[failed] = past[failed]
+        edge = flat_side[there] == 1.0 - flat_side[here]
+        sources.append(here[edge])
+        targets.append(there[edge])
+        orders.append(2 * here[edge] + order)
+    here, there, order = (np.concatenate(v) for v in (sources, targets, orders))
+    fold = flat_fold[here] * flat_fold[there] <= 0.0
+    ends = [np.column_stack((f_values[k % n_f], nu_values[k // n_f]))
+            for k in (here[fold], there[fold])]
+    fold[fold] = ~_crosses_polyline(*ends, hopf)
+    # each cell's first edge: the two ends of an edge share its order
+    cells = np.concatenate((here, there))
+    first = np.argsort(np.concatenate((order, order)), kind="stable")
+    cells, at = np.unique(cells[first], return_index=True)
+    folds = np.concatenate((fold, fold))[first[at]]
+    return {k: TAG_FOLD if f else TAG_HOPF for k, f in zip(cells.tolist(), folds.tolist())}
 
 
 def _clip(points, f_values, nu_values, side, lo, hi) -> list:
@@ -365,24 +408,8 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
     # ulps off it pass ModelParams, so the sign of u* T'/T - 1 is 0 near it.
     gap = u_star * (nu_values[:, None] - 2.0 * f_values / f_val) - 1.0
     fold_side = np.where(np.abs(gap) <= 1e-12, 0.0, np.sign(gap))
-    for i, j in np.argwhere(~np.isnan(side)):
-        for di, dj in ((0, 1), (1, 0)):
-            ii, jj = i + di, j + dj
-            if ii < n_nu and jj < n_f and np.isnan(side[ii, jj]):
-                # bridge a single failed cell: the degenerate existence line
-                # is the fold line, so a fold edge often spans one
-                ii, jj = ii + di, jj + dj
-            if ii >= n_nu or jj >= n_f or side[ii, jj] != 1.0 - side[i, j]:
-                continue
-            here, there = result.cell(i, j), result.cell(ii, jj)
-            # next to the Bogdanov-Takens point both curves can cross one
-            # edge, and the verdict then flips where the Hopf arc crosses it
-            tag = TAG_HOPF
-            if fold_side[i, j] * fold_side[ii, jj] <= 0.0 and not _crosses_polyline(
-                    np.array([here.f_der, here.nu]), np.array([there.f_der, there.nu]), hopf):
-                tag = TAG_FOLD
-            here.boundary_tag = here.boundary_tag or tag
-            there.boundary_tag = there.boundary_tag or tag
+    for k, tag in _edge_tags(side, fold_side, f_values, nu_values, hopf).items():
+        cells[k].boundary_tag = tag
 
     result.hopf = _clip(hopf, f_values, nu_values, side, lo - edge, hi + edge)
     result.fold = _clip(fold, f_values, nu_values, side, lo - edge, hi + edge)

@@ -57,8 +57,14 @@ _SHIFT = 8
 # R_c(lh) = -Int_0^inf w(kappa) / (lh + kappa^2 + 1) dkappa
 WEIGHT_CONTINUUM = 0.021485446793165962
 
-# the spacing of ``_certified_radius``'s ladder, half that of the winding samples
+# the unit of ``_certified_radius``'s ladder, half the winding samples' spacing
 _RUNG = 0.375
+# the ladder doubles up to this many units and then steps by as many.  An
+# off-axis rectangle of radius r has about 5.3 r boundary samples of 64 B
+# with their factors, which pass the memo's ``CAP`` near r = 384 = _RUNG
+# 2^10; past that no set is kept, so a shared window buys nothing, and the
+# multiples keep large windows tight
+_WIDE_RUNGS = 1 << 10
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
@@ -402,8 +408,7 @@ class _RootProblem:
             # an iterate farther than the diameter from the centre has left
             # the rectangle; give up there and subdivide
             root = self.secant(center, center + _SECANT_START * diam, diam)
-            if root is not None and re0 - 1e-9 <= root.real <= re1 + 1e-9 \
-                    and im0 - 1e-9 <= root.imag <= im1 + 1e-9:
+            if root is not None and _inside(rect, root):
                 return [root] * w  # a cluster or multiple root counts w times
             if diam < 1e-6:
                 raise RootIsolationFailure(
@@ -420,12 +425,32 @@ class _RootProblem:
             out.extend(self.roots(sub, self.winding(sub), depth + 1))
         return out
 
+    def from_moment(self, rect, pts, vals, steps):
+        """The one root in ``rect`` by the secant from the first moment
+        s_1 = (1/2 pi i) sum z_mid (d ln|G| + i step) of the deflated G
+        ``vals`` at the closed boundary samples ``pts``, with the resolved
+        phase ``steps``; None where s_1 or the root falls outside ``rect``
+        or the secant fails (Delves & Lyness, Math. Comp. 21, 1967)."""
+        # a G that overflows or underflows makes a start that is not finite
+        with np.errstate(all="ignore"):
+            d = np.log(np.abs(vals[1:] / vals[:-1])) + 1j * steps
+            start = complex(((pts[1:] + pts[:-1]) * d).sum() / (4j * np.pi))
+        if not _inside(rect, start, 0.0):
+            return None
+        re0, re1, im0, im1 = rect
+        diam = math.hypot(re1 - re0, im1 - im0)
+        root = self.secant(start, start + _SECANT_START * diam, diam)
+        return root if root is not None and _inside(rect, root) else None
+
     def isolate(self, rect, row):
         """The roots in ``rect``, sorted, from its boundary ``row`` of
         ``_phase_steps``: they must match its winding number in number, or
-        ``RootIsolationFailure`` is raised."""
+        ``RootIsolationFailure`` is raised.  One root is polished from the
+        boundary's first moment (``from_moment``) where that converges in
+        ``rect``, and otherwise, as more, by ``roots``."""
         total = self.count(*row)
-        found = self.roots(rect, total)
+        root = self.from_moment(rect, *row[:3]) if total == 1 else None
+        found = [root] if root is not None else self.roots(rect, total)
         if len(found) != total:
             raise RootIsolationFailure(
                 f"found {len(found)} roots where the winding number is {total} on {rect}")
@@ -442,6 +467,13 @@ class _RootProblem:
         re0, re1, im0, im1 = self.window
         return _report(gain, [z + gain for z in roots],
                        {"re": [re0, re1], "im": [im0, im1]}, self.n_eval)
+
+
+def _inside(rect, z: complex, slack: float = 1e-9) -> bool:
+    """Whether ``z`` lies in ``rect`` = (re_lo, re_hi, im_lo, im_hi), or
+    within ``slack`` of it."""
+    re0, re1, im0, im1 = rect
+    return re0 - slack <= z.real <= re1 + slack and im0 - slack <= z.imag <= im1 + slack
 
 
 # a pole this close to a scan end splits off no subinterval: the 64 samples
@@ -481,8 +513,9 @@ def _scan_points(a, b, base: float):
 
 # the winding count samples each side of a rectangle every _SPACING, at
 # least _MIN_SIDE points; a rectangle that holds one root polishes it by the
-# secant on G, from the centre and _SECANT_START times the diameter beside
-# it, for _SECANT_STEPS steps at most; subdivision stops at depth _MAX_DEPTH
+# secant on G, from its boundary's first moment or its centre and
+# _SECANT_START times the diameter beside it, for _SECANT_STEPS steps at
+# most; subdivision stops at depth _MAX_DEPTH
 _SPACING = 0.75
 _MIN_SIDE = 8
 _SECANT_START = 1e-3 * (1.0 + 1.0j)
@@ -887,8 +920,9 @@ def _r_bound_terms():
 
 def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     """Radius about the branch point c = -1 - l'(0) outside which, on
-    Re lh >= -1, the root equation has no root: the least rung of the ladder
-    ``_RUNG`` k, k = 1, 2, ..., that the bound below certifies.
+    Re lh >= -1, the root equation has no root: ``_RUNG`` k for the least k
+    of the ladder 1, 2, 4, ..., ``_WIDE_RUNGS``, then the multiples of
+    ``_WIDE_RUNGS``, that the bound below certifies.
 
     There |R(lh)| <= sum_j W_j / |lh - p_j| (``_r_bound_terms``).  Take the
     circle |lh - c| = r, where |beta sqrt(1 + lh + l'(0))| = |beta| sqrt(r),
@@ -897,12 +931,14 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     for p <= c.  So no root lies on the arc once
         |beta| sqrt(r) - |alpha| - sum_j W_j / dist_j(r) > 0,
     and this excess increases with r past d = max(0, max_j p_j - c).  It
-    is below |beta| sqrt(r) - |alpha|, so no rung at or below
-    max(d, (alpha / beta)^2) is certified; doubling k from twice the last
-    of those and then bisecting finds the least rung where it is positive.
-    Rounded, the excess still never falls as r grows, so that is the rung
-    a search from k = 1 finds.  On the ladder, windows recur from one
-    spectrum to the next, and so do their samples (``_FactorMemo``).
+    is below |beta| sqrt(r) - |alpha|, so no k at or below
+    max(d, (alpha / beta)^2) / ``_RUNG`` is certified.  Past that the search
+    doubles k over the powers of two; among the multiples it doubles from
+    twice the last multiple at or below that k and then bisects.  Rounded,
+    the excess still never falls as r grows, so the radius is the least
+    certified rung rounded up onto the ladder.  On the ladder, windows recur
+    from one spectrum to the next, and so do their samples
+    (``_FactorMemo``).
     """
     def no_window():
         # made only when raised: formatting it costs a spectrum about 1 us
@@ -935,21 +971,30 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     bound = max(d, ratio * ratio) * (1.0 - 1e-12) / _RUNG  # inf, not OverflowError
     if not bound < top:
         raise no_window()
-    lo = int(bound)  # 0, or a rung that is not certified
-    k = max(1, min(2 * lo, top))
-    while not certified(k):
-        if k == top:
-            raise no_window()
-        lo, k = k, min(2 * k, top)
-    while k - lo > 1:
-        mid = (lo + k) // 2
-        if certified(mid):
-            k = mid
-        else:
-            lo = mid
+    lo = int(bound)  # 0, or a k that is not certified
+    # the powers of two from the first above lo
+    k = 1 << lo.bit_length()
+    while k < _WIDE_RUNGS and not certified(k):
+        k *= 2
+    if k >= _WIDE_RUNGS:
+        # the multiples m _WIDE_RUNGS, from the last at or below lo
+        lo //= _WIDE_RUNGS
+        m_top = top // _WIDE_RUNGS
+        m = max(1, min(2 * lo, m_top))
+        while not certified(m * _WIDE_RUNGS):
+            if m == m_top:
+                raise no_window()
+            lo, m = m, min(2 * m, m_top)
+        while m - lo > 1:
+            mid = (lo + m) // 2
+            if certified(mid * _WIDE_RUNGS):
+                m = mid
+            else:
+                lo = mid
+        k = m * _WIDE_RUNGS
     # with the excess positive at the least positive float, every root
     # rounds onto the branch point, and no window separates them from it
-    if lo == 0 and d == 0.0 and excess(math.ulp(0.0)) > 0.0:
+    if k == 1 and d == 0.0 and excess(math.ulp(0.0)) > 0.0:
         raise no_window()
     return _RUNG * k
 
@@ -999,10 +1044,10 @@ def _gain_floor(alpha: float, beta: float) -> float:
 def default_window(coeffs: ReducedCoefficients, control_slope: float):
     """Search rectangle in the lh-plane that contains every root: the
     square around the disk of radius ``_certified_radius`` about the branch
-    point -1 - l'(0), cut at the essential edge.  The radius is a rung of
-    the ladder ``_RUNG`` k, at least ``_RUNG``, so the box clears its 1e-6
-    offsets from the edge and from the axis, and the window is a function of
-    the rung and the gain."""
+    point -1 - l'(0), cut at the essential edge.  The radius lies on the
+    ladder of ``_certified_radius``, at least ``_RUNG``, so the box clears
+    its 1e-6 offsets from the edge and from the axis, and the window is a
+    function of the rung and the gain."""
     _, edge_hat = essential_edges(control_slope)
     rho = _certified_radius(coeffs.alpha, coeffs.beta, control_slope)
     return edge_hat + 1e-6, -1.0 - control_slope + rho, -rho, rho

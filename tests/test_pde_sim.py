@@ -405,6 +405,22 @@ def test_deviation_norm_formula():
         expected * np.sqrt(FIG4.eps))
 
 
+def test_deviation_norm_of_a_huge_state():
+    # squares of entries near 1e200 overflow; the norm does not
+    config = fig4_config()
+    n = config.x.size
+    u, v = np.full(n, 3e200), np.full(n, -4e200)
+    zero = np.zeros(n)
+    expected = 1e200 * np.sqrt(config.dx * n * (9.0 + 16.0 * FIG4.eps))
+    norm = deviation_norm(u, v, zero, zero, config)
+    assert np.isfinite(norm) and norm == pytest.approx(expected, rel=1e-14)
+    assert deviation_norm(u, zero, zero, zero, config) == pytest.approx(
+        3e200 * np.sqrt(config.dx * n), rel=1e-14)
+    # and stays inf where an entry is
+    u[7] = np.inf
+    assert deviation_norm(u, v, zero, zero, config) == np.inf
+
+
 class TestFitRate:
     def test_clean_exponential(self):
         t = np.linspace(0.0, 5.0, 400)

@@ -422,6 +422,57 @@ def test_boundaries_cross_every_disagreeing_edge(u_star, f_val):
     assert edges
 
 
+def loop_tags(result, u_star, f_val):
+    """The boundary tags of ``result``'s cells by a loop over the edges, one
+    at a time, the reference for ``regions._edge_tags``, and the numbers of
+    edges that bridge a failed cell and that both curves cross."""
+    f_values, nu_values = np.array(result.f_der_values), np.array(result.nu_values)
+    n_nu, n_f = len(nu_values), len(f_values)
+    spacing = min(f_values[1] - f_values[0], nu_values[1] - nu_values[0])
+    lo, hi = np.array([f_values[0], nu_values[0]]), np.array([f_values[-1], nu_values[-1]])
+    hopf = regions._hopf_arc(lo, hi, u_star, f_val, spacing)
+    side = np.array([np.nan if c.error else float(c.uncontrolled_verdict != "Unstable")
+                     for c in result.cells]).reshape(n_nu, n_f)
+    gap = u_star * (nu_values[:, None] - 2.0 * f_values / f_val) - 1.0
+    fold_side = np.where(np.abs(gap) <= 1e-12, 0.0, np.sign(gap))
+    tags = [None] * len(result.cells)
+    bridged = both = 0
+    for i, j in np.argwhere(~np.isnan(side)):
+        for di, dj in ((0, 1), (1, 0)):
+            ii, jj = i + di, j + dj
+            bridge = ii < n_nu and jj < n_f and np.isnan(side[ii, jj])
+            if bridge:
+                ii, jj = ii + di, jj + dj
+            if ii >= n_nu or jj >= n_f or side[ii, jj] != 1.0 - side[i, j]:
+                continue
+            here, there = result.cell(i, j), result.cell(ii, jj)
+            crosses = _crosses_polyline(np.array([here.f_der, here.nu]),
+                                        np.array([there.f_der, there.nu]), hopf)
+            tag = "Hopf"
+            if fold_side[i, j] * fold_side[ii, jj] <= 0.0:
+                both += bool(crosses)
+                if not crosses:
+                    tag = "Fold"
+            bridged += bridge
+            tags[i * n_f + j] = tags[i * n_f + j] or tag
+            tags[ii * n_f + jj] = tags[ii * n_f + jj] or tag
+    return tags, bridged, both
+
+
+def test_array_tags_equal_the_edge_loop():
+    bridged = both = 0
+    for n, u_star, f_val in ((10, 1.0, 1.0), (13, 1.0, 1.0), (16, 1.0, 1.0),
+                             (21, 1.0, 1.0), (21, 2.0, 0.5)):
+        result = sweep_plane(n_f=n, n_nu=n, u_star=u_star, f_val=f_val, threads=1)
+        tags, n_bridged, n_both = loop_tags(result, u_star, f_val)
+        assert [cell.boundary_tag for cell in result.cells] == tags, (n, u_star, f_val)
+        assert {"Hopf", "Fold"} <= set(tags), (n, u_star, f_val)
+        bridged += n_bridged
+        both += n_both
+    # the grids hold edges across a failed cell and edges both curves cross
+    assert bridged and both
+
+
 def test_edge_crossed_by_both_curves_tagged_hopf():
     # by the Bogdanov-Takens point the Hopf arc and the fold line both cross
     # the edge between these cells, and the verdict flips at the Hopf arc

@@ -354,6 +354,12 @@ class TestCertifiedWindow:
             - sum(w / (r - offset if offset > 0.0 else math.hypot(r, offset))
                   for w, offset in terms) > 0.0
 
+    @staticmethod
+    def step_below(k):
+        # the ladder's step below k rungs: it doubles up to 2^10 rungs and
+        # steps by 2^10 beyond
+        return k // 2 if k <= 1024 else 1024
+
     def test_radius_is_the_least_certified_rung(self):
         rng = np.random.default_rng(15)
         cases = [(rng.uniform(-10.0, 10.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0),
@@ -370,12 +376,15 @@ class TestCertifiedWindow:
             assert self.certified(alpha, beta, gain, rho), (alpha, beta, gain)
             k = rho / spectral._RUNG
             if k < 2.0 ** 50:
-                # a rung, exactly, and the one below it is not certified
+                # on the ladder, exactly, and its step below is not certified
                 assert k == int(k) >= 1, (alpha, beta, gain)
-                assert k == 1 or not self.certified(alpha, beta, gain, rho - spectral._RUNG)
+                k = int(k)
+                assert k & (k - 1) == 0 if k <= 1024 else k % 1024 == 0, (alpha, beta, gain)
+                below = rho - spectral._RUNG * self.step_below(k)
+                assert k == 1 or not self.certified(alpha, beta, gain, below)
                 n_above_first += k > 1
             else:
-                # the rungs are denser than the floats there
+                # a step of 2^10 rungs is below 2^-40 rho there
                 assert not self.certified(alpha, beta, gain, rho * (1.0 - 2.0 ** -40))
             window = default_window(ReducedCoefficients(alpha, beta), gain)
             assert window[1:] == (-1.0 - gain + rho, -rho, rho)
@@ -882,7 +891,9 @@ class TestNewton:
         # real root near -0.774, below the window, and not for the window's
         # one root near -0.83 + 6.53i
         co = ReducedCoefficients(alpha=0.7, beta=-0.56)
-        re0, re1, _, im1 = default_window(co, 0.0)
+        # the window of radius 26 rungs, off the power-of-two ladder: its
+        # centre sets the secant off in that direction
+        re0, re1, im1 = -0.999999, 8.75, 9.75
         rect = (re0, re1, 1e-6, im1)
         centre = complex(0.5 * (re0 + re1), 0.5 * (1e-6 + im1))
         diam = math.hypot(re1 - re0, im1 - 1e-6)
@@ -897,6 +908,62 @@ class TestNewton:
         # subdividing still finds the root
         (root,) = complex_roots_of(prob, rect)
         assert abs(root - (-0.8339082856268758 + 6.529928369768017j)) <= 1e-10
+
+    def test_moment_start_lies_by_the_root(self, monkeypatch):
+        # the first moment of the deflated G on the Fig. 4 rectangle above
+        # the axis lies within 3e-3 relative of its one root, which the
+        # secant from there polishes in 6 evaluations, against 11 from the
+        # centre
+        re0, re1, _, im1 = default_window(FIG4_COEFFS, 0.0)
+        rect = (re0, re1, 1e-6, im1)
+        prob = spectral._RootProblem(FIG4_COEFFS, 0.0)
+        prob.real_roots = real_roots_of(FIG4_COEFFS, 0.0, (re0, re1))
+        ((_, row),) = spectral._phase_steps([prob], rect)
+        assert prob.count(*row) == 1
+        starts, secant = [], spectral._RootProblem.secant
+        monkeypatch.setattr(spectral._RootProblem, "secant",
+                            lambda prob, lh0, *args: starts.append(lh0) or secant(prob, lh0, *args))
+        n_eval = prob.n_eval
+        root = prob.from_moment(rect, *row[:3])
+        assert prob.n_eval - n_eval == 6
+        pair = complex(1.2423052748579382, 5.385397902204238)
+        assert abs(root - pair) <= 1e-12
+        assert 0.0 < abs(starts[0] - pair) <= 3e-3 * abs(pair)
+
+    @pytest.mark.parametrize("coeffs, rect, subdivides", [
+        # the centre start converges in the rectangle
+        (FIG4_COEFFS, (-0.999999, 11.0, 1e-6, 12.0), False),
+        # the centre start leaves it, toward a real root below (see above)
+        (ReducedCoefficients(alpha=0.7, beta=-0.56), (-0.999999, 8.75, 1e-6, 9.75), True),
+    ])
+    def test_root_found_where_the_moment_start_fails(self, monkeypatch, coeffs, rect, subdivides):
+        real = real_roots_of(coeffs, 0.0, rect[:2])
+        (expected,) = complex_roots_of(spectral._RootProblem(coeffs, 0.0), rect, real)
+        cls = spectral._RootProblem
+        secant, from_moment, winding = cls.secant, cls.from_moment, cls.winding
+        in_moment, failed, windings = [], [], []
+
+        def failing_secant(prob, lh0, *args):
+            # the secant fails from the moment start only
+            if in_moment:
+                failed.append(lh0)
+                return None
+            return secant(prob, lh0, *args)
+
+        def moment(prob, *args):
+            in_moment.append(True)
+            try:
+                return from_moment(prob, *args)
+            finally:
+                in_moment.pop()
+
+        monkeypatch.setattr(cls, "secant", failing_secant)
+        monkeypatch.setattr(cls, "from_moment", moment)
+        monkeypatch.setattr(cls, "winding",
+                            lambda prob, sub: windings.append(sub) or winding(prob, sub))
+        (root,) = complex_roots_of(cls(coeffs, 0.0), rect, real)
+        assert len(failed) == 1 and bool(windings) == subdivides
+        assert abs(root - expected) <= 1e-12 * abs(expected)
 
 
 # Reference spectra at seeded points of the (f', nu) plane, u* = f(u*) = 1:
@@ -984,7 +1051,7 @@ class TestAssembleSpectrum:
         assert report.verdict == "Unstable"
         assert report.max_real_part > 0.0
         # the work and the answer are pinned: batching saves overhead only
-        assert report.diagnostics == {"function_evaluations": 308}
+        assert report.diagnostics == {"function_evaluations": 357}
         pair = sorted((z for z in report.eigenvalues if z.imag != 0.0),
                       key=lambda z: z.imag)
         assert len(pair) == 2
@@ -1077,7 +1144,7 @@ class TestAssembleSpectrum:
         params = ModelParams(1.0, 1.0, -300.0, 50.0)
         report = assemble_spectrum(params)
         assert 3.0e5 < report.search_window["re"][1] < 3.1e5
-        assert report.diagnostics["function_evaluations"] == 1_613_996
+        assert report.diagnostics["function_evaluations"] == 1_614_472
         # one call on a long side of that window: the closed form for R_c
         # holds a few arrays of the call's size at a time, 1 MB each here
         co = reduced_coefficients(params)
