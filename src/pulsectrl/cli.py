@@ -2,7 +2,7 @@
 verification runs with machine-readable output.
 
 Exit codes: 0 success, 1 domain error (invalid parameters), 2 numerical
-failure, 64 usage error.
+failure (memory running out included), 64 usage error.
 """
 
 from __future__ import annotations
@@ -317,7 +317,8 @@ def dispatch(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RootIsolationFailure, NearEigenvalue, NumericalBlowup,
-            FloorInsufficient, ArithmeticError, np.linalg.LinAlgError) as exc:
+            FloorInsufficient, ArithmeticError, np.linalg.LinAlgError,
+            MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, PulseControlError) as exc:

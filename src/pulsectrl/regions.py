@@ -17,8 +17,10 @@ solved in closed form from the root equation on the imaginary axis.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -417,15 +419,15 @@ def sweep_plane(f_der_range=(-3.0, 3.0), nu_range=(-3.0, 3.0),
 
 
 def cells_to_csv(cells) -> str:
-    """CSV rows for plotting: f_der, nu, class, verdict, max Re, min gain."""
-    lines = ["f_der,nu,theorem_class,uncontrolled_verdict,max_real_part,min_gain"]
-    for c in cells:
-        verdict = c.uncontrolled_verdict if c.uncontrolled_verdict else ""
-        max_re = "" if c.max_real_part is None else repr(c.max_real_part)
-        min_gain = "" if c.min_gain is None else repr(c.min_gain)
-        lines.append(f"{c.f_der!r},{c.nu!r},{c.theorem_class},{verdict},"
-                     f"{max_re},{min_gain}")
-    return "\n".join(lines) + "\n"
+    """CSV rows for plotting, a header and a row per cell, with a column per
+    field of ``RegionCell`` in its order; None is an empty field, and a
+    field that holds a comma, as an error message may, is quoted."""
+    names = [f.name for f in fields(RegionCell)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([getattr(c, name) for name in names] for c in cells)
+    return out.getvalue()
 
 
 def sweep_to_dict(result: SweepResult) -> dict:

@@ -25,11 +25,10 @@ R_c has a closed form: partial fractions in k^2 and Binet's formula
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
-import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,10 +58,12 @@ WEIGHT_CONTINUUM = 0.021485446793165962
 
 # the unit of ``_certified_radius``'s ladder, half the winding samples' spacing
 _RUNG = 0.375
-# the ladder doubles up to this many units and then steps by as many.  An
-# off-axis rectangle of radius r has about 5.3 r boundary samples of 64 B
-# with their factors, which pass the memo's ``CAP`` near r = 384 = _RUNG
-# 2^10; past that no set is kept, so a shared window buys nothing, and the
+# the ladder doubles up to this many units and then steps by as many.  The
+# zero-gain windows up to radius 384 = _RUNG 2^10 keep their sample sets
+# (``_zero_gain_set``), and the powers of two up to it bound those at 11
+# rungs: with the beta > 0 zone, 23 sets and 0.4 MB, where an off-axis
+# rectangle of radius r has about 5.3 r boundary samples of 64 B with their
+# factors.  Past it no set is kept, so a shared window buys nothing, and the
 # multiples keep large windows tight
 _WIDE_RUNGS = 1 << 10
 
@@ -203,71 +204,6 @@ def _imaginary_axis_coefficients(omega):
     return r.real - beta * s.real, beta
 
 
-class _Kept(NamedTuple):
-    """A sample set and its ``_factors`` (s, q, p), as read-only arrays."""
-
-    points: np.ndarray
-    factors: tuple
-    nbytes: int
-
-
-class _FactorMemo:
-    """A bounded memo of sample sets, each with its ``_factors``.
-
-    The real-axis scan and each winding rectangle sample points that depend
-    on the window's geometry and the gain only, and ``default_window``'s
-    radius lies on a ladder, so one set of samples recurs across spectra;
-    only alpha and beta differ.  An entry keeps the points and their
-    (s, q, p), keyed by that geometry and the branch point -1 - l'(0), and
-    ``get`` hands both to G.  A set whose arrays pass ``CAP`` bytes is
-    handed over the same way but not kept, and the least recently used
-    entries go once the kept ones pass ``BUDGET`` bytes.  An entry counts
-    its arrays and ``ENTRY_BYTES`` for its Python objects (array headers,
-    key, tuples and dict slots), which weigh as much as 30 points.
-
-    It is module state, shared by every spectrum in the process, and a
-    lock keeps its books whole across threads; it changes no result, since
-    a kept set gives the same factors as one made afresh.
-    """
-
-    BUDGET = 1 << 20
-    CAP = BUDGET // 8
-    ENTRY_BYTES = 1024
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.entries = {}  # key -> _Kept, least recently used first
-        self.nbytes = 0
-
-    def clear(self):
-        with self.lock:
-            self.entries.clear()
-            self.nbytes = 0
-
-    def get(self, key, build, branch: float) -> _Kept:
-        """The samples of ``key`` and their ``_factors`` about ``branch``,
-        made from ``build()`` on a miss."""
-        with self.lock:
-            kept = self.entries.pop(key, None)
-            if kept is None:
-                points = build()
-                factors = _factors(points, branch)
-                for a in (points, *factors):
-                    a.flags.writeable = False
-                arrays = points.nbytes + sum(a.nbytes for a in factors)
-                kept = _Kept(points, factors, arrays + self.ENTRY_BYTES)
-                if arrays > self.CAP:
-                    return kept
-                self.nbytes += kept.nbytes
-                while self.nbytes > self.BUDGET:
-                    self.nbytes -= self.entries.pop(next(iter(self.entries))).nbytes
-            self.entries[key] = kept  # now the most recently used
-            return kept
-
-
-_MEMO = _FactorMemo()
-
-
 def _g(alpha, beta, branch, lh):
     """G = (alpha + beta s) q - p over the ``_factors`` at lh about the branch
     point ``branch``: at a scalar, or on an array with alpha and beta arrays
@@ -285,9 +221,10 @@ class _RootProblem:
     G is linear in (alpha, beta): G = (alpha + beta s) q - p over the
     factors s, q and p of ``_factors``, which depend on lh and the gain
     only.  ``g`` evaluates it at one point, ``_g_rows`` for a group of
-    problems on the factors of a ``_MEMO`` sample set, and ``_g`` at the
-    points of many problems' real-root brackets, each about its own branch
-    point (``_polish_real``).  Real lh, at or right of the branch point
+    problems on the factors of a sample set (``_sample_set``), which at zero
+    gain and up to radius 384 are kept (``_zero_gain_set``), and ``_g`` at
+    the points of many problems' real-root brackets, each about its own
+    branch point (``_polish_real``).  Real lh, at or right of the branch point
     -1 - l'(0) and of R_c's cut end -1, gives real values.  ``n_eval``
     counts points, here, in ``_g_rows`` or in ``_polish_real``.
 
@@ -555,9 +492,9 @@ def _column(values, dtype):
 
 
 def _g_rows(problems, factors):
-    """G of each of ``problems``, which share one gain, on one ``_MEMO``
-    sample set's factors (s, q, p), a row each: (A + B s) q - p with A and B
-    the columns of their alpha and beta."""
+    """G of each of ``problems``, which share one gain, on one sample set's
+    factors (s, q, p) (``_sample_set``), a row each: (A + B s) q - p with A
+    and B the columns of their alpha and beta."""
     s, q, p = factors
     for prob in problems:
         prob.n_eval += q.size
@@ -566,13 +503,49 @@ def _g_rows(problems, factors):
     return ((a + b * s) * q - p).reshape(len(problems), -1)
 
 
-def _sampled(problems, key, build):
-    """G of ``problems``, which share one gain, on the samples of the
-    ``_MEMO`` set ``key``, made by ``build()`` on a miss: per block of
-    consecutive problems, the samples, their factors, the block and its G,
-    a row per problem (``_g_rows``).  A block holds at most
-    ``_BLOCK_POINTS`` samples in all, and at least one problem."""
-    xs, factors, _ = _MEMO.get(key, build, problems[0].branch)
+def _sample_set(key, branch: float):
+    """The samples of the set ``key`` and their ``_factors`` (s, q, p) about
+    ``branch``, all that G needs there besides alpha and beta: ``key`` is
+    ("scan", *subintervals) for the real-axis scan (``_scan_points``) or
+    ("rect", *rect) for a rectangle's boundary (``_boundary_points``)."""
+    kind, *geometry = key
+    if kind == "scan":
+        points = _scan_points(*np.array(geometry).T, max(-1.0, branch))
+    else:
+        points = _boundary_points(geometry)
+    return points, _factors(points, branch)
+
+
+@functools.cache
+def _zero_gain_set(key):
+    """``_sample_set`` of ``key`` at zero gain, as read-only arrays kept for
+    the process.  Zero-gain spectra recur (sweep cells, each gain search's
+    first verdict, point queries), and so do their windows, a function of
+    the rung; only windows up to radius ``_RUNG`` ``_WIDE_RUNGS`` come here
+    (``_keeps``), so the table holds at most a scan and a rectangle per rung
+    2^0, ..., 2^10 and the beta > 0 zone.  Sets at other gains recur rarely,
+    and they are made afresh, as are those of larger windows and of
+    subdivision rectangles, with the same bits."""
+    points, factors = _sample_set(key, -1.0)
+    for a in (points, *factors):
+        a.flags.writeable = False
+    return points, factors
+
+
+def _keeps(gain: float, radius: float) -> bool:
+    """Whether a window of ``radius`` at ``gain`` takes its real-axis scan
+    and its off-axis rectangle from ``_zero_gain_set``."""
+    return gain == 0.0 and radius <= _RUNG * _WIDE_RUNGS
+
+
+def _sampled(problems, key, keep: bool):
+    """G of ``problems``, which share one gain, on the samples of the set
+    ``key``, from ``_zero_gain_set`` if ``keep`` and made afresh otherwise
+    (``_sample_set``): per block of consecutive problems, the samples,
+    their factors, the block and its G, a row per problem (``_g_rows``).
+    A block holds at most ``_BLOCK_POINTS`` samples in all, and at least
+    one problem."""
+    xs, factors = _zero_gain_set(key) if keep else _sample_set(key, problems[0].branch)
     size = max(1, _BLOCK_POINTS // xs.size)
     for start in range(0, len(problems), size):
         block = problems[start:start + size]
@@ -762,9 +735,8 @@ def _scan_real(problems, window):
     branch = problems[0].branch
     base = max(-1.0, branch)
     intervals = _real_subintervals(float(window[0]), float(window[1]), problems[0].gain)
-    for xs, (s, _, _), block, vals in _sampled(
-            problems, ("scan", branch, *intervals),
-            lambda: _scan_points(*np.array(intervals).T, base)):
+    keep = _keeps(problems[0].gain, window[1] - branch)
+    for xs, (s, _, _), block, vals in _sampled(problems, ("scan", *intervals), keep):
         # flat, the block is a row after the other: its sample k is xs[k % n]
         # in the row of problem k // n
         n = xs.size
@@ -872,15 +844,15 @@ def find_real_roots(problems):
         prob.real_roots.sort()
 
 
-def _phase_steps(problems, rect):
+def _phase_steps(problems, rect, keep: bool = False):
     """The deflated G of each of ``problems``, which share one gain and
     their number of real roots, on the boundary samples of ``rect``, and
     its principal phase steps between neighbours: per problem, the problem
-    and the arguments of its winding ``count``.
+    and the arguments of its winding ``count``.  The samples come from
+    ``_zero_gain_set`` if ``keep``.
     The deflated G of a block of problems is one array, and its phase steps
     are taken once."""
-    key = ("rect", problems[0].branch, _SPACING, _MIN_SIDE, *rect)
-    for pts, _, block, vals in _sampled(problems, key, lambda: _boundary_points(rect)):
+    for pts, _, block, vals in _sampled(problems, ("rect", *rect), keep):
         for k in range(len(block[0].real_roots)):
             vals /= pts - _column([prob.real_roots[k] for prob in block], pts.dtype)
         zero = np.zeros(len(block), dtype=bool)
@@ -905,7 +877,8 @@ def _complex_roots(problems, rect):
     ``rect`` lies above each problem's ``real_roots``, as many for each,
     which the count deflates."""
     rect = tuple(float(v) for v in rect)
-    for prob, row in _phase_steps(problems, rect):
+    keep = _keeps(problems[0].gain, rect[3])
+    for prob, row in _phase_steps(problems, rect, keep):
         prob.complex_roots = prob.attempt(prob.isolate, rect, row)
 
 
@@ -937,8 +910,9 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     twice the last multiple at or below that k and then bisects.  Rounded,
     the excess still never falls as r grows, so the radius is the least
     certified rung rounded up onto the ladder.  On the ladder, windows recur
-    from one spectrum to the next, and so do their samples
-    (``_FactorMemo``).
+    from one spectrum to the next, and so do their samples; at zero gain
+    those of the 11 rungs up to ``_WIDE_RUNGS`` are kept
+    (``_zero_gain_set``).
     """
     def no_window():
         # made only when raised: formatting it costs a spectrum about 1 us

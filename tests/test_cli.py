@@ -1,11 +1,13 @@
 """Command-line front end: exit codes, JSON payloads, config merging, and
 file outputs."""
 
+import csv
 import json
 import warnings
 
 import pytest
 
+from pulsectrl import cli
 from pulsectrl.cli import (
     EXIT_DOMAIN,
     EXIT_NUMERICAL,
@@ -136,13 +138,32 @@ def test_config_keys_the_subcommand_does_not_read(tmp_path, capsys):
 
 def test_region_outputs(tmp_path, capsys):
     out = tmp_path / "plane"
-    code, doc = run_json(capsys, ["region", "--grid", "5", "--out", str(out)])
+    code, doc = run_json(capsys, ["region", "--grid", "16", "--out", str(out)])
     assert code == EXIT_OK
-    csv_lines = (tmp_path / "plane.csv").read_text().strip().split("\n")
-    assert len(csv_lines) == 1 + 25
+    # every field of every cell, None as an empty field; this grid has
+    # boundary tags and degenerate-line errors
+    cells = sweep_to_dict(sweep_plane(n_f=16, n_nu=16, threads=1))["cells"]
+    assert any(cell["boundary_tag"] for cell in cells)
+    assert any(cell["error"] for cell in cells)
+    with open(tmp_path / "plane.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(cells) == 256
+    for row, cell in zip(rows, cells):
+        assert list(row) == list(cell)
+        assert row == {k: "" if v is None else str(v) for k, v in cell.items()}
     boundaries = json.loads((tmp_path / "plane_boundaries.json").read_text())
     assert set(boundaries) == {"manifest", "hopf", "fold"}
-    assert doc["cells"] == 25
+    assert doc["cells"] == 256
+
+
+def test_out_of_memory_is_a_numerical_failure(monkeypatch, capsys):
+    def out_of_memory(params):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "assemble_spectrum", out_of_memory)
+    assert dispatch(["spectrum"] + FIG4_FLAGS) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "numerical failure: Unable to allocate 1.00 TiB for an array\n"
 
 
 def test_region_without_out_prints_the_sweep(capsys):

@@ -2,6 +2,8 @@
 parameter-plane sweep with boundary tracing."""
 
 import concurrent.futures
+import csv
+import io
 import json
 from dataclasses import asdict
 
@@ -224,6 +226,11 @@ class TestSweep:
         lines = text.strip().split("\n")
         assert lines[0].startswith("f_der,nu,theorem_class")
         assert len(lines) == 1 + 13 * 13
+        # an error message with commas stays one field
+        error = "RootIsolationFailure: found 1 roots where the winding number is 2 on (0, 1, 2, 3)"
+        cell = regions.RegionCell(-1.0, 0.5, CLASS_F_PRIME_NEG, error=error)
+        (row,) = csv.DictReader(io.StringIO(cells_to_csv([cell])))
+        assert row["error"] == error and row["min_gain"] == ""
 
     def test_thread_determinism(self, small_sweep):
         threaded = sweep_plane(n_f=13, n_nu=13, threads=2)
@@ -244,9 +251,9 @@ def test_sweep_needs_two_points_per_axis(n_f, n_nu):
 
 
 def test_sweep_bytes_do_not_depend_on_workers():
-    # one process from a cleared memo of sampled factors, then two worker
-    # processes, each with its own memo
-    spectral._MEMO.clear()
+    # one process from an empty zero-gain table of sampled factors, then two
+    # worker processes, each with its own table
+    spectral._zero_gain_set.cache_clear()
     serial = json.dumps(sweep_to_dict(sweep_plane(n_f=9, n_nu=9, threads=1)))
     pooled = json.dumps(sweep_to_dict(sweep_plane(n_f=9, n_nu=9, threads=2)))
     assert serial.encode() == pooled.encode()

@@ -2,6 +2,7 @@
 finders, and verdict assembly."""
 
 import cmath
+import functools
 import json
 import math
 import sys
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pulsectrl import spectral
+from pulsectrl import regions, spectral
 from pulsectrl.errors import (
     EssentialRay,
+    FloorInsufficient,
     PoleAtInput,
     RootIsolationFailure,
     UnstableEssential,
@@ -46,6 +48,14 @@ def real_roots_of(coeffs, gain, window, prob=None):
     if prob.error is not None:
         raise prob.error
     return prob.real_roots
+
+
+def fresh_table(monkeypatch):
+    """An empty zero-gain table (``_zero_gain_set``) of the test's own, for
+    a test that stubs what the table would keep."""
+    table = functools.cache(spectral._zero_gain_set.__wrapped__)
+    monkeypatch.setattr(spectral, "_zero_gain_set", table)
+    return table
 
 
 def complex_roots_of(prob, rect, real=()):
@@ -464,16 +474,16 @@ class TestFindRealRoots:
         # end: no sign change brackets them, but the parabola through three
         # samples in w, where this G is one, turns back across zero there
         lo = -1.0 + 1e-6
-        monkeypatch.setattr(spectral, "_MEMO", spectral._FactorMemo())
+        table = fresh_table(monkeypatch)
         for w1, w2 in ((2e-3, 6e-3), (1.5e-3, 3e-3)):
-            # with alpha = beta = 0, G = -p, on samples kept in a memo of
-            # this test's own; the scan takes w from s
+            # with alpha = beta = 0, G = -p, on samples kept in a zero-gain
+            # table of this test's own; the scan takes w from s
             def factors(x, branch, w1=w1, w2=w2):
                 s = np.sqrt(x - branch)
                 return s, 1.0 + 0.0 * x, -(s - w1) * (s - w2)
 
             monkeypatch.setattr(spectral, "_factors", factors)
-            spectral._MEMO.clear()
+            table.cache_clear()
             stub = spectral._RootProblem(ReducedCoefficients(0.0, 0.0), 0.0)
             roots = real_roots_of(None, 0.0, (lo, 3.0), stub)
             assert len(roots) == 2, (w1, w2)
@@ -486,7 +496,7 @@ class TestFindRealRoots:
         r = float(spectral._scan_points(np.array([0.0]), np.array([1.0]), -1.0)[40])
         monkeypatch.setattr(spectral, "_factors", lambda x, branch: (
             np.sqrt(x - branch), 1.0 + 0.0 * x, x - r))
-        monkeypatch.setattr(spectral, "_MEMO", spectral._FactorMemo())
+        fresh_table(monkeypatch)
         stub = spectral._RootProblem(ReducedCoefficients(0.0, 0.0), 0.0)
         assert real_roots_of(None, 0.0, (0.0, 1.0), stub) == [r]
 
@@ -1217,6 +1227,8 @@ class TestAssembleSpectrum:
             return counts
 
         counts = off_axis_counts()
+        # the spectra sample their rectangles afresh, not from the table
+        fresh_table(monkeypatch)
         monkeypatch.setattr(spectral, "_SPACING", spectral._SPACING / 8.0)
         monkeypatch.setattr(spectral, "_MIN_SIDE", spectral._MIN_SIDE * 8)
         assert counts == off_axis_counts()
@@ -1367,7 +1379,8 @@ class TestAssembleSpectra:
 
 
 class TestFactorMemo:
-    """The memo of sample sets and G's parameter-free factors on them."""
+    """The zero-gain table of sample sets and G's parameter-free factors on
+    them (``_zero_gain_set``)."""
 
     @staticmethod
     def seeded_params(n, seed, gains):
@@ -1379,81 +1392,125 @@ class TestFactorMemo:
                                    control_slope=gains(k, rng)))
         return out
 
-    def test_reports_do_not_depend_on_the_memo(self, monkeypatch):
-        # gains from the gain search's shared scan and arbitrary ones
-        scan = np.linspace(0.0, -64.0, 33)
-        params = self.seeded_params(120, 16, lambda k, rng: 0.0) \
-            + self.seeded_params(120, 17, lambda k, rng: float(
-                scan[k % 33] if k % 2 else rng.uniform(-20.0, 0.5)))
+    @staticmethod
+    def spied_table(monkeypatch):
+        """The zero-gain table, emptied, and the sets it hands out from then
+        on, by key."""
+        table = spectral._zero_gain_set
+        table.cache_clear()
+        seen = {}
+        monkeypatch.setattr(spectral, "_zero_gain_set",
+                            lambda key: seen.setdefault(key, table(key)))
+        return table, seen
+
+    @staticmethod
+    def counted_builds(monkeypatch):
+        """The sample sets made from here on, as a list that grows by one
+        a set."""
         built = []
         scan_points, boundary_points = spectral._scan_points, spectral._boundary_points
         monkeypatch.setattr(spectral, "_scan_points",
                             lambda *a: built.append(a) or scan_points(*a))
         monkeypatch.setattr(spectral, "_boundary_points",
                             lambda rect: built.append(rect) or boundary_points(rect))
+        return built
+
+    def test_reports_do_not_depend_on_the_memo(self, monkeypatch):
+        # gains from the gain search's shared scan and arbitrary ones
+        scan = np.linspace(0.0, -64.0, 33)
+        params = self.seeded_params(120, 16, lambda k, rng: 0.0) \
+            + self.seeded_params(120, 17, lambda k, rng: float(
+                scan[k % 33] if k % 2 else rng.uniform(-20.0, 0.5)))
+        built = self.counted_builds(monkeypatch)
         cold, again = [], []
         for p in params:
-            spectral._MEMO.clear()
+            spectral._zero_gain_set.cache_clear()
             cold.append(assemble_spectrum(p).to_json().encode())
-            # straight after itself, a spectrum takes every sample set from the memo
             n_built = len(built)
             again.append(assemble_spectrum(p).to_json().encode())
-            assert len(built) == n_built
-        # one pass that carries the memo from point to point, where spectra
+            if p.control_slope == 0.0:
+                # straight after itself, a zero-gain spectrum takes every
+                # sample set from the table
+                assert len(built) == n_built
+        # one pass that carries the table from point to point, where spectra
         # with other alpha and beta share sample sets
-        spectral._MEMO.clear()
+        spectral._zero_gain_set.cache_clear()
         carried = [assemble_spectrum(p).to_json().encode() for p in params]
         assert cold == again == carried
 
-    def test_memo_arrays_refuse_writes(self):
-        spectral._MEMO.clear()
+    def test_memo_arrays_refuse_writes(self, monkeypatch):
+        _, seen = self.spied_table(monkeypatch)
         assemble_spectrum(ModelParams(1.0, 1.0, -3.0, 8.0))
-        # the real-axis scan and the top rectangle, at least
-        assert len(spectral._MEMO.entries) >= 2
-        for entry in spectral._MEMO.entries.values():
-            for a in (entry.points, *entry.factors):
+        # the real-axis scan and the top rectangle
+        assert [key[0] for key in seen] == ["scan", "rect"]
+        for points, factors in seen.values():
+            for a in (points, *factors):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
                 with pytest.raises(ValueError, match="read-only"):
                     a += 1.0
 
-    def test_memo_stays_within_its_budget(self):
-        memo = spectral._MEMO
-        memo.clear()
-        tracemalloc.start()
-        try:
-            # its 1.6M-point rectangles go through g directly
-            assemble_spectrum(ModelParams(1.0, 1.0, -300.0, 50.0))
-            assert memo.nbytes <= memo.CAP
-            # the gain search's scan gains, and arbitrary gains as its
-            # bisection takes them
-            scan = np.linspace(0.0, -64.0, 33)
-            for p in self.seeded_params(2000, 18, lambda k, rng: float(
-                    scan[k % 33] if k % 3 else rng.uniform(-64.0, 0.5))):
-                assemble_spectrum(p)
-                assert memo.nbytes <= memo.BUDGET
-            arrays = [sum(a.nbytes for a in (entry.points, *entry.factors))
-                      for entry in memo.entries.values()]
-            assert max(arrays) <= memo.CAP
-            assert sum(arrays) + memo.ENTRY_BYTES * len(arrays) == memo.nbytes
-            assert memo.nbytes > memo.BUDGET - memo.CAP  # full
-            # what clearing frees: the arrays with their Python objects
-            full = tracemalloc.get_traced_memory()[0]
-            memo.clear()
-            footprint = full - tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert footprint < 1.05 * memo.BUDGET
+    def test_memo_holds_a_fixed_family(self, monkeypatch):
+        # the scan and the off-axis rectangles of the zero-gain windows of
+        # rung 2^0, ..., 2^10: one rectangle a rung for beta < 0, and the
+        # one zone for beta > 0
+        family = set()
+        for j in range(11):
+            rho = spectral._RUNG * 2 ** j
+            window = (-1.0 + 1e-6, -1.0 + rho, -rho, rho)
+            family.add(("scan", *spectral._real_subintervals(*window[:2], 0.0)))
+            family.update(("rect", *spectral._off_axis(beta, window)) for beta in (-1.0, 1.0))
+        assert len(family) == 23
+        sizes = [sum(a.nbytes for a in (points, *factors))
+                 for points, factors in (spectral._sample_set(key, -1.0) for key in family)]
+        assert sum(sizes) < 0.5e6
+
+        table, seen = self.spied_table(monkeypatch)
+        # its 1.6M-point sets, past rung 2^10, are made afresh
+        assemble_spectrum(ModelParams(1.0, 1.0, -300.0, 50.0))
+        assert not seen
+        # the gain search's scan gains, and arbitrary gains as its
+        # bisection takes them
+        scan = np.linspace(0.0, -64.0, 33)
+        for p in self.seeded_params(400, 18, lambda k, rng: float(
+                scan[k % 33] if k % 3 else rng.uniform(-64.0, 0.5))):
+            assemble_spectrum(p)
+        # a subdivision, where the centre start leaves the rectangle
+        cls = spectral._RootProblem
+        windings, winding = [], cls.winding
+        monkeypatch.setattr(cls, "winding",
+                            lambda prob, sub: windings.append(sub) or winding(prob, sub))
+        prob = cls(ReducedCoefficients(alpha=0.7, beta=-0.56), 0.0)
+        real_roots_of(None, 0.0, (-1.0 + 1e-6, 11.0), prob)
+        prob.roots((-0.999999, 8.75, 1e-6, 9.75), 1)
+        assert windings
+        regions.sweep_plane(n_f=16, n_nu=16, threads=1)
+        assert set(seen) <= family
+        assert table.cache_info().currsize == len(seen) <= 23
+        for points, factors in seen.values():
+            assert not any(a.flags.writeable for a in (points, *factors))
+
+    def test_a_gain_search_evicts_no_zero_gain_set(self, monkeypatch):
+        # a search that raises after 257 spectra at 256 gains below 0
+        params = ModelParams(1.0, 1.0, -0.13484125328871954,
+                             2.1831594715721643 + 2.0 * 0.13484125328871954)
+        report = assemble_spectrum(params).to_json()
+        with pytest.raises(FloorInsufficient):
+            regions.min_control_gain(params)
+        built = self.counted_builds(monkeypatch)
+        assert assemble_spectrum(params).to_json() == report
+        assert not built
 
     def test_threads_share_the_memo(self, monkeypatch):
-        # a memo small enough to evict all the time, more threads than
-        # cores, and thread switches as often as the interpreter allows
-        memo = spectral._MEMO
-        memo.clear()
-        monkeypatch.setattr(type(memo), "BUDGET", 64 << 10)
-        monkeypatch.setattr(type(memo), "CAP", 8 << 10)
-        params = self.seeded_params(40, 19, lambda k, rng: float(rng.uniform(-8.0, 0.5)))
+        # the table filled from empty by more threads than cores, with
+        # thread switches as often as the interpreter allows, amid spectra
+        # at other gains
+        table, seen = self.spied_table(monkeypatch)
+        params = self.seeded_params(40, 19, lambda k, rng: float(
+            rng.uniform(-8.0, 0.5) if k % 2 else 0.0))
         serial = [assemble_spectrum(p).to_json() for p in params]
+        table.cache_clear()
+        seen.clear()
         results, errors = {}, []
 
         def work(k):
@@ -1475,5 +1532,9 @@ class TestFactorMemo:
         assert not errors and not any(t.is_alive() for t in threads) and len(results) == 6
         for k, reports in results.items():
             assert reports == serial[k:] + serial[:k]
-        # the books balance
-        assert memo.nbytes == sum(kept.nbytes for kept in memo.entries.values()) <= memo.BUDGET
+        # every kept set is whole: the bits of one made afresh
+        assert seen and table.cache_info().currsize == len(seen)
+        for key, (points, factors) in seen.items():
+            fresh_points, fresh_factors = spectral._sample_set(key, -1.0)
+            for a, b in zip((points, *factors), (fresh_points, *fresh_factors)):
+                assert a.tobytes() == b.tobytes()
