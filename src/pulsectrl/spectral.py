@@ -891,6 +891,12 @@ def _r_bound_terms():
             (WEIGHT_CONTINUUM, -1.0))
 
 
+def _no_window(alpha: float, beta: float, control_slope: float) -> ValueError:
+    # made only when raised: formatting it costs a spectrum about 1 us
+    return ValueError(f"no finite search window for alpha = {alpha}, "
+                      f"beta = {beta}, l'(0) = {control_slope}")
+
+
 def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     """Radius about the branch point c = -1 - l'(0) outside which, on
     Re lh >= -1, the root equation has no root: ``_RUNG`` k for the least k
@@ -914,13 +920,8 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     those of the 11 rungs up to ``_WIDE_RUNGS`` are kept
     (``_zero_gain_set``).
     """
-    def no_window():
-        # made only when raised: formatting it costs a spectrum about 1 us
-        return ValueError(f"no finite search window for alpha = {alpha}, "
-                          f"beta = {beta}, l'(0) = {control_slope}")
-
     if beta == 0.0 or not all(map(math.isfinite, (alpha, beta, control_slope))):
-        raise no_window()
+        raise _no_window(alpha, beta, control_slope)
     c = -1.0 - control_slope
     (w_h, o_h), (w_l, o_l), (w_c, o_c) = [(w, p - c) for w, p in _r_bound_terms()]
     d = max(0.0, o_h, o_l, o_c)
@@ -944,7 +945,7 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     ratio = alpha / beta
     bound = max(d, ratio * ratio) * (1.0 - 1e-12) / _RUNG  # inf, not OverflowError
     if not bound < top:
-        raise no_window()
+        raise _no_window(alpha, beta, control_slope)
     lo = int(bound)  # 0, or a k that is not certified
     # the powers of two from the first above lo
     k = 1 << lo.bit_length()
@@ -957,7 +958,7 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
         m = max(1, min(2 * lo, m_top))
         while not certified(m * _WIDE_RUNGS):
             if m == m_top:
-                raise no_window()
+                raise _no_window(alpha, beta, control_slope)
             lo, m = m, min(2 * m, m_top)
         while m - lo > 1:
             mid = (lo + m) // 2
@@ -969,7 +970,7 @@ def _certified_radius(alpha: float, beta: float, control_slope: float) -> float:
     # with the excess positive at the least positive float, every root
     # rounds onto the branch point, and no window separates them from it
     if k == 1 and d == 0.0 and excess(math.ulp(0.0)) > 0.0:
-        raise no_window()
+        raise _no_window(alpha, beta, control_slope)
     return _RUNG * k
 
 
@@ -1021,8 +1022,12 @@ def default_window(coeffs: ReducedCoefficients, control_slope: float):
     point -1 - l'(0), cut at the essential edge.  The radius lies on the
     ladder of ``_certified_radius``, at least ``_RUNG``, so the box clears
     its 1e-6 offsets from the edge and from the axis, and the window is a
-    function of the rung and the gain."""
+    function of the rung and the gain.  From about l'(0) = -2^34 down, the
+    offset from the edge rounds away, and further down the window's samples
+    and then its real extent do too: no window is posed there."""
     _, edge_hat = essential_edges(control_slope)
+    if edge_hat + 1e-6 == edge_hat:
+        raise _no_window(coeffs.alpha, coeffs.beta, control_slope)
     rho = _certified_radius(coeffs.alpha, coeffs.beta, control_slope)
     return edge_hat + 1e-6, -1.0 - control_slope + rho, -rho, rho
 

@@ -40,6 +40,14 @@ def test_domain_error_exit(capsys):
     assert "essential" in capsys.readouterr().err
 
 
+def test_deep_gain_is_a_domain_error(capsys):
+    # past about l'(0) = -2^34 no search window is posed: one line, not a traceback
+    code = dispatch(["spectrum"] + FIG4_FLAGS + ["--gain", "-1e20"])
+    assert code == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: no finite search window") and err.count("\n") == 1
+
+
 def test_numerical_error_exit(capsys):
     # an absurd perturbation amplitude drives the state non-finite within the
     # first step, before the first sample can end the run as growth; the

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from pulsectrl import pde_sim
@@ -272,24 +273,21 @@ def test_step_context_factors_solve_their_matrices(eps):
     # a I - r Lap it stands for, zero-flux boundary entries included: I - dt
     # D Lap for the Euler start and three times I - 2/3 dt D Lap for SBDF2;
     # a swapped diagonal or a lost boundary entry would only show as a small
-    # drift in the fitted rate
+    # drift in the fitted rate.  The reference is a pivoted band LU of the
+    # unsymmetrised tridiagonal, no dpttrf/dpttrs
     config, context = _fig4_context(eps)
     n = config.x.size
     dt, eps2 = config.dt, eps ** 2
     cases = [(context.start_factors, 1.0, dt), (context.factors, 3.0, 2.0 * dt)]
     rhs = np.random.default_rng(17).standard_normal((2, n))
-    rows = np.arange(n)
     for factors, a, dt_scale in cases:
         got = _stacked_solve(factors, rhs)
         for k, diffusivity in enumerate((1.0, eps2)):
             r = dt_scale * diffusivity / config.dx ** 2
-            dense = np.zeros((n, n))
-            dense[rows, rows] = a + 2.0 * r
-            dense[rows[:-1], rows[1:]] = -r
-            dense[rows[1:], rows[:-1]] = -r
-            dense[0, 1] = dense[-1, -2] = -2.0 * r
-            expected = np.linalg.solve(dense, rhs[k])
-            del dense  # 128 MB at eps = 0.02; free it before the next one
+            # rows: superdiagonal (from column 1), diagonal, subdiagonal
+            bands = np.array([np.full(n, -r), np.full(n, a + 2.0 * r), np.full(n, -r)])
+            bands[0, 1] = bands[2, -2] = -2.0 * r
+            expected = solve_banded((1, 1), bands, rhs[k])
             assert np.max(np.abs(got[k] - expected)) <= (
                 1e-13 * np.max(np.abs(expected)))
 

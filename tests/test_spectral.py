@@ -352,6 +352,19 @@ class TestCertifiedWindow:
             with pytest.raises(ValueError):
                 spectral._certified_radius(alpha, beta, gain)
 
+    def test_deep_gains_are_refused(self):
+        # from about l'(0) = -2^34 down, the window's 1e-6 offset from the
+        # essential edge rounds away; deeper, its samples collide (a 0/0 in
+        # the scan) and then its real extent rounds away too
+        params = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0)
+        for k in range(4, 301):
+            gain = -10.0 ** k
+            if gain > -2.0 ** 34:
+                assert assemble_spectrum(params.with_control_slope(gain)).eigenvalues
+            else:
+                with pytest.raises(ValueError, match="no finite search window"):
+                    assemble_spectrum(params.with_control_slope(gain))
+
     @staticmethod
     def certified(alpha, beta, gain, r):
         # the bound of _certified_radius, written out: no root on the arc of
@@ -396,8 +409,13 @@ class TestCertifiedWindow:
             else:
                 # a step of 2^10 rungs is below 2^-40 rho there
                 assert not self.certified(alpha, beta, gain, rho * (1.0 - 2.0 ** -40))
-            window = default_window(ReducedCoefficients(alpha, beta), gain)
-            assert window[1:] == (-1.0 - gain + rho, -rho, rho)
+            coeffs = ReducedCoefficients(alpha, beta)
+            if gain > -2.0 ** 34:
+                assert default_window(coeffs, gain)[1:] == (-1.0 - gain + rho, -rho, rho)
+            else:
+                # the window's offset from the edge rounds away: no window
+                with pytest.raises(ValueError, match="no finite search window"):
+                    default_window(coeffs, gain)
         assert n_above_first > 150
 
 
