@@ -178,7 +178,9 @@ class _StepContext:
     size, so each is factored once, here, and every step reuses it:
     ``start_factors`` of I - dt D Lap for the Euler start, ``factors`` of
     3 I - 2 dt D Lap for SBDF2.  A right-hand side times ``halves`` has its
-    four end rows halved, as the factored matrices have.
+    four end rows halved, as the factored matrices have.  ``history`` holds
+    the last step's (2, n) new state, increment and explicit part, which
+    ``step`` reads only when handed that very state again.
     """
 
     def __init__(self, config: SimConfig, v_ref):
@@ -194,37 +196,33 @@ class _StepContext:
         self.start_factors = _factors(1.0, r, n)
         self.factors = _factors(3.0, 2.0 * r, n)
         self.v_ref = v_ref
-        # (u_out, v_out, state_out, increment, explicit_in) of the last step,
-        # each (2, n) but u_out and v_out, the rows of state_out
         self.history = None
 
 
 def step(state, context: _StepContext):
     """One SBDF2 step: implicit diffusion, extrapolated explicit reaction.
 
-    The step size is ``context.config.dt``.  For each component w with
+    ``state`` and the state returned are (2, n) arrays, rows u and v.  The
+    step size is ``context.config.dt``.  For each component w with
     diffusivity D and explicit part N (reaction plus control), solves
 
         (I - 2/3 dt D Lap) w' = (4 w - w_old)/3 + 2/3 dt (2 N - N_old)
 
     (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995).  The previous
     state and reaction come from ``context``; they are used only when
-    ``state`` is the pair this context returned last, so a fresh context, or
-    any other state, takes one IMEX Euler step instead,
+    ``state`` is the very array this context returned last, so a fresh
+    context, or any other state, takes one IMEX Euler step instead,
 
         (I - dt D Lap) w' = w + dt N,
 
-    which starts the trajectory.  u and v are worked on as the rows of one
-    (2, n) array, solved by one block-diagonal ``dpttrs`` call, and the
-    returned pair are the rows of the new one.  Raises ``NumericalBlowup``
-    unless the new state is finite.
+    which starts the trajectory.  Both rows are solved by one block-diagonal
+    ``dpttrs`` call.  Raises ``NumericalBlowup`` unless the new state is
+    finite.
     """
-    u, v = state
     dt = context.config.dt
     history = context.history
-    continuing = history is not None and history[0] is u and history[1] is v
-    w = history[2] if continuing else np.array((u, v))
-    rates = _derivatives(w, context.config, context.v_ref, context.columns)
+    continuing = history is not None and history[0] is state
+    rates = _derivatives(state, context.config, context.v_ref, context.columns)
     # solve for the increment w' - w, whose right-hand side carries the full
     # time derivative w_t = D Lap w + N: the tridiagonal solve then rounds
     # relative to the step, so a stationary state stays fixed (solving for
@@ -235,23 +233,22 @@ def step(state, context: _StepContext):
     if continuing:
         factors = context.factors
         inc += explicit
-        inc -= history[4]
+        inc -= history[2]
         inc *= 2.0 * dt
-        inc += history[3]
+        inc += history[1]
         inc *= context.halves
     else:
         factors = context.start_factors
         inc *= dt * context.halves
-    inc = dpttrs(*factors, inc.reshape(-1), overwrite_b=1)[0].reshape(w.shape)
-    new = inc + w
+    inc = dpttrs(*factors, inc.reshape(-1), overwrite_b=1)[0].reshape(state.shape)
+    new = inc + state
     # the one finiteness guard: the dot with the old state is finite exactly
     # when every new entry is (inf * 0 is NaN), short of overflow near 1e308;
     # a non-finite old state or explicit part makes a non-finite new block
-    if not math.isfinite(np.vdot(new, w)):
+    if not math.isfinite(np.vdot(new, state)):
         raise NumericalBlowup()
-    u_new, v_new = new[0], new[1]
-    context.history = (u_new, v_new, new, inc, explicit)
-    return u_new, v_new
+    context.history = (new, inc, explicit)
+    return new
 
 
 def _half_jacobian_bands(state, config: SimConfig, columns):
@@ -286,10 +283,10 @@ def relax_profile(config: SimConfig, diagnostics: dict | None = None):
     """Newton-refine the leading-order pulse to a discrete stationary state.
 
     Works on the half domain so the translation (odd) null mode cannot enter;
-    the result is mirrored onto the full grid.  Raises ``RelaxationFailure``
-    unless ``_RELAX_STEPS`` Newton steps drive the residual to RELAX_TOL times
-    the reaction scale.  Records ``relax_steps``, ``relax_residual`` and
-    ``relax_tol`` in ``diagnostics``.
+    the result is mirrored onto the full grid, one (2, n) array, rows u and
+    v.  Raises ``RelaxationFailure`` unless ``_RELAX_STEPS`` Newton steps
+    drive the residual to RELAX_TOL times the reaction scale.  Records
+    ``relax_steps``, ``relax_residual`` and ``relax_tol`` in ``diagnostics``.
     """
     x = config.x
     n_half = (x.size - 1) // 2
@@ -334,12 +331,11 @@ def relax_profile(config: SimConfig, diagnostics: dict | None = None):
         diagnostics.update(relax_steps=steps, relax_residual=norm, relax_tol=tol)
     if norm > tol:
         raise RelaxationFailure(norm, tol, steps)
-    u, v = state
-    return np.concatenate([u[:0:-1], u]), np.concatenate([v[:0:-1], v])
+    return np.concatenate([state[:, :0:-1], state], axis=1)
 
 
 def perturbation(config: SimConfig):
-    """Initial deviation (du, dv) of amplitude eta.
+    """Initial deviation of amplitude eta, one (2, n) array, rows du and dv.
 
     The v-part is confined to the pulse core by a sech^2 envelope: for
     gamma < 0 the reaction f(u) v^2 grows like u^gamma in the tails, so
@@ -357,20 +353,21 @@ def perturbation(config: SimConfig):
         rng = np.random.default_rng(config.seed)
         du = config.eta * rng.standard_normal(x.size) * np.exp(-np.abs(x))
         dv = config.eta * rng.standard_normal(x.size) * core
-    return du, dv
+    return np.array((du, dv))
 
 
-def deviation_norm(u, v, u_ref, v_ref, config: SimConfig) -> float:
-    """Discrete L2 norm of the deviation; v weighted by sqrt(eps)."""
+def deviation_norm(deviation, config: SimConfig) -> float:
+    """Discrete L2 norm of the (2, n) ``deviation``, rows du and dv; dv
+    weighted by sqrt(eps)."""
     with np.errstate(over="ignore"):
-        return _weighted_norm((u - u_ref, v - v_ref), config)
+        return _weighted_norm(deviation, config)
 
 
 def _weighted_norm(deviation, config: SimConfig) -> float:
-    """``deviation_norm`` of the stacked deviation (du, dv).  Its squares
-    overflow for entries past about 1e154, and numpy warns where the caller
-    does not ignore overflow; a norm that is not finite is taken again of
-    the deviation over its largest entry, which no square overflows."""
+    """``deviation_norm`` without its ``np.errstate``.  The squares overflow
+    for entries past about 1e154, and numpy warns where the caller does not
+    ignore overflow; a norm that is not finite is taken again of the
+    deviation over its largest entry, which no square overflows."""
     du, dv = deviation[0], deviation[1]
     norm = math.sqrt(config.dx * (du @ du + config.params.eps * (dv @ dv)))
     if math.isfinite(norm):
@@ -440,18 +437,15 @@ def run(config: SimConfig) -> SimTrace:
     1e-12 (decayed to the relaxation floor); a start below that raises.
     """
     diagnostics = {}
-    u_ref, v_ref = relax_profile(config, diagnostics)
-    du0, dv0 = perturbation(config)
-    u = u_ref + du0
-    v = v_ref + dv0
-    context = _StepContext(config, v_ref)
-    reference = np.array((u_ref, v_ref))
+    reference = relax_profile(config, diagnostics)
+    state = reference + perturbation(config)
+    context = _StepContext(config, reference[1])
 
     dt = config.dt
     n_steps = int(np.ceil(config.t_end / dt))
     grow_limit = 1e6 * abs(config.eta)
     times = [0.0]
-    norms = [deviation_norm(u, v, u_ref, v_ref, config)]
+    norms = [deviation_norm(state - reference, config)]
     if norms[0] < 1e-12:
         raise ValueError(f"eta = {config.eta:g} starts the deviation below the stable exit 1e-12")
     early_exit = None
@@ -462,12 +456,11 @@ def run(config: SimConfig) -> SimTrace:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             try:
-                u, v = step((u, v), context)
+                state = step(state, context)
             except NumericalBlowup:
                 raise NumericalBlowup(time=t)
             t = k * dt
-            # u and v are the rows of the stacked new state
-            norm = _weighted_norm(context.history[2] - reference, config)
+            norm = _weighted_norm(state - reference, config)
             times.append(t)
             norms.append(norm)
             if norm > grow_limit:

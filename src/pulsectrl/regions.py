@@ -86,9 +86,6 @@ class SweepResult:
     fold: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    def cell(self, i_nu: int, i_f: int) -> RegionCell:
-        return self.cells[i_nu * len(self.f_der_values) + i_f]
-
 
 def classify_point(f_der: float, nu: float, u_star: float = 1.0) -> str:
     """Closed-form trichotomy; the threshold nu >= 1/u* is inclusive."""

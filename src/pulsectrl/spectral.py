@@ -240,6 +240,8 @@ class _RootProblem:
     axis counts the roots of G, but whose phase does not turn by pi along an
     edge passing just above a real root.  A phase step of a quarter turn or
     more between boundary samples (``_boundary_points``) is bisected.
+    ``isolate`` runs on every rectangle, the top one and each of its
+    subrectangles, and checks each count against the roots found there.
     """
 
     __slots__ = ("alpha", "beta", "gain", "branch", "n_eval",
@@ -304,11 +306,6 @@ class _RootProblem:
             out /= lh - r
         return out
 
-    def winding(self, rect) -> int:
-        """The winding number on ``rect``."""
-        ((_, row),) = _phase_steps([self], rect)
-        return self.count(*row)
-
     def count(self, pts, vals, steps, big, zero: bool) -> int:
         """The winding number from the deflated G ``vals`` at the closed
         boundary samples ``pts``, ``zero`` if one is 0, and the principal
@@ -334,60 +331,50 @@ class _RootProblem:
         return self._arg_step(a, fa, m, fm, depth + 1) \
             + self._arg_step(m, fm, b, fb, depth + 1)
 
-    def roots(self, rect, w: int, depth: int = 0):
-        """The roots in ``rect``, whose winding number is ``w``."""
-        if w == 0:
+    def isolate(self, rect, row, depth: int = 0):
+        """The roots in ``rect``, sorted, from its boundary ``row`` of
+        ``_phase_steps``; ``RootIsolationFailure`` unless they match its
+        winding number in number.  One root is polished by the secant from
+        the boundary's first moment s_1 = (1/2 pi i) sum z_mid (d ln|G| +
+        i step) where s_1 lies in ``rect`` (Delves & Lyness, Math. Comp. 21,
+        1967), else, or where that fails, from the centre, as is a cluster
+        under 1e-3 across; otherwise ``rect`` splits in four, at ``depth`` + 1."""
+        total = self.count(*row)
+        if total == 0:
             return []
         re0, re1, im0, im1 = rect
         diam = math.hypot(re1 - re0, im1 - im0)
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        if w == 1 or diam < 1e-3:
-            # an iterate farther than the diameter from the centre has left
-            # the rectangle; give up there and subdivide
-            root = self.secant(center, center + _SECANT_START * diam, diam)
-            if root is not None and _inside(rect, root):
-                return [root] * w  # a cluster or multiple root counts w times
+        if total == 1 or diam < 1e-3:
+            starts = [center]
+            if total == 1:
+                pts, vals, steps = row[:3]
+                # a G that overflows or underflows makes a start that is not finite
+                with np.errstate(all="ignore"):
+                    d = np.log(np.abs(vals[1:] / vals[:-1])) + 1j * steps
+                    moment = complex(((pts[1:] + pts[:-1]) * d).sum() / (4j * np.pi))
+                if _inside(rect, moment, 0.0):
+                    starts.insert(0, moment)
+            for start in starts:
+                # an iterate farther than the diameter from its start has
+                # left the rectangle; give up there
+                root = self.secant(start, start + _SECANT_START * diam, diam)
+                if root is not None and _inside(rect, root):
+                    return [root] * total  # a cluster or multiple root counts total times
             if diam < 1e-6:
                 raise RootIsolationFailure(
-                    f"winding {w} in cell of diameter {diam:.2e} but the secant failed")
+                    f"winding {total} in cell of diameter {diam:.2e} but the secant failed")
         if depth >= _MAX_DEPTH:
             raise RootIsolationFailure("max subdivision depth reached")
         # split slightly off-center so subdivision lines avoid roots
         fr = 0.5 + 1.37e-3
         rm = re0 + fr * (re1 - re0)
         im_m = im0 + fr * (im1 - im0)
-        out = []
+        found = []
         for sub in ((re0, rm, im0, im_m), (rm, re1, im0, im_m),
                     (re0, rm, im_m, im1), (rm, re1, im_m, im1)):
-            out.extend(self.roots(sub, self.winding(sub), depth + 1))
-        return out
-
-    def from_moment(self, rect, pts, vals, steps):
-        """The one root in ``rect`` by the secant from the first moment
-        s_1 = (1/2 pi i) sum z_mid (d ln|G| + i step) of the deflated G
-        ``vals`` at the closed boundary samples ``pts``, with the resolved
-        phase ``steps``; None where s_1 or the root falls outside ``rect``
-        or the secant fails (Delves & Lyness, Math. Comp. 21, 1967)."""
-        # a G that overflows or underflows makes a start that is not finite
-        with np.errstate(all="ignore"):
-            d = np.log(np.abs(vals[1:] / vals[:-1])) + 1j * steps
-            start = complex(((pts[1:] + pts[:-1]) * d).sum() / (4j * np.pi))
-        if not _inside(rect, start, 0.0):
-            return None
-        re0, re1, im0, im1 = rect
-        diam = math.hypot(re1 - re0, im1 - im0)
-        root = self.secant(start, start + _SECANT_START * diam, diam)
-        return root if root is not None and _inside(rect, root) else None
-
-    def isolate(self, rect, row):
-        """The roots in ``rect``, sorted, from its boundary ``row`` of
-        ``_phase_steps``: they must match its winding number in number, or
-        ``RootIsolationFailure`` is raised.  One root is polished from the
-        boundary's first moment (``from_moment``) where that converges in
-        ``rect``, and otherwise, as more, by ``roots``."""
-        total = self.count(*row)
-        root = self.from_moment(rect, *row[:3]) if total == 1 else None
-        found = [root] if root is not None else self.roots(rect, total)
+            ((_, sub_row),) = _phase_steps([self], sub)
+            found += self.isolate(sub, sub_row, depth + 1)
         if len(found) != total:
             raise RootIsolationFailure(
                 f"found {len(found)} roots where the winding number is {total} on {rect}")

@@ -60,6 +60,15 @@ def public_definitions(tree):
         yield from (name for name in names if not name.startswith("_"))
 
 
+def public_methods(tree):
+    """``Class.name`` of each public method or property of a module's public
+    classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from (f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
 def reads(path, tree):
     """``module.name`` for each name of a pulsectrl submodule that a file
     reads: ``from module import name``, ``module.name``, and in the module's
@@ -76,7 +85,8 @@ def reads(path, tree):
 
 
 def test_every_public_name_has_a_reader_besides_the_tests():
-    # a name only the tests read is surface to delete, not to keep public
+    # a name, method or property only the tests read is surface to delete,
+    # not to keep public
     trees = {path: ast.parse(path.read_text()) for folder in ("src", "demos", "perfbench")
              for path in sorted((ROOT / folder).rglob("*.py"))}
     read = set().union(*(reads(path, tree) for path, tree in trees.items()))
@@ -84,6 +94,13 @@ def test_every_public_name_has_a_reader_besides_the_tests():
                if path.parent == PACKAGE for name in public_definitions(tree)}
     assert len(defined) > 40
     assert sorted(defined - read) == []
+    # a method or property is read where any object's attribute of its name is
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    methods = {f"{path.stem}.{name}" for path, tree in trees.items()
+               if path.parent == PACKAGE for name in public_methods(tree)}
+    assert len(methods) > 10
+    assert sorted(m for m in methods if m.rsplit(".", 1)[1] not in attributes) == []
 
 
 # what a CLI spectrum and region load, in a fresh interpreter

@@ -101,7 +101,7 @@ def test_rhs_blowup_guard():
     v_ref = pulse_profile(FIG4, config.x)[1]
     bad = np.full(config.x.size, np.nan)
     with pytest.raises(NumericalBlowup):
-        step((bad, bad), _StepContext(config, v_ref))
+        step(np.array((bad, bad)), _StepContext(config, v_ref))
 
 
 def test_nonfinite_reaction_raises(monkeypatch):
@@ -109,20 +109,20 @@ def test_nonfinite_reaction_raises(monkeypatch):
     # f(u) = u^-3; step checks only its new state, which the solve makes
     # non-finite over the whole v block, since no off-diagonal in it is zero
     config = fig4_config(t_end=0.02)
-    u_ref, v_ref = relax_profile(config)
-    centre = u_ref.size // 2
-    u = u_ref.copy()
-    u[centre] = 0.0
+    reference = relax_profile(config)
+    centre = reference.shape[1] // 2
+    state = reference.copy()
+    state[0, centre] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NumericalBlowup):
-            step((u, v_ref.copy()), _StepContext(config, v_ref))
+            step(state, _StepContext(config, reference[1]))
 
     # run's own errstate must let the same state reach that check, not
     # stop at numpy's division-by-zero warning
     def zero_at_centre(cfg):
-        du, dv = perturbation(cfg)
-        du[centre] = -u_ref[centre]
-        return du, dv
+        deviation = perturbation(cfg)
+        deviation[0, centre] = -reference[0, centre]
+        return deviation
 
     monkeypatch.setattr(pde_sim, "perturbation", zero_at_centre)
     with pytest.raises(NumericalBlowup) as blowup:
@@ -177,9 +177,9 @@ def test_laplacian_stencil_second_order():
 
 def test_relax_profile_stationary_and_close_to_leading_order():
     config = fig4_config()
-    u_ref, v_ref = relax_profile(config)
-    _, _, du, dv = _derivatives(np.array((u_ref, v_ref)), config, v_ref,
-                                _columns(config))
+    reference = relax_profile(config)
+    u_ref, v_ref = reference
+    _, _, du, dv = _derivatives(reference, config, v_ref, _columns(config))
     assert max(np.max(np.abs(du)), np.max(np.abs(dv))) <= 1e-9
     u0, v0 = pulse_profile(FIG4, config.x)
     assert np.max(np.abs(u_ref - u0)) <= 3.0 * FIG4.eps
@@ -241,14 +241,14 @@ def test_small_eps_runs_without_overflow_warnings():
 def test_step_fixed_point_and_noninvasive_control():
     config = fig4_config(params=FIG4.with_control_slope(-3.0),
                          model=FIG4_MODEL)
-    u_ref, v_ref = relax_profile(config)
-    context = _StepContext(config, v_ref)
-    u, v = u_ref.copy(), v_ref.copy()
+    reference = relax_profile(config)
+    context = _StepContext(config, reference[1])
+    state = reference.copy()
     for _ in range(1000):
-        u, v = step((u, v), context)
-    assert deviation_norm(u, v, u_ref, v_ref, config) <= 1e-10
+        state = step(state, context)
+    assert deviation_norm(state - reference, config) <= 1e-10
     # noninvasiveness: the control term never leaves the roundoff floor
-    assert np.max(np.abs(v - v_ref)) <= 1e-12
+    assert np.max(np.abs(state[1] - reference[1])) <= 1e-12
 
 
 def _stacked_solve(factors, rhs):
@@ -320,15 +320,14 @@ def test_stacked_solve_is_the_two_block_solves_bit_for_bit(eps):
 
 def test_step_history_only_continues_its_own_trajectory():
     config = fig4_config()
-    u_ref, v_ref = relax_profile(config)
-    du, dv = perturbation(config)
-    context = _StepContext(config, v_ref)
-    first = step((u_ref + du, v_ref + dv), context)
+    reference = relax_profile(config)
+    context = _StepContext(config, reference[1])
+    first = step(reference + perturbation(config), context)
     second = step(first, context)
-    euler = step(first, _StepContext(config, v_ref))
+    euler = step(first, _StepContext(config, reference[1]))
     assert not np.array_equal(second[0], euler[0])
     # a state the context did not return last restarts with an Euler step
-    restarted = step(tuple(w.copy() for w in first), context)
+    restarted = step(first.copy(), context)
     assert np.array_equal(restarted[0], euler[0])
     assert np.array_equal(restarted[1], euler[1])
 
@@ -341,13 +340,13 @@ def test_step_is_the_documented_scheme():
                          eps=0.1, control_slope=-1.0)
     model = PowerLawModel.from_params(params)
     config = SimConfig(model=model, params=params, t_end=1.0)
-    u_ref, v_ref = relax_profile(config)
-    du, dv = perturbation(config)
+    reference = relax_profile(config)
+    v_ref = reference[1]
     # the perturbation vanishes at the ends; a ramp with nonzero end slope
     # makes the zero-flux rows move as much as the core
     ramp = (config.x / config.half_length) ** 2
     context = _StepContext(config, v_ref)
-    states = [(u_ref + du + 1e-2 * ramp, v_ref + dv + 1e-3 * ramp)]
+    states = [reference + perturbation(config) + np.array([[1e-2], [1e-3]]) * ramp]
     states.append(step(states[0], context))
     states.append(step(states[1], context))
 
@@ -385,8 +384,7 @@ def test_perturbation_shapes():
 
     config_r = fig4_config(eta=1e-3, perturbation_shape="random", seed=5)
     du1, dv1 = perturbation(config_r)
-    du2, dv2 = perturbation(config_r)
-    assert np.array_equal(du1, du2) and np.array_equal(dv1, dv2)
+    assert np.array_equal(perturbation(config_r), np.array((du1, dv1)))
     # tails are enveloped so the stiff v-reaction sees no far-field noise
     edge = config_r.x.size // 8
     assert np.max(np.abs(dv1[:edge])) < 1e-9
@@ -398,8 +396,8 @@ def test_deviation_norm_formula():
     u = np.ones(n)
     zero = np.zeros(n)
     expected = np.sqrt(config.dx * n)
-    assert deviation_norm(u, zero, zero, zero, config) == pytest.approx(expected)
-    assert deviation_norm(zero, u, zero, zero, config) == pytest.approx(
+    assert deviation_norm(np.array((u, zero)), config) == pytest.approx(expected)
+    assert deviation_norm(np.array((zero, u)), config) == pytest.approx(
         expected * np.sqrt(FIG4.eps))
 
 
@@ -410,13 +408,13 @@ def test_deviation_norm_of_a_huge_state():
     u, v = np.full(n, 3e200), np.full(n, -4e200)
     zero = np.zeros(n)
     expected = 1e200 * np.sqrt(config.dx * n * (9.0 + 16.0 * FIG4.eps))
-    norm = deviation_norm(u, v, zero, zero, config)
+    norm = deviation_norm(np.array((u, v)), config)
     assert np.isfinite(norm) and norm == pytest.approx(expected, rel=1e-14)
-    assert deviation_norm(u, zero, zero, zero, config) == pytest.approx(
+    assert deviation_norm(np.array((u, zero)), config) == pytest.approx(
         3e200 * np.sqrt(config.dx * n), rel=1e-14)
     # and stays inf where an entry is
     u[7] = np.inf
-    assert deviation_norm(u, v, zero, zero, config) == np.inf
+    assert deviation_norm(np.array((u, v)), config) == np.inf
 
 
 class TestFitRate:
@@ -507,9 +505,8 @@ def test_run_structure_and_determinism():
 
     assert np.all(np.diff(trace1.times) > 0)
     assert np.all(trace1.deviation_norms > 0)
-    du, dv = perturbation(config)
     assert trace1.deviation_norms[0] == pytest.approx(
-        deviation_norm(du, dv, np.zeros_like(du), np.zeros_like(dv), config))
+        deviation_norm(perturbation(config), config))
     for key in ("n_steps", "dt", "dx", "grid_points"):
         assert key in trace1.diagnostics
 
@@ -537,15 +534,13 @@ def test_second_order_in_time_and_default_dt_accuracy():
     for k in range(3):
         config = SimConfig(model=model, params=params, t_end=t_fixed,
                            dt=default_dt / 2 ** k)
-        u_ref, v_ref = relax_profile(config)
-        du, dv = perturbation(config)
-        u, v = u_ref + du, v_ref + dv
-        context = _StepContext(config, v_ref)
+        reference = relax_profile(config)
+        state = reference + perturbation(config)
+        context = _StepContext(config, reference[1])
         for _ in range(round(t_fixed / config.dt)):
-            u, v = step((u, v), context)
-        states.append((u, v))
-    diffs = [deviation_norm(*a, *b, config)
-             for a, b in zip(states, states[1:])]
+            state = step(state, context)
+        states.append(state)
+    diffs = [deviation_norm(a - b, config) for a, b in zip(states, states[1:])]
     assert np.log2(diffs[0] / diffs[1]) >= 1.8
 
     coarse = run(SimConfig(model=model, params=params, t_end=4.0))

@@ -36,6 +36,11 @@ from pulsectrl.spectral import assemble_spectrum
 FIG4 = ModelParams(u_star=1.0, f_val=1.0, f_der=-3.0, to_log_der=8.0)
 
 
+def cell_at(result, i_nu: int, i_f: int):
+    """The cell of row ``i_nu`` and column ``i_f`` of a sweep's row-major cells."""
+    return result.cells[i_nu * len(result.f_der_values) + i_f]
+
+
 def grid_params(f_der: float, nu: float) -> ModelParams:
     """Sweep normalization u* = f(u*) = 1: to_log_der = nu - 2 f_der."""
     return ModelParams(1.0, 1.0, f_der, nu - 2.0 * f_der)
@@ -217,7 +222,7 @@ class TestSweep:
             assert "degenerate" in message
 
     def test_cell_accessor_row_major(self, small_sweep):
-        cell = small_sweep.cell(3, 7)
+        cell = cell_at(small_sweep, 3, 7)
         assert cell.nu == pytest.approx(small_sweep.nu_values[3])
         assert cell.f_der == pytest.approx(small_sweep.f_der_values[7])
 
@@ -418,7 +423,7 @@ def test_boundaries_cross_every_disagreeing_edge(u_star, f_val):
             for ii, jj in ((i, j + 1), (i + 1, j)):
                 if ii >= n or jj >= n:
                     continue
-                a, b = result.cell(i, j), result.cell(ii, jj)
+                a, b = cell_at(result, i, j), cell_at(result, ii, jj)
                 if a.error or b.error or (a.uncontrolled_verdict == "Unstable") \
                         == (b.uncontrolled_verdict == "Unstable"):
                     continue
@@ -452,7 +457,7 @@ def loop_tags(result, u_star, f_val):
                 ii, jj = ii + di, jj + dj
             if ii >= n_nu or jj >= n_f or side[ii, jj] != 1.0 - side[i, j]:
                 continue
-            here, there = result.cell(i, j), result.cell(ii, jj)
+            here, there = cell_at(result, i, j), cell_at(result, ii, jj)
             crosses = _crosses_polyline(np.array([here.f_der, here.nu]),
                                         np.array([there.f_der, there.nu]), hopf)
             tag = "Hopf"
@@ -485,7 +490,7 @@ def test_edge_crossed_by_both_curves_tagged_hopf():
     # the edge between these cells, and the verdict flips at the Hopf arc
     result = sweep_plane(n_f=21, n_nu=21, u_star=2.0, f_val=0.5)
     for i_f in (9, 10):
-        cell = result.cell(11, i_f)
+        cell = cell_at(result, 11, i_f)
         assert (cell.f_der, cell.nu) == pytest.approx((0.3 * i_f - 3.0, 0.3))
         assert cell.boundary_tag == "Hopf", cell
 

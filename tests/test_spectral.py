@@ -67,6 +67,41 @@ def complex_roots_of(prob, rect, real=()):
     return prob.complex_roots
 
 
+def winding_of(prob, rect):
+    """The winding number of ``prob`` on ``rect``, sampled afresh."""
+    ((_, row),) = spectral._phase_steps([prob], rect)
+    return prob.count(*row)
+
+
+def moment_of(row):
+    """The first moment s_1 = (1/2 pi i) sum z_mid (d ln|G| + i step) of a
+    boundary row of ``_phase_steps``, once ``count`` has resolved its steps."""
+    pts, vals, steps = row[:3]
+    d = np.log(np.abs(vals[1:] / vals[:-1])) + 1j * steps
+    return complex(((pts[1:] + pts[:-1]) * d).sum() / (4j * np.pi))
+
+
+def spy_isolate(monkeypatch):
+    """The (depth, rect, row) of every ``isolate`` from here on, in call
+    order, the top rectangle's included."""
+    calls, isolate = [], spectral._RootProblem.isolate
+
+    def spy(prob, rect, row, depth=0):
+        calls.append((depth, rect, row))
+        return isolate(prob, rect, row, depth)
+
+    monkeypatch.setattr(spectral._RootProblem, "isolate", spy)
+    return calls
+
+
+def spy_secant(monkeypatch):
+    """The start of every ``secant`` from here on, in call order."""
+    starts, secant = [], spectral._RootProblem.secant
+    monkeypatch.setattr(spectral._RootProblem, "secant",
+                        lambda prob, lh0, *args: starts.append(lh0) or secant(prob, lh0, *args))
+    return starts
+
+
 def g_on(prob, lh):
     """G of ``prob`` on the array ``lh``, by the array evaluator ``_g_rows``."""
     return spectral._g_rows([prob], spectral._factors(np.asarray(lh), prob.branch))[0]
@@ -828,7 +863,7 @@ class TestFindComplexRoots:
     def test_fig4_roots_and_conjugate_closure(self):
         prob, rect = spectral._RootProblem(FIG4_COEFFS, 0.0), (-0.9, 10.0, -8.0, 8.0)
         roots = complex_roots_of(prob, rect)
-        assert prob.winding(rect) == len(roots)
+        assert winding_of(prob, rect) == len(roots)
         assert roots
         assert max(z.real for z in roots) < 1.28
         for z in roots:
@@ -865,7 +900,7 @@ class TestFindComplexRoots:
             vals[0, 5] = 0.0
             return vals
 
-        alone = spectral._RootProblem(FIG4_COEFFS, 0.0).winding(rect)
+        alone = winding_of(spectral._RootProblem(FIG4_COEFFS, 0.0), rect)
         monkeypatch.setattr(spectral, "_g_rows", zero_in_first_row)
         problems = [spectral._RootProblem(FIG4_COEFFS, 0.0) for _ in range(2)]
         counts = [prob.attempt(prob.count, *row)
@@ -883,34 +918,56 @@ class TestFindComplexRoots:
         assert real_roots
         plain, deflated = (spectral._RootProblem(FIG4_COEFFS, 0.0) for _ in range(2))
         deflated.real_roots = real_roots
-        assert plain.winding(rect) == 1
-        assert deflated.winding(rect) == 1
+        assert winding_of(plain, rect) == 1
+        assert winding_of(deflated, rect) == 1
         assert deflated.n_eval < plain.n_eval
+
+    @staticmethod
+    def lose_a_root_at(monkeypatch, depth):
+        """Make the first winding count at ``depth`` that holds a root miss
+        one; returns the (depth, rect, row) of every ``isolate`` and the
+        rectangles that lost one."""
+        calls, lost = spy_isolate(monkeypatch), []
+        count = spectral._RootProblem.count
+
+        def losing(prob, *row):
+            w = count(prob, *row)
+            if calls[-1][0] == depth and w > 0 and not lost:
+                lost.append(calls[-1][1])
+                return w - 1
+            return w
+
+        monkeypatch.setattr(spectral._RootProblem, "count", losing)
+        return calls, lost
 
     def test_lost_root_trips_the_certificate(self, monkeypatch):
         # a winding count on a subrectangle that misses a root leaves the
         # roots found one short of the top rectangle's winding number
-        winding = spectral._RootProblem.winding
         top = (-0.9, 10.0, -8.0, 8.0)
-        lost = []
-
-        def losing(prob, rect):
-            w = winding(prob, rect)
-            if rect != top and w > 0 and not lost:
-                lost.append(rect)
-                return w - 1
-            return w
-
         prob = spectral._RootProblem(FIG4_COEFFS, 0.0)
         roots = complex_roots_of(prob, top)
-        assert winding(prob, top) == len(roots) >= 2
-        monkeypatch.setattr(spectral._RootProblem, "winding", losing)
-        with pytest.raises(RootIsolationFailure, match="winding number"):
+        assert winding_of(prob, top) == len(roots) >= 2
+        _, lost = self.lose_a_root_at(monkeypatch, 1)
+        with pytest.raises(RootIsolationFailure, match="winding number") as failure:
             complex_roots_of(spectral._RootProblem(FIG4_COEFFS, 0.0), top)
-        assert lost
+        assert lost and str(failure.value).endswith(f"on {top}")
+
+    def test_root_lost_deeper_trips_the_certificate_there(self, monkeypatch):
+        # the top rectangle's lower left quarter holds three roots, and it
+        # splits again: a root its quarter misses trips that quarter's
+        # certificate, which names it, and not the top's
+        top = (-0.9, 10.0, -8.0, 8.0)
+        calls, lost = self.lose_a_root_at(monkeypatch, 2)
+        with pytest.raises(RootIsolationFailure) as failure:
+            complex_roots_of(spectral._RootProblem(FIG4_COEFFS, 0.0), top)
+        (lost_in,) = lost
+        before = calls[:[rect for _, rect, _ in calls].index(lost_in)]
+        parent = next(rect for depth, rect, _ in reversed(before) if depth == 1)
+        assert str(failure.value).endswith(f"on {parent}")
+        assert parent != top and calls[0][1] == top
 
 
-class TestNewton:
+class TestSecant:
     """Root polishing: the secant iteration on G that the winding search runs
     in a rectangle holding one root."""
 
@@ -933,7 +990,7 @@ class TestNewton:
         prob = spectral._RootProblem(co, 0.0)
         assert prob.secant(centre, start, diam) is None
         assert prob.n_eval == 4
-        # subdividing still finds the root
+        # the search still finds the root, from the boundary's first moment
         (root,) = complex_roots_of(prob, rect)
         assert abs(root - (-0.8339082856268758 + 6.529928369768017j)) <= 1e-10
 
@@ -948,15 +1005,37 @@ class TestNewton:
         prob.real_roots = real_roots_of(FIG4_COEFFS, 0.0, (re0, re1))
         ((_, row),) = spectral._phase_steps([prob], rect)
         assert prob.count(*row) == 1
-        starts, secant = [], spectral._RootProblem.secant
-        monkeypatch.setattr(spectral._RootProblem, "secant",
-                            lambda prob, lh0, *args: starts.append(lh0) or secant(prob, lh0, *args))
-        n_eval = prob.n_eval
-        root = prob.from_moment(rect, *row[:3])
-        assert prob.n_eval - n_eval == 6
+        starts, secant, n_evals = [], spectral._RootProblem.secant, []
+
+        def counted(prob, lh0, *args):
+            starts.append(lh0)
+            n_eval = prob.n_eval
+            try:
+                return secant(prob, lh0, *args)
+            finally:
+                n_evals.append(prob.n_eval - n_eval)
+
+        monkeypatch.setattr(spectral._RootProblem, "secant", counted)
+        (root,) = prob.isolate(rect, row)
+        assert n_evals == [6]
         pair = complex(1.2423052748579382, 5.385397902204238)
         assert abs(root - pair) <= 1e-12
+        assert starts == [moment_of(row)]
         assert 0.0 < abs(starts[0] - pair) <= 3e-3 * abs(pair)
+
+    def test_centre_start_where_the_moment_lies_outside(self, monkeypatch):
+        # the Fig. 4 root 8e-3 from the right edge of a unit square: its 32
+        # boundary samples put the moment right of that edge
+        pair = complex(1.2423052748579382, 5.385397902204238)
+        rect = (0.25, 1.25, 4.875, 5.875)
+        prob = spectral._RootProblem(FIG4_COEFFS, 0.0)
+        ((_, row),) = spectral._phase_steps([prob], rect)
+        assert prob.count(*row) == 1
+        assert moment_of(row).real > rect[1]
+        starts = spy_secant(monkeypatch)
+        (root,) = prob.isolate(rect, row)
+        assert starts == [complex(0.75, 5.375)]
+        assert abs(root - pair) <= 1e-12
 
     @pytest.mark.parametrize("coeffs, rect, subdivides", [
         # the centre start converges in the rectangle
@@ -968,30 +1047,40 @@ class TestNewton:
         real = real_roots_of(coeffs, 0.0, rect[:2])
         (expected,) = complex_roots_of(spectral._RootProblem(coeffs, 0.0), rect, real)
         cls = spectral._RootProblem
-        secant, from_moment, winding = cls.secant, cls.from_moment, cls.winding
-        in_moment, failed, windings = [], [], []
+        secant, failed = cls.secant, []
 
         def failing_secant(prob, lh0, *args):
-            # the secant fails from the moment start only
-            if in_moment:
+            # the secant fails from the top rectangle's moment start only
+            if not failed:
                 failed.append(lh0)
                 return None
             return secant(prob, lh0, *args)
 
-        def moment(prob, *args):
-            in_moment.append(True)
-            try:
-                return from_moment(prob, *args)
-            finally:
-                in_moment.pop()
-
+        calls = spy_isolate(monkeypatch)
         monkeypatch.setattr(cls, "secant", failing_secant)
-        monkeypatch.setattr(cls, "from_moment", moment)
-        monkeypatch.setattr(cls, "winding",
-                            lambda prob, sub: windings.append(sub) or winding(prob, sub))
         (root,) = complex_roots_of(cls(coeffs, 0.0), rect, real)
-        assert len(failed) == 1 and bool(windings) == subdivides
+        assert failed == [moment_of(calls[0][2])]
+        assert (len(calls) > 1) == subdivides
         assert abs(root - expected) <= 1e-12 * abs(expected)
+
+    def test_two_roots_split_into_moment_starts(self, monkeypatch):
+        # the Fig. 4 pair in one rectangle: it splits in four, and each
+        # quarter that holds one of the pair starts the secant from its own
+        # boundary's first moment
+        rect = (0.5, 3.0, -6.0, 6.0)
+        prob = spectral._RootProblem(FIG4_COEFFS, 0.0)
+        calls, starts = spy_isolate(monkeypatch), spy_secant(monkeypatch)
+        roots = complex_roots_of(prob, rect)
+        pair = complex(1.2423052748579382, 5.385397902204238)
+        assert len(roots) == 2
+        for root, expected in zip(roots, (pair.conjugate(), pair)):
+            assert abs(root - expected) <= 1e-12 * abs(pair)
+        assert [depth for depth, *_ in calls] == [0, 1, 1, 1, 1]
+        # the steps of each row, resolved by its count, sum to 2 pi a root
+        ones = [row for depth, _, row in calls
+                if depth == 1 and round(row[2].sum() / (2.0 * np.pi)) == 1]
+        assert len(ones) == 2
+        assert starts == [moment_of(row) for row in ones]
 
 
 # Reference spectra at seeded points of the (f', nu) plane, u* = f(u*) = 1:
@@ -1241,7 +1330,7 @@ class TestAssembleSpectrum:
                 re0, re1, _, im1 = default_window(co, 0.0)
                 prob = spectral._RootProblem(co, 0.0)
                 real_roots_of(co, 0.0, (re0, re1), prob)
-                assert 2 * prob.winding((re0, re1, 1e-6, im1)) == counts[-1], (f_der, nu)
+                assert 2 * winding_of(prob, (re0, re1, 1e-6, im1)) == counts[-1], (f_der, nu)
             return counts
 
         counts = off_axis_counts()
@@ -1493,15 +1582,12 @@ class TestFactorMemo:
         for p in self.seeded_params(400, 18, lambda k, rng: float(
                 scan[k % 33] if k % 3 else rng.uniform(-64.0, 0.5))):
             assemble_spectrum(p)
-        # a subdivision, where the centre start leaves the rectangle
-        cls = spectral._RootProblem
-        windings, winding = [], cls.winding
-        monkeypatch.setattr(cls, "winding",
-                            lambda prob, sub: windings.append(sub) or winding(prob, sub))
-        prob = cls(ReducedCoefficients(alpha=0.7, beta=-0.56), 0.0)
-        real_roots_of(None, 0.0, (-1.0 + 1e-6, 11.0), prob)
-        prob.roots((-0.999999, 8.75, 1e-6, 9.75), 1)
-        assert windings
+        # a subdivision, of a rectangle that holds the Fig. 4 pair
+        calls = spy_isolate(monkeypatch)
+        prob = spectral._RootProblem(FIG4_COEFFS, 0.0)
+        rect = (0.5, 3.0, -6.0, 6.0)
+        ((_, row),) = spectral._phase_steps([prob], rect)
+        assert len(prob.isolate(rect, row)) == 2 and len(calls) > 1
         regions.sweep_plane(n_f=16, n_nu=16, threads=1)
         assert set(seen) <= family
         assert table.cache_info().currsize == len(seen) <= 23
